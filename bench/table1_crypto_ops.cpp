@@ -127,10 +127,6 @@ int main(int argc, char** argv) {
   seccloud::bench::Bench bench{"table1_crypto_ops"};
   bench.use_group(group());
   bench.note("paper_reference", "T_mult=0.86ms T_pair=4.14ms (MIRACL, Core 2 Duo E6550)");
-  // Pinned exact in bench/baselines: a build that silently loses the
-  // fixed-limb Montgomery backend (and its ~5× on T_mult/T_pair) fails the
-  // bench-regression gate instead of just drifting the warn-only timings.
-  bench.value("fixed_field_backend", group().fp().has_fixed_core() ? 1.0 : 0.0);
   seccloud::bench::run_gbench(argc, argv);
   return bench.finish();
 }

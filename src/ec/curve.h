@@ -4,8 +4,10 @@
 //   * the pairing group G1 (supersingular y^2 = x^3 + x, see src/pairing);
 //   * the ECDSA baseline (NIST P-256, see ec/p256.h).
 //
-// Affine points are the public value type; scalar multiplication runs in
-// Jacobian coordinates internally.
+// Affine points are the public value type; add, dbl and scalar
+// multiplication run in Jacobian coordinates on the base field's fixed-limb
+// Montgomery core, converting only at entry and exit. Coordinates ≥ p are
+// reduced on entry.
 #pragma once
 
 #include <optional>
@@ -76,35 +78,12 @@ class Curve {
   Point random_point(num::RandomSource& rng) const;
 
  private:
-  /// Jacobian coordinates (X, Y, Z): x = X/Z^2, y = Y/Z^3; Z = 0 ⇒ infinity.
-  struct Jacobian {
-    BigUint x;
-    BigUint y;
-    BigUint z;
-  };
-  Jacobian to_jacobian(const Point& pt) const;
-  Point to_affine(const Jacobian& pt) const;
-  /// Converts many Jacobian points to affine with one field inversion.
-  std::vector<Point> to_affine_batch(std::span<const Jacobian> points) const;
-  /// Width-4 signed-window scalar multiplication (the hot path for mul()).
-  Jacobian mul_wnaf(const BigUint& k, const Point& pt) const;
-  Jacobian jac_dbl(const Jacobian& pt) const;
-  Jacobian jac_add_mixed(const Jacobian& lhs, const Point& rhs) const;
-  Jacobian jac_add(const Jacobian& lhs, const Jacobian& rhs) const;
-
-  /// Fixed-limb Montgomery twins of mul()/multi_mul(): the whole Jacobian
-  /// ladder runs on stack limbs (field/fp_fixed.h) with BigUint conversions
-  /// only at entry/exit. Bit-identical results; used when the field has a
-  /// fixed core.
-  Point mul_fixed(const BigUint& k, const Point& pt) const;
-  Point multi_mul_fixed(std::span<const BigUint> scalars,
-                        std::span<const Point> points) const;
-
   const PrimeField* field_;
   BigUint a_;
   BigUint b_;
   BigUint order_;
   BigUint cofactor_;
+  field::fixed::Fe a_mont_;  ///< a in the Montgomery domain
 };
 
 }  // namespace seccloud::ec

@@ -1,45 +1,27 @@
 #include "field/fp.h"
 
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 
 namespace seccloud::field {
 
 namespace {
 
-/// SECCLOUD_FIELD_BACKEND=bigint forces the general path; anything else (or
-/// unset) keeps automatic selection. Read once per process.
-bool env_forces_bigint() {
-  static const bool forced = [] {
-    const char* v = std::getenv("SECCLOUD_FIELD_BACKEND");
-    return v != nullptr && std::strcmp(v, "bigint") == 0;
-  }();
-  return forced;
+const BigUint& checked_modulus(const BigUint& p) {
+  if (!fixed::MontCtx::fits(p)) {
+    throw std::invalid_argument(
+        "PrimeField: modulus must be an odd integer >= 3 of at most 8 limbs");
+  }
+  return p;
 }
 
 }  // namespace
 
-PrimeField::PrimeField(BigUint p, FieldBackend backend) : p_(std::move(p)) {
-  if (p_ < BigUint{3} || p_.is_even()) {
-    throw std::invalid_argument("PrimeField: modulus must be an odd integer >= 3");
-  }
+PrimeField::PrimeField(BigUint p) : p_(std::move(p)), mont_(checked_modulus(p_)) {
   k_ = p_.limb_count();
   mu_ = (BigUint{1} << (2 * k_ * 64)) / p_;
   p_three_mod_four_ = (p_.limb(0) & 3u) == 3u;
   if (p_three_mod_four_) {
     sqrt_exponent_ = (p_ + BigUint{1}) >> 2;
-  }
-
-  if (backend == FieldBackend::kAuto && env_forces_bigint()) {
-    backend = FieldBackend::kBigint;
-  }
-  if (backend != FieldBackend::kBigint && fixed::MontCtx::fits(p_)) {
-    mont_ = std::make_unique<fixed::MontCtx>(p_);
-  }
-  if (backend == FieldBackend::kFixed && !mont_) {
-    throw std::invalid_argument(
-        "PrimeField: fixed backend requested but modulus exceeds 8 limbs");
   }
 
   if (!p_three_mod_four_) {
@@ -93,55 +75,29 @@ BigUint PrimeField::neg(const BigUint& a) const {
 }
 
 BigUint PrimeField::mul(const BigUint& a, const BigUint& b) const {
-  if (mont_ && a < p_ && b < p_) {
-    return mont_->to_biguint(mont_->mul_canonical(mont_->load(a), mont_->load(b)));
-  }
-  return reduce(a * b);
+  return mont_.to_biguint(mont_.mul_canonical(load(a), load(b)));
 }
 
 BigUint PrimeField::sqr(const BigUint& a) const {
-  if (mont_ && a < p_) {
-    return mont_->to_biguint(mont_->sqr_canonical(mont_->load(a)));
-  }
-  return reduce(a.squared());
+  return mont_.to_biguint(mont_.sqr_canonical(load(a)));
 }
 
 BigUint PrimeField::mul_small(const BigUint& a, std::uint64_t k) const {
-  if (mont_ && a < p_) {
-    return mont_->to_biguint(mont_->mul_word(mont_->load(a), k));
-  }
-  BigUint r = a;
-  r *= k;
-  return reduce(r);
+  return mont_.to_biguint(mont_.mul_word(load(a), k));
 }
 
 BigUint PrimeField::pow(const BigUint& a, const BigUint& e) const {
-  if (mont_) {
-    // One conversion each way; the whole ladder runs in the Montgomery
-    // domain on stack-allocated limbs.
-    const fixed::Fe base = mont_->to_mont(mont_->load(reduce(a)));
-    return mont_->to_biguint(mont_->from_mont(mont_->pow_mont(base, e)));
-  }
-  BigUint result{1};
-  BigUint base = reduce(a);
-  for (std::size_t i = e.bit_length(); i-- > 0;) {
-    result = sqr(result);
-    if (e.bit(i)) result = mul(result, base);
-  }
-  return result;
+  // One conversion each way; the whole ladder runs in the Montgomery domain
+  // on stack-allocated limbs.
+  return from_mont(mont_.pow_mont(to_mont(a), e));
 }
 
 std::optional<BigUint> PrimeField::inv(const BigUint& a) const {
-  if (mont_) {
-    const BigUint r = reduce(a);
-    if (r.is_zero()) return std::nullopt;
-    if (auto iv = mont_->inv_mont(mont_->to_mont(mont_->load(r)))) {
-      return mont_->to_biguint(mont_->from_mont(*iv));
-    }
-    // gcd(r, p) > 1 under a composite modulus: defer to the BigUint
-    // extended gcd so both backends report the same answer.
-  }
-  return num::inv_mod(a, p_);
+  // nullopt for 0 and, under a composite modulus, for any a sharing a factor
+  // with p.
+  const auto iv = mont_.inv_mont(to_mont(a));
+  if (!iv) return std::nullopt;
+  return from_mont(*iv);
 }
 
 std::vector<BigUint> PrimeField::inv_batch(std::span<const BigUint> values) const {

@@ -4,20 +4,14 @@
 // machinery; elements are plain BigUint residues in [0, p). This keeps the
 // hot path (the Miller loop) free of per-element indirection.
 //
-// Two backends share this interface and produce bit-identical residues:
-//   * kBigint — the original heap-allocating BigUint path with Barrett
-//     reduction; always available, authoritative for setup/keygen.
-//   * kFixed  — the stack-allocated fixed-limb Montgomery core
-//     (field/fp_fixed.h), selected automatically when the modulus fits in
-//     8×64 bits. mul/sqr/pow/inv/mul_small route through it; the really hot
-//     consumers (ec::Curve, the Miller loop, FixedPairing) additionally
-//     bypass BigUint entirely via fixed_core().
-// The environment variable SECCLOUD_FIELD_BACKEND=bigint forces the general
-// path even where the fixed core would fit (differential testing, A/B
-// benchmarking); any other value leaves automatic selection in place.
+// All multiplicative arithmetic runs on the fixed-limb Montgomery core
+// (field/fp_fixed.h), so the modulus must fit in 8×64 bits. The BigUint-facing
+// API converts at the boundary; the really hot consumers (ec::Curve, the
+// Miller loop, FixedPairing) work on mont() directly and convert only at entry
+// and exit. mul, sqr, mul_small, pow, inv and to_mont reduce an input ≥ p on
+// import, so they accept any non-negative integer.
 #pragma once
 
-#include <memory>
 #include <optional>
 
 #include "bigint/biguint.h"
@@ -29,33 +23,29 @@ namespace seccloud::field {
 
 using num::BigUint;
 
-/// Backend selection for PrimeField (see file comment).
-enum class FieldBackend {
-  kAuto,    ///< fixed core when the modulus fits, BigUint otherwise
-  kBigint,  ///< force the general BigUint/Barrett path
-  kFixed,   ///< require the fixed core; throws if the modulus does not fit
-};
-
 class PrimeField {
  public:
   /// `p` must be an odd prime (not verified here; callers pass verified or
-  /// pinned parameters). Throws std::invalid_argument if p < 3 or even, or
-  /// if `backend` is kFixed and p is wider than the fixed core supports.
-  explicit PrimeField(BigUint p, FieldBackend backend = FieldBackend::kAuto);
+  /// pinned parameters). Throws std::invalid_argument if p < 3, even, or
+  /// wider than fixed::kMaxLimbs limbs.
+  explicit PrimeField(BigUint p);
 
   const BigUint& modulus() const noexcept { return p_; }
   std::size_t limb_count() const noexcept { return k_; }
 
-  /// The fixed-limb Montgomery core, or nullptr when this field runs on the
-  /// BigUint backend. Hot loops (curve, pairing) branch on this once and
-  /// then stay on fixed-limb arithmetic end to end.
-  const fixed::MontCtx* fixed_core() const noexcept { return mont_.get(); }
-  bool has_fixed_core() const noexcept { return mont_ != nullptr; }
+  /// The fixed-limb Montgomery core. Hot loops (curve, pairing) run on it end
+  /// to end, converting through to_mont()/from_mont() only at the boundary.
+  const fixed::MontCtx& mont() const noexcept { return mont_; }
 
   /// Reduces an arbitrary non-negative integer into [0, p). Uses Barrett
-  /// reduction when x < p^2, a full division otherwise. (Always the BigUint
-  /// path: inputs may be arbitrarily wide.)
+  /// reduction when x < p^2, a full division otherwise. (BigUint arithmetic:
+  /// inputs may be arbitrarily wide.)
   BigUint reduce(const BigUint& x) const;
+
+  /// x mod p in the Montgomery domain; x is reduced only when x ≥ p.
+  fixed::Fe to_mont(const BigUint& x) const { return mont_.to_mont(load(x)); }
+  /// Montgomery-domain x̃ → canonical residue.
+  BigUint from_mont(const fixed::Fe& x) const { return mont_.to_biguint(mont_.from_mont(x)); }
 
   BigUint add(const BigUint& a, const BigUint& b) const;
   BigUint sub(const BigUint& a, const BigUint& b) const;
@@ -92,7 +82,12 @@ class PrimeField {
   BigUint sqrt_exponent_;  ///< (p+1)/4 when p ≡ 3 (mod 4).
   std::size_t k_;          ///< Limb count of p.
   bool p_three_mod_four_;
-  std::unique_ptr<fixed::MontCtx> mont_;  ///< fixed backend; null on kBigint
+  fixed::MontCtx mont_;
+
+  /// x mod p as a canonical-domain Fe; x is reduced only when x ≥ p.
+  fixed::Fe load(const BigUint& x) const {
+    return x < p_ ? mont_.load(x) : mont_.load(reduce(x));
+  }
 
   // Tonelli–Shanks precomputation (p ≡ 1 (mod 4) only): p − 1 = q·2^s and a
   // quadratic non-residue z. ts_ready_ is false when no non-residue was

@@ -46,58 +46,32 @@ std::optional<Fp2> Fp2Field::inv(const Fp2& x) const {
 }
 
 Fp2 Fp2Field::pow(const Fp2& x, const BigUint& e) const {
-  if (has_fixed_core()) {
-    // Same square-and-multiply schedule, but the whole ladder runs on
-    // Montgomery-domain stack limbs: two conversions total instead of a
-    // heap-allocating Barrett reduction per step.
-    const Fe2 base = fe2_import(x);
-    Fe2 result = fe2_one();
-    for (std::size_t i = e.bit_length(); i-- > 0;) {
-      result = fe2_sqr(result);
-      if (e.bit(i)) result = fe2_mul(result, base);
-    }
-    return fe2_export(result);
-  }
-  Fp2 result = one();
+  // Square-and-multiply with the whole ladder on Montgomery-domain stack
+  // limbs: two conversions in total.
+  const Fe2 base = fe2_import(x);
+  Fe2 result = fe2_one();
   for (std::size_t i = e.bit_length(); i-- > 0;) {
-    result = sqr(result);
-    if (e.bit(i)) result = mul(result, x);
+    result = fe2_sqr(result);
+    if (e.bit(i)) result = fe2_mul(result, base);
   }
-  return result;
+  return fe2_export(result);
 }
 
 Fe2 Fp2Field::fe2_import(const Fp2& x) const {
-  const auto& m = *fp_->fixed_core();
-  return {m.to_mont(m.load(x.a)), m.to_mont(m.load(x.b))};
+  return {fp_->to_mont(x.a), fp_->to_mont(x.b)};
 }
 
 Fp2 Fp2Field::fe2_export(const Fe2& x) const {
-  const auto& m = *fp_->fixed_core();
-  return {m.to_biguint(m.from_mont(x.a)), m.to_biguint(m.from_mont(x.b))};
+  return {fp_->from_mont(x.a), fp_->from_mont(x.b)};
 }
 
 Fe2 Fp2Field::fe2_one() const {
-  return {fp_->fixed_core()->one_mont(), fixed::Fe{}};
-}
-
-bool Fp2Field::fe2_is_zero(const Fe2& x) const noexcept {
-  const auto& m = *fp_->fixed_core();
-  return m.is_zero(x.a) && m.is_zero(x.b);
-}
-
-Fe2 Fp2Field::fe2_add(const Fe2& x, const Fe2& y) const {
-  const auto& m = *fp_->fixed_core();
-  return {m.add(x.a, y.a), m.add(x.b, y.b)};
-}
-
-Fe2 Fp2Field::fe2_sub(const Fe2& x, const Fe2& y) const {
-  const auto& m = *fp_->fixed_core();
-  return {m.sub(x.a, y.a), m.sub(x.b, y.b)};
+  return {fp_->mont().one_mont(), fixed::Fe{}};
 }
 
 Fe2 Fp2Field::fe2_mul(const Fe2& x, const Fe2& y) const {
   // Karatsuba, mirroring mul() above term for term.
-  const auto& m = *fp_->fixed_core();
+  const auto& m = fp_->mont();
   const fixed::Fe t0 = m.mont_mul(x.a, y.a);
   const fixed::Fe t1 = m.mont_mul(x.b, y.b);
   const fixed::Fe t2 = m.mont_mul(m.add(x.a, x.b), m.add(y.a, y.b));
@@ -105,15 +79,11 @@ Fe2 Fp2Field::fe2_mul(const Fe2& x, const Fe2& y) const {
 }
 
 Fe2 Fp2Field::fe2_sqr(const Fe2& x) const {
-  const auto& m = *fp_->fixed_core();
+  const auto& m = fp_->mont();
   const fixed::Fe sum = m.add(x.a, x.b);
   const fixed::Fe diff = m.sub(x.a, x.b);
   const fixed::Fe cross = m.mont_mul(x.a, x.b);
   return {m.mont_mul(sum, diff), m.add(cross, cross)};
-}
-
-Fe2 Fp2Field::fe2_conj(const Fe2& x) const {
-  return {x.a, fp_->fixed_core()->neg(x.b)};
 }
 
 Fp2 Fp2Field::random(num::RandomSource& rng) const {

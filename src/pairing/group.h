@@ -34,11 +34,7 @@ using Gt = Fp2;
 
 class PairingGroup {
  public:
-  /// `backend` selects the base-field implementation (kAuto picks the
-  /// fixed-limb Montgomery core when the modulus fits; kBigint forces the
-  /// Barrett path — useful for differential tests and A/B runs).
-  explicit PairingGroup(const TypeAParams& params,
-                        field::FieldBackend backend = field::FieldBackend::kAuto);
+  explicit PairingGroup(const TypeAParams& params);
 
   const TypeAParams& params() const noexcept { return params_; }
   const field::PrimeField& fp() const noexcept { return *fp_; }
@@ -123,10 +119,9 @@ class PairingGroup {
   void publish_to(obs::MetricsRegistry& registry, std::string prefix) const;
 
  private:
+  /// The whole loop runs on Montgomery-domain stack limbs; coordinates ≥ p
+  /// are reduced on import.
   Fp2 miller_loop(const Point& p, const Point& q) const;
-  /// Fixed-limb twin of miller_loop: the whole loop runs on Montgomery-domain
-  /// stack limbs. Bit-identical canonical results (same formula schedule).
-  Fp2 miller_loop_fixed(const Point& p, const Point& q) const;
   Fp2 final_exponentiation(const Fp2& f) const;
 
   TypeAParams params_;

@@ -1,156 +1,53 @@
 #include "pairing/precompute.h"
 
-#include <stdexcept>
+#include "pairing/miller_schedule.h"
 
 namespace seccloud::pairing {
 
-using field::BigUint;
-
-namespace {
-
-/// Jacobian accumulator, mirroring the one inside PairingGroup::miller_loop.
-struct Jac {
-  BigUint x;
-  BigUint y;
-  BigUint z;
-  bool is_infinity() const noexcept { return z.is_zero(); }
-};
-
-}  // namespace
+using field::fixed::Fe;
 
 FixedPairing::FixedPairing(const PairingGroup& group, const Point& fixed)
     : group_(&group), fixed_(fixed) {
   if (fixed_.infinity) return;  // ê(O, ·) = 1; no lines to record
   const auto& f = group.fp();
-  const Point& p = fixed_;
+  const auto& m = f.mont();
+  const Fe xp = f.to_mont(fixed_.x);
+  const Fe yp = f.to_mont(fixed_.y);
+  lines_per_step_.reserve(group.order().bit_length() - 1);
 
-  Jac t{p.x, p.y, BigUint{1}};
-  const BigUint& n = group.order();
-  lines_per_step_.reserve(n.bit_length() - 1);
-
-  // Doubling step with its tangent line recorded; shared between the per-bit
-  // doubling and the degenerate T = P addition (where the connecting line
-  // *is* the tangent) — mirroring PairingGroup::miller_loop exactly.
-  const auto record_dbl = [&](std::uint8_t& emitted) {
-    if (t.y.is_zero()) {
-      t = Jac{BigUint{1}, BigUint{1}, BigUint{}};
-      return;
-    }
-    const BigUint y2 = f.sqr(t.y);
-    const BigUint s = f.mul_small(f.mul(t.x, y2), 4);
-    const BigUint z2 = f.sqr(t.z);
-    const BigUint m = f.add(f.mul_small(f.sqr(t.x), 3), f.sqr(z2));
-    const BigUint x3 = f.sub(f.sqr(m), f.add(s, s));
-    const BigUint y3 = f.sub(f.mul(m, f.sub(s, x3)), f.mul_small(f.sqr(y2), 8));
-    const BigUint z3 = f.mul_small(f.mul(t.y, t.z), 2);
-    Line line;
-    line.u = f.sub(f.add(y2, y2), f.mul(m, t.x));
-    line.v = f.mul(m, z2);
-    line.w = f.mul(z3, z2);
-    lines_.push_back(std::move(line));
-    ++emitted;
-    t = Jac{x3, y3, z3};
-  };
-
-  // Identical control flow to PairingGroup::miller_loop, but instead of
-  // evaluating each line at φ(Q) we record its (u, v, w) coefficients:
-  //   doubling:  l(φQ) = −(2Y² − M·X + (M·Z²)·x̄_Q) + (Z3·Z²·y_Q)·i
-  //   addition:  l(φQ) = −(Z3·y_P − R·x_P + R·x̄_Q) + (Z3·y_Q)·i
-  for (std::size_t i = n.bit_length() - 1; i-- > 0;) {
-    std::uint8_t emitted = 0;
-
-    if (!t.is_infinity()) record_dbl(emitted);
-
-    if (n.bit(i)) {
-      if (t.is_infinity()) {
-        t = Jac{p.x, p.y, BigUint{1}};
-      } else {
-        const BigUint z1_sq = f.sqr(t.z);
-        const BigUint u2 = f.mul(p.x, z1_sq);
-        const BigUint s2 = f.mul(p.y, f.mul(z1_sq, t.z));
-        const BigUint hh = f.sub(u2, t.x);
-        const BigUint r = f.sub(s2, t.y);
-        if (hh.is_zero()) {
-          if (r.is_zero()) {
-            // T = P (small-order P): the connecting line degenerates to the
-            // tangent at T — record a doubling step, as miller_loop does.
-            record_dbl(emitted);
-          } else {
-            t = Jac{BigUint{1}, BigUint{1}, BigUint{}};
-          }
-        } else {
-          const BigUint h2 = f.sqr(hh);
-          const BigUint h3 = f.mul(h2, hh);
-          const BigUint x1h2 = f.mul(t.x, h2);
-          const BigUint x3 = f.sub(f.sub(f.sqr(r), h3), f.add(x1h2, x1h2));
-          const BigUint y3 = f.sub(f.mul(r, f.sub(x1h2, x3)), f.mul(t.y, h3));
-          const BigUint z3 = f.mul(t.z, hh);
-          Line line;
-          line.u = f.sub(f.mul(z3, p.y), f.mul(r, p.x));
-          line.v = r;
-          line.w = z3;
-          lines_.push_back(std::move(line));
-          ++emitted;
-          t = Jac{x3, y3, z3};
-        }
-      }
-    }
-
-    lines_per_step_.push_back(emitted);
-  }
-
-  // Montgomery twins for the fixed-limb replay path: one-time conversion so
-  // each evaluation runs entirely on stack limbs.
-  if (f.has_fixed_core()) {
-    const auto& m = *f.fixed_core();
-    fe_lines_.reserve(lines_.size());
-    for (const Line& line : lines_) {
-      fe_lines_.push_back({m.to_mont(m.load(line.u)), m.to_mont(m.load(line.v)),
-                           m.to_mont(m.load(line.w))});
-    }
-  }
+  // Instead of evaluating each line at φ(Q) we record its (u, v, w)
+  // coefficients:
+  //   tangent:  l(φQ) = −(2Y² − M·X + (M·Z²)·x̄_Q) + (Z3·Z²·y_Q)·i
+  //   chord:    l(φQ) = −(Z3·y_P − R·x_P + R·x̄_Q) + (Z3·y_Q)·i
+  detail::walk_miller(
+      m, group.order(), xp, yp, [&] { lines_per_step_.push_back(0); },
+      [&](const Fe& x, const Fe& y2, const Fe& z2, const Fe& mm, const Fe& z3) {
+        lines_.push_back({m.sub(m.add(y2, y2), m.mont_mul(mm, x)), m.mont_mul(mm, z2),
+                          m.mont_mul(z3, z2)});
+        ++lines_per_step_.back();
+      },
+      [&](const Fe& r, const Fe& z3) {
+        lines_.push_back({m.sub(m.mont_mul(z3, yp), m.mont_mul(r, xp)), r, z3});
+        ++lines_per_step_.back();
+      });
 }
 
 Fp2 FixedPairing::miller_with(const Point& q) const {
+  using field::Fe2;
   group_->add_ops({.miller_loops = 1});
   const auto& f = group_->fp();
-  const auto& f2 = group_->fp2();
-  if (!fe_lines_.empty() && q.x < f.modulus() && q.y < f.modulus()) {
-    return miller_with_fixed(q);
-  }
-
-  const BigUint xq = f.neg(q.x);  // x̄_Q: φ(Q) has x-coordinate −x_Q
-  const BigUint& yq = q.y;
-
-  Fp2 acc = f2.one();
-  std::size_t next = 0;
-  for (const std::uint8_t count : lines_per_step_) {
-    acc = f2.sqr(acc);
-    for (std::uint8_t k = 0; k < count; ++k) {
-      const Line& line = lines_[next++];
-      const BigUint real = f.neg(f.add(line.u, f.mul(line.v, xq)));
-      const BigUint imag = f.mul(line.w, yq);
-      acc = f2.mul(acc, Fp2{real, imag});
-    }
-  }
-  return acc;
-}
-
-Fp2 FixedPairing::miller_with_fixed(const Point& q) const {
-  using field::Fe2;
-  using field::fixed::Fe;
-  const auto& m = *group_->fp().fixed_core();
+  const auto& m = f.mont();
   const auto& f2 = group_->fp2();
 
-  const Fe xq = m.neg(m.to_mont(m.load(q.x)));  // x̄_Q = −x_Q
-  const Fe yq = m.to_mont(m.load(q.y));
+  const Fe xq = m.neg(f.to_mont(q.x));  // x̄_Q: φ(Q) has x-coordinate −x_Q
+  const Fe yq = f.to_mont(q.y);
 
   Fe2 acc = f2.fe2_one();
   std::size_t next = 0;
   for (const std::uint8_t count : lines_per_step_) {
     acc = f2.fe2_sqr(acc);
     for (std::uint8_t k = 0; k < count; ++k) {
-      const FeLine& line = fe_lines_[next++];
+      const Line& line = lines_[next++];
       const Fe real = m.neg(m.add(line.u, m.mont_mul(line.v, xq)));
       const Fe imag = m.mont_mul(line.w, yq);
       acc = f2.fe2_mul(acc, Fe2{real, imag});

@@ -24,7 +24,13 @@ ThreadPool::ThreadPool(std::size_t threads) {
 }
 
 ThreadPool::~ThreadPool() {
-  stop_.store(true, std::memory_order_release);
+  {
+    // Stored under sleep_m_: a worker that has evaluated its wait predicate
+    // but not yet blocked still holds the mutex, so it either sees stop_ or
+    // is already waiting when the notification arrives.
+    std::lock_guard<std::mutex> lock(sleep_m_);
+    stop_.store(true, std::memory_order_release);
+  }
   sleep_cv_.notify_all();
   for (auto& worker : workers_) worker.join();
 }

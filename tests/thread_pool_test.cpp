@@ -136,5 +136,23 @@ TEST(ThreadPool, ChunkSumMatchesSerial) {
   EXPECT_EQ(parallel.load(), serial);
 }
 
+TEST(ThreadPool, ShutdownWakesWorkersAboutToSleep) {
+  // Regression: the destructor used to publish stop_ without holding the
+  // workers' sleep mutex, so a worker between its wait-predicate check and
+  // blocking missed the wake-up and join() never returned. Destroying pools
+  // right after their workers went idle (or before they ever ran) hit that
+  // window within a few hundred cycles; the ctest TIMEOUT turns the hang into
+  // a failure.
+  for (int cycle = 0; cycle < 2000; ++cycle) {
+    ThreadPool pool{4};
+    if (cycle % 2 == 0) continue;
+    std::atomic<int> count{0};
+    pool.parallel_for(16, [&](std::size_t begin, std::size_t end) {
+      count.fetch_add(static_cast<int>(end - begin), std::memory_order_relaxed);
+    });
+    ASSERT_EQ(count.load(), 16);
+  }
+}
+
 }  // namespace
 }  // namespace seccloud::util
