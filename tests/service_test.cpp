@@ -275,6 +275,29 @@ TEST_F(ServiceFixture, StaleReplayIsFilteredAtZeroPairingCost) {
       << "a stale replay is filtered, not isolated";
 }
 
+TEST_F(ServiceFixture, InEpochReplayIsFilteredAsStale) {
+  // Every request submitted twice in ONE epoch: the second copy carries a
+  // version already admitted for its user this epoch, so it is a replay
+  // and must be filtered like a cross-epoch one, not verified again.
+  AuditService svc = make_service();
+  FleetWorkload fleet{sio, {.users = 16, .active_users = 4, .blocks_per_request = 2, .seed = 17}};
+  fleet.populate(svc);
+  const std::vector<AuditRequest> requests = fleet.make_requests(svc);
+  for (const AuditRequest& r : requests) ASSERT_TRUE(svc.submit(r).accepted);
+  for (const AuditRequest& r : requests) ASSERT_TRUE(svc.submit(r).accepted);
+
+  const EpochReport report = svc.run_epoch();
+  EXPECT_EQ(report.requests, 8u);
+  EXPECT_EQ(report.verified_requests, 4u);
+  EXPECT_EQ(report.stale_rejected, 4u);
+  EXPECT_EQ(report.failed_requests, 4u);
+  EXPECT_EQ(report.entries, 8u) << "the replayed copies never reach a batch";
+  EXPECT_TRUE(report.byzantine_users.empty());
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(svc.registry().audited_version(fleet.handle(i)), requests[i].version);
+  }
+}
+
 TEST_F(ServiceFixture, ByzantineSignerIsolatedWithoutPoisoningTheBatch) {
   AuditService svc = make_service(/*threads=*/1, /*batch_capacity=*/16);
   FleetWorkload fleet{sio, {.users = 32, .active_users = 5, .blocks_per_request = 3, .seed = 13}};
