@@ -200,10 +200,13 @@ int main() {
   }
 
   const pairing::OpCounters total = profile.total_ops();
-  std::printf("\ntotal attributed ops: pairings=%llu point_muls=%llu hash_to_points=%llu\n",
-              static_cast<unsigned long long>(total.pairings),
-              static_cast<unsigned long long>(total.point_muls),
-              static_cast<unsigned long long>(total.hash_to_points));
+  std::printf(
+      "\ntotal attributed ops: pairings=%llu point_muls=%llu msm_terms=%llu "
+      "hash_to_points=%llu\n",
+      static_cast<unsigned long long>(total.pairings),
+      static_cast<unsigned long long>(total.point_muls),
+      static_cast<unsigned long long>(total.msm_terms),
+      static_cast<unsigned long long>(total.hash_to_points));
   std::printf("%s\n", failures == 0 ? "\nall phase pairing counts match the analytical model"
                                     : "\nPHASE MODEL MISMATCH — see rows above");
   return failures == 0 ? 0 : 1;

@@ -1,7 +1,7 @@
 #include "ec/curve.h"
 
 #include <algorithm>
-#include <array>
+#include <cstdint>
 #include <stdexcept>
 
 namespace seccloud::ec {
@@ -10,14 +10,9 @@ namespace {
 using field::fixed::Fe;
 using field::fixed::MontCtx;
 
-// Affine and Jacobian points with Montgomery-domain coordinates: every curve
-// operation imports its inputs once, runs on these, and exports once.
-struct FeAff {
-  Fe x;
-  Fe y;
-  bool inf = false;
-};
-
+// Jacobian points with Montgomery-domain coordinates: every curve operation
+// imports its affine inputs once (MontAffine), runs on these, and exports
+// once.
 struct FeJac {
   Fe x;
   Fe y;
@@ -26,17 +21,17 @@ struct FeJac {
 
 FeJac fe_jac_infinity(const MontCtx& m) { return {m.one_mont(), m.one_mont(), Fe{}}; }
 
-FeAff fe_import(const PrimeField& f, const Point& pt) {
+MontAffine fe_import(const PrimeField& f, const Point& pt) {
   if (pt.infinity) return {Fe{}, Fe{}, true};
   return {f.to_mont(pt.x), f.to_mont(pt.y), false};
 }
 
-Point fe_export(const PrimeField& f, const FeAff& pt) {
+Point fe_export(const PrimeField& f, const MontAffine& pt) {
   if (pt.inf) return Point::at_infinity();
   return Point::affine(f.from_mont(pt.x), f.from_mont(pt.y));
 }
 
-FeAff fe_neg(const MontCtx& m, const FeAff& pt) {
+MontAffine fe_neg(const MontCtx& m, const MontAffine& pt) {
   if (pt.inf) return pt;
   return {pt.x, m.neg(pt.y), false};
 }
@@ -57,7 +52,8 @@ FeJac fe_jac_dbl(const MontCtx& m, const Fe& a_mont, const FeJac& pt) {
   return {x3, y3, z3};
 }
 
-FeJac fe_jac_add_mixed(const MontCtx& m, const Fe& a_mont, const FeJac& lhs, const FeAff& rhs) {
+FeJac fe_jac_add_mixed(const MontCtx& m, const Fe& a_mont, const FeJac& lhs,
+                       const MontAffine& rhs) {
   if (rhs.inf) return lhs;
   if (m.is_zero(lhs.z)) return {rhs.x, rhs.y, m.one_mont()};
   const Fe z1_sq = m.mont_sqr(lhs.z);
@@ -78,7 +74,7 @@ FeJac fe_jac_add_mixed(const MontCtx& m, const Fe& a_mont, const FeJac& lhs, con
   return {x3, y3, z3};
 }
 
-FeAff fe_to_affine(const MontCtx& m, const FeJac& pt) {
+MontAffine fe_to_affine(const MontCtx& m, const FeJac& pt) {
   if (m.is_zero(pt.z)) return {Fe{}, Fe{}, true};
   const auto z_inv = m.inv_mont(pt.z);
   if (!z_inv) throw std::domain_error("fe_to_affine: non-invertible z");
@@ -86,51 +82,100 @@ FeAff fe_to_affine(const MontCtx& m, const FeJac& pt) {
   return {m.mont_mul(pt.x, z2_inv), m.mont_mul(pt.y, m.mont_mul(z2_inv, *z_inv)), false};
 }
 
-std::vector<FeAff> fe_to_affine_batch(const MontCtx& m, std::span<const FeJac> points) {
+/// Affine forms of `points` with ONE shared inversion; points at infinity
+/// (which a small-order base's odd multiples can be) stay infinity.
+std::vector<MontAffine> fe_to_affine_batch(const MontCtx& m, std::span<const FeJac> points) {
   std::vector<Fe> zs;
   zs.reserve(points.size());
   for (const auto& pt : points) {
-    if (m.is_zero(pt.z)) throw std::domain_error("to_affine_batch: point at infinity");
-    zs.push_back(pt.z);
+    if (!m.is_zero(pt.z)) zs.push_back(pt.z);
   }
   const std::vector<Fe> z_invs = m.inv_batch_mont(zs);
-  std::vector<FeAff> out;
+  std::vector<MontAffine> out;
   out.reserve(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const Fe z2_inv = m.mont_sqr(z_invs[i]);
-    out.push_back({m.mont_mul(points[i].x, z2_inv),
-                   m.mont_mul(points[i].y, m.mont_mul(z2_inv, z_invs[i])), false});
+  std::size_t next = 0;
+  for (const auto& pt : points) {
+    if (m.is_zero(pt.z)) {
+      out.push_back({Fe{}, Fe{}, true});
+      continue;
+    }
+    const Fe& z_inv = z_invs[next++];
+    const Fe z2_inv = m.mont_sqr(z_inv);
+    out.push_back({m.mont_mul(pt.x, z2_inv), m.mont_mul(pt.y, m.mont_mul(z2_inv, z_inv)),
+                   false});
   }
   return out;
 }
 
-// Width-4 signed-window recoding, least-significant digit first.
-std::vector<int> wnaf4_digits(const BigUint& k) {
-  constexpr int kWidth = 4;
-  constexpr std::uint64_t kWindow = 1u << kWidth;     // 16
-  constexpr std::uint64_t kHalfWindow = kWindow / 2;  // 8
+/// Appends the Jacobian odd multiples 3P, 5P, 7P of `p`, built as 2kP + P
+/// with doublings and mixed adds only, so the affine 2P (a whole extra
+/// inversion) is never needed. A base of order 3, 5 or 7 yields O entries.
+void append_odd_multiples(const MontCtx& m, const Fe& a_mont, const MontAffine& p,
+                          std::vector<FeJac>& out) {
+  if (p.inf) {
+    out.insert(out.end(), 3, fe_jac_infinity(m));
+    return;
+  }
+  const FeJac t2 = fe_jac_dbl(m, a_mont, FeJac{p.x, p.y, m.one_mont()});
+  const FeJac t3 = fe_jac_add_mixed(m, a_mont, t2, p);
+  out.push_back(t3);
+  out.push_back(fe_jac_add_mixed(m, a_mont, fe_jac_dbl(m, a_mont, t2), p));  // 5P = 4P + P
+  out.push_back(fe_jac_add_mixed(m, a_mont, fe_jac_dbl(m, a_mont, t3), p));  // 7P = 6P + P
+}
 
-  std::vector<int> digits;
-  digits.reserve(k.bit_length() + 1);
-  BigUint n = k;
-  while (!n.is_zero()) {
-    if (n.is_odd()) {
-      const std::uint64_t mod = n.limb(0) & (kWindow - 1);
-      int digit;
-      if (mod >= kHalfWindow) {
-        digit = static_cast<int>(mod) - static_cast<int>(kWindow);
-        n += static_cast<std::uint64_t>(-digit);
-      } else {
-        digit = static_cast<int>(mod);
-        n -= static_cast<std::uint64_t>(digit);
-      }
-      digits.push_back(digit);
-    } else {
-      digits.push_back(0);
+/// Width-4 signed-window recoding of k, least-significant digit first:
+/// odd digits in [−7, 7], at most one nonzero in any 4 consecutive
+/// positions. Reads the limbs directly instead of shifting a BigUint copy.
+std::vector<std::int8_t> wnaf4_digits(const BigUint& k) {
+  constexpr std::size_t kWidth = 4;
+  const std::size_t len = k.bit_length() + 1;  // the top position absorbs the last carry
+  const auto bits_at = [&k](std::size_t pos, std::size_t count) {
+    const std::size_t limb = pos / 64;
+    const std::size_t shift = pos % 64;
+    std::uint64_t word = k.limb(limb) >> shift;
+    if (shift + count > 64) word |= k.limb(limb + 1) << (64 - shift);
+    return static_cast<int>(word & ((std::uint64_t{1} << count) - 1));
+  };
+  std::vector<std::int8_t> digits(len, 0);
+  int carry = 0;
+  for (std::size_t pos = 0; pos < len;) {
+    if (bits_at(pos, 1) == carry) {  // bit + carry is even: a zero digit
+      ++pos;
+      continue;
     }
-    n >>= 1;
+    const std::size_t count = std::min(kWidth, len - pos);
+    int word = bits_at(pos, count) + carry;
+    carry = (word >> (kWidth - 1)) & 1;
+    word -= carry << kWidth;
+    digits[pos] = static_cast<std::int8_t>(word);
+    pos += count;
   }
   return digits;
+}
+
+/// The Straus kernel: Σ k_i·B_i over prepared odd-multiple tables, one
+/// shared doubling chain, Jacobian result.
+FeJac straus(const MontCtx& m, const Fe& a_mont, std::span<const MontAffine> odd,
+             std::span<const BigUint> scalars) {
+  std::vector<std::vector<std::int8_t>> digits(scalars.size());
+  std::size_t len = 0;
+  for (std::size_t j = 0; j < scalars.size(); ++j) {
+    if (scalars[j].is_zero()) continue;
+    digits[j] = wnaf4_digits(scalars[j]);
+    len = std::max(len, digits[j].size());
+  }
+  FeJac acc = fe_jac_infinity(m);
+  for (std::size_t i = len; i-- > 0;) {
+    acc = fe_jac_dbl(m, a_mont, acc);
+    for (std::size_t j = 0; j < digits.size(); ++j) {
+      if (i >= digits[j].size() || digits[j][i] == 0) continue;
+      const int digit = digits[j][i];
+      const MontAffine& entry =
+          odd[j * MsmTable::kEntries + static_cast<std::size_t>(digit > 0 ? digit : -digit) / 2];
+      acc = fe_jac_add_mixed(m, a_mont, acc, digit > 0 ? entry : fe_neg(m, entry));
+    }
+  }
+  return acc;
 }
 
 }  // namespace
@@ -159,7 +204,7 @@ Point Curve::neg(const Point& pt) const {
 Point Curve::add(const Point& lhs, const Point& rhs) const {
   if (lhs.infinity) return rhs;
   const MontCtx& m = field_->mont();
-  const FeAff l = fe_import(*field_, lhs);
+  const MontAffine l = fe_import(*field_, lhs);
   const FeJac sum =
       fe_jac_add_mixed(m, a_mont_, FeJac{l.x, l.y, m.one_mont()}, fe_import(*field_, rhs));
   return fe_export(*field_, fe_to_affine(m, sum));
@@ -168,80 +213,60 @@ Point Curve::add(const Point& lhs, const Point& rhs) const {
 Point Curve::dbl(const Point& pt) const {
   if (pt.infinity) return Point::at_infinity();
   const MontCtx& m = field_->mont();
-  const FeAff p = fe_import(*field_, pt);
+  const MontAffine p = fe_import(*field_, pt);
   const FeJac twice = fe_jac_dbl(m, a_mont_, FeJac{p.x, p.y, m.one_mont()});
   return fe_export(*field_, fe_to_affine(m, twice));
 }
 
 Point Curve::mul(const BigUint& k, const Point& pt) const {
   if (pt.infinity || k.is_zero()) return Point::at_infinity();
-  const MontCtx& m = field_->mont();
-  const FeAff p = fe_import(*field_, pt);
-  const auto double_and_add = [&] {
+  // Tiny scalars: plain double-and-add beats table setup.
+  if (k.bit_length() <= 8) {
+    const MontCtx& m = field_->mont();
+    const MontAffine p = fe_import(*field_, pt);
     FeJac acc = fe_jac_infinity(m);
     for (std::size_t i = k.bit_length(); i-- > 0;) {
       acc = fe_jac_dbl(m, a_mont_, acc);
       if (k.bit(i)) acc = fe_jac_add_mixed(m, a_mont_, acc, p);
     }
     return fe_export(*field_, fe_to_affine(m, acc));
-  };
-  // Tiny scalars: plain double-and-add beats table setup.
-  if (k.bit_length() <= 8) return double_and_add();
-
-  const std::vector<int> digits = wnaf4_digits(k);
-  // Odd multiples 3P, 5P, 7P as 2kP + P: doublings and mixed adds only, so
-  // the affine 2P (a whole extra inversion, ~30 µs at 8 limbs) is never
-  // needed; one shared inversion converts the table for mixed additions.
-  const FeJac p_jac{p.x, p.y, m.one_mont()};
-  const FeJac t2 = fe_jac_dbl(m, a_mont_, p_jac);
-  std::array<FeJac, 3> odd_jac{
-      fe_jac_add_mixed(m, a_mont_, t2, p),                          // 3P
-      fe_jac_add_mixed(m, a_mont_, fe_jac_dbl(m, a_mont_, t2), p),  // 5P = 4P + P
-      FeJac{}};
-  odd_jac[2] = fe_jac_add_mixed(m, a_mont_, fe_jac_dbl(m, a_mont_, odd_jac[0]), p);  // 7P
-  // A base point of order 3, 5 or 7 collapses an odd multiple to O, which
-  // the batch conversion cannot represent: fall back to plain
-  // double-and-add, correct for every order.
-  if (m.is_zero(odd_jac[0].z) || m.is_zero(odd_jac[1].z) || m.is_zero(odd_jac[2].z)) {
-    return double_and_add();
   }
-  const std::vector<FeAff> odd = fe_to_affine_batch(m, odd_jac);
-  const std::array<FeAff, 4> table{p, odd[0], odd[1], odd[2]};
-
-  FeJac acc = fe_jac_infinity(m);
-  for (std::size_t i = digits.size(); i-- > 0;) {
-    acc = fe_jac_dbl(m, a_mont_, acc);
-    const int digit = digits[i];
-    if (digit > 0) {
-      acc = fe_jac_add_mixed(m, a_mont_, acc, table[static_cast<std::size_t>(digit) / 2]);
-    } else if (digit < 0) {
-      acc = fe_jac_add_mixed(m, a_mont_, acc,
-                             fe_neg(m, table[static_cast<std::size_t>(-digit) / 2]));
-    }
-  }
-  return fe_export(*field_, fe_to_affine(m, acc));
+  return multi_mul(MsmTable{*this, {&pt, 1}}, {&k, 1});
 }
 
 Point Curve::multi_mul(std::span<const BigUint> scalars, std::span<const Point> points) const {
   if (scalars.size() != points.size()) {
     throw std::invalid_argument("Curve::multi_mul: size mismatch");
   }
-  const MontCtx& m = field_->mont();
-  std::vector<FeAff> pts;
-  pts.reserve(points.size());
-  for (const auto& pt : points) pts.push_back(fe_import(*field_, pt));
+  return multi_mul(MsmTable{*this, points}, scalars);
+}
 
-  // Interleaved double-and-add (shared doubling chain).
-  std::size_t max_bits = 0;
-  for (const auto& s : scalars) max_bits = std::max(max_bits, s.bit_length());
-  FeJac acc = fe_jac_infinity(m);
-  for (std::size_t i = max_bits; i-- > 0;) {
-    acc = fe_jac_dbl(m, a_mont_, acc);
-    for (std::size_t j = 0; j < scalars.size(); ++j) {
-      if (scalars[j].bit(i)) acc = fe_jac_add_mixed(m, a_mont_, acc, pts[j]);
-    }
+Point Curve::multi_mul(const MsmTable& bases, std::span<const BigUint> scalars,
+                       std::span<const Point> addends) const {
+  if (bases.curve_ != this) {
+    throw std::invalid_argument("Curve::multi_mul: table prepared on another curve");
   }
+  if (scalars.size() != bases.size()) {
+    throw std::invalid_argument("Curve::multi_mul: size mismatch");
+  }
+  const MontCtx& m = field_->mont();
+  FeJac acc = straus(m, a_mont_, bases.odd_, scalars);
+  for (const Point& pt : addends) acc = fe_jac_add_mixed(m, a_mont_, acc, fe_import(*field_, pt));
   return fe_export(*field_, fe_to_affine(m, acc));
+}
+
+MsmTable::MsmTable(const Curve& curve, std::span<const Point> bases) : curve_(&curve) {
+  const MontCtx& m = curve.fp().mont();
+  std::vector<FeJac> odd_jac;  // 3P, 5P, 7P of every base
+  odd_jac.reserve(3 * bases.size());
+  odd_.reserve(kEntries * bases.size());
+  for (const Point& pt : bases) {
+    odd_.push_back(fe_import(curve.fp(), pt));
+    append_odd_multiples(m, curve.a_mont_, odd_.back(), odd_jac);
+    odd_.resize(odd_.size() + 3);  // filled after the shared inversion
+  }
+  const std::vector<MontAffine> odd = fe_to_affine_batch(m, odd_jac);
+  for (std::size_t i = 0; i < odd.size(); ++i) odd_[i / 3 * kEntries + 1 + i % 3] = odd[i];
 }
 
 std::optional<Point> Curve::lift_x(const BigUint& x, bool even_y) const {

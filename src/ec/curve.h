@@ -8,9 +8,14 @@
 // multiplication run in Jacobian coordinates on the base field's fixed-limb
 // Montgomery core, converting only at entry and exit. Coordinates ≥ p are
 // reduced on entry.
+//
+// Every operation is exact for every on-curve input: O, zero scalars,
+// repeated points, P with −P, and points outside the prime-order subgroup
+// (small multiples of a base of order 2–7 hit O inside the window tables).
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "field/fp.h"
@@ -30,6 +35,34 @@ struct Point {
   static Point affine(BigUint px, BigUint py) { return {std::move(px), std::move(py), false}; }
 
   bool operator==(const Point&) const = default;
+};
+
+/// An affine point with Montgomery-domain coordinates, the form curve
+/// arithmetic runs on internally (inf marks the point at infinity).
+struct MontAffine {
+  field::fixed::Fe x;
+  field::fixed::Fe y;
+  bool inf = false;
+};
+
+class Curve;
+
+/// Base points prepared for Curve::multi_mul: each base's odd multiples
+/// P, 3P, 5P, 7P in Montgomery affine form, normalised with one shared
+/// inversion. Prepare a set of bases once, then run any number of
+/// multi-scalar multiplications over it.
+class MsmTable {
+ public:
+  static constexpr std::size_t kEntries = 4;  ///< P, 3P, 5P, 7P per base
+
+  /// `curve` must outlive the table.
+  MsmTable(const Curve& curve, std::span<const Point> bases);
+  std::size_t size() const noexcept { return odd_.size() / kEntries; }
+
+ private:
+  friend class Curve;
+  const Curve* curve_;
+  std::vector<MontAffine> odd_;
 };
 
 /// A curve instance: field, coefficients, subgroup order and cofactor.
@@ -52,12 +85,18 @@ class Curve {
   Point add(const Point& lhs, const Point& rhs) const;
   Point dbl(const Point& pt) const;
   Point neg(const Point& pt) const;
-  /// Scalar multiplication k·P (double-and-add over Jacobian coordinates).
+  /// Scalar multiplication k·P (width-4 wNAF over Jacobian coordinates).
   Point mul(const BigUint& k, const Point& pt) const;
 
-  /// Sum of k_i·P_i (shared Jacobian accumulation; used by ECDSA verify and
-  /// batch checks).
+  /// Σ k_i·P_i (prepares the points, then the prepared-table overload).
   Point multi_mul(std::span<const BigUint> scalars, std::span<const Point> points) const;
+
+  /// Σ k_i·B_i + Σ addends over prepared bases: one interleaved width-4
+  /// wNAF (Straus) pass with a shared Jacobian doubling chain, the addends
+  /// folded in by mixed additions, and one final inversion. scalars.size()
+  /// must equal bases.size(); a zero scalar skips its base.
+  Point multi_mul(const MsmTable& bases, std::span<const BigUint> scalars,
+                  std::span<const Point> addends = {}) const;
 
   /// y^2 = x^3 + a·x + b solved for y (the lexicographically smaller root is
   /// returned if `even_y` else the other). nullopt if x is not on the curve.
@@ -78,6 +117,8 @@ class Curve {
   Point random_point(num::RandomSource& rng) const;
 
  private:
+  friend class MsmTable;
+
   const PrimeField* field_;
   BigUint a_;
   BigUint b_;

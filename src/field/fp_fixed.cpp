@@ -125,7 +125,10 @@ void mont_sqr_kernel(const u64* a, const u64* p, u64 n0, u64* out) {
   csub<N>(t + N, p, out);
 }
 
-#if defined(__x86_64__) && defined(__GNUC__)
+// AddressSanitizer plus -fno-omit-frame-pointer leaves gcc too few registers
+// for the kernel's operand constraints ("impossible constraints"), so ASan
+// builds use the bit-identical portable kernel instead.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__SANITIZE_ADDRESS__)
 #define SECCLOUD_X86_ADX 1
 
 /// Hand-scheduled CIOS for the full 8-limb (512-bit) width using MULX with

@@ -3,53 +3,13 @@
 #include <algorithm>
 
 namespace seccloud::ibc {
-
-DvSignature dv_transform(const PairingGroup& group, const IbsSignature& sig,
-                         const Point& q_verifier) {
-  return {sig.u, group.pair(sig.v, q_verifier)};
-}
-
-bool dv_verify(const PairingGroup& group, const Point& signer_q_id,
-               std::span<const std::uint8_t> message, const DvSignature& sig,
-               const IdentityKey& verifier) {
-  const BigUint h = tag_hash(group, sig.u, message);
-  const Point target = group.add(sig.u, group.mul(h, signer_q_id));
-  return group.pair(target, verifier.secret) == sig.sigma;
-}
-
-DvSignature dv_simulate(const PairingGroup& group, const Point& signer_q_id,
-                        std::span<const std::uint8_t> message,
-                        const IdentityKey& verifier, num::RandomSource& rng) {
-  // Pick U with the same distribution as a real signature, then solve the
-  // verification equation for Σ using the verifier's secret key.
-  const BigUint r = group.random_scalar(rng);
-  DvSignature sig;
-  sig.u = group.mul(r, signer_q_id);
-  const BigUint h = tag_hash(group, sig.u, message);
-  const Point target = group.add(sig.u, group.mul(h, signer_q_id));
-  sig.sigma = group.pair(target, verifier.secret);
-  return sig;
-}
-
-bool dv_batch_verify(const PairingGroup& group, std::span<const BatchEntry> batch,
-                     const IdentityKey& verifier) {
-  BatchAccumulator acc{group};
-  for (const auto& entry : batch) {
-    acc.add(entry.signer_q_id, entry.message, *entry.sig);
-  }
-  return acc.verify(verifier);
-}
-
-bool dv_batch_verify(const ParallelPairingEngine& engine,
-                     std::span<const BatchEntry> batch, const IdentityKey& verifier) {
-  BatchAccumulator acc{engine.group()};
-  acc.add_batch(engine, batch);
-  return acc.verify(verifier);
-}
-
-// --- batch-rejection bisection ---------------------------------------------
-
 namespace {
+
+/// U + H2(U‖m)·Q_ID: the point Eq. (5)/(7) pairs with sk_B.
+Point dv_target(const PairingGroup& group, const Point& signer_q_id,
+                std::span<const std::uint8_t> message, const Point& u) {
+  return group.add(u, group.mul(tag_hash(group, u, message), signer_q_id));
+}
 
 void bisect_range(std::size_t lo, std::size_t hi, std::size_t depth,
                   const std::function<bool(std::size_t, std::size_t)>& range_valid,
@@ -66,30 +26,72 @@ void bisect_range(std::size_t lo, std::size_t hi, std::size_t depth,
   bisect_range(mid, hi, depth + 1, range_valid, out, stats);
 }
 
-/// Shared core: per-entry terms are already computed (serially or on the
-/// pool); the recursion aggregates subranges and pairs once per oracle call.
-std::vector<std::size_t> isolate_with_terms(const PairingGroup& group,
-                                            std::span<const BatchEntry> batch,
-                                            std::span<const Point> terms,
-                                            const IdentityKey& verifier,
-                                            BisectionStats* stats) {
-  BisectionStats local;
-  BisectionStats& s = stats != nullptr ? *stats : local;
-  const auto range_valid = [&](std::size_t lo, std::size_t hi) {
-    Point u = Point::at_infinity();
-    Gt sigma = group.gt_one();
-    for (std::size_t i = lo; i < hi; ++i) {
-      u = group.add(u, terms[i]);
-      sigma = group.gt_mul(sigma, batch[i].sig->sigma);
-    }
-    return group.pair(u, verifier.secret) == sigma;
-  };
-  std::vector<std::size_t> invalid;
-  if (!batch.empty()) bisect_range(0, batch.size(), 0, range_valid, invalid, s);
-  return invalid;
+BatchAccumulator accumulate(const PairingGroup& group, std::span<const BatchEntry> batch) {
+  BatchAccumulator acc{group};
+  for (const auto& entry : batch) acc.add(entry.signer_q_id, entry.message, *entry.sig);
+  return acc;
+}
+
+BatchAccumulator accumulate(const ParallelPairingEngine& engine,
+                            std::span<const BatchEntry> batch) {
+  BatchAccumulator acc{engine.group()};
+  acc.add_batch(engine, batch);
+  return acc;
+}
+
+/// Pairing 1: the cloud server's epoch attestation over the batch digest.
+/// Pairing 2: the mixed-signer aggregate (Eq. 8/9), any batch size.
+CrossUserVerdict cross_user_verdict(const PairingGroup& group, const BatchAccumulator& acc,
+                                    const IdentityKey& verifier, const Point& attestor_q_id,
+                                    std::span<const std::uint8_t> attestation_message,
+                                    const DvSignature& attestation, bool isolate_on_reject) {
+  CrossUserVerdict verdict;
+  verdict.attestation_valid =
+      dv_verify(group, attestor_q_id, attestation_message, attestation, verifier);
+  verdict.aggregate_valid = acc.verify(verifier);
+  verdict.accepted = verdict.attestation_valid && verdict.aggregate_valid;
+  if (!verdict.aggregate_valid && isolate_on_reject) {
+    verdict.invalid_entries = acc.isolate(verifier, &verdict.bisection);
+  }
+  return verdict;
 }
 
 }  // namespace
+
+DvSignature dv_transform(const PairingGroup& group, const IbsSignature& sig,
+                         const Point& q_verifier) {
+  return {sig.u, group.pair(sig.v, q_verifier)};
+}
+
+bool dv_verify(const PairingGroup& group, const Point& signer_q_id,
+               std::span<const std::uint8_t> message, const DvSignature& sig,
+               const IdentityKey& verifier) {
+  return group.pair(dv_target(group, signer_q_id, message, sig.u), verifier.secret) ==
+         sig.sigma;
+}
+
+DvSignature dv_simulate(const PairingGroup& group, const Point& signer_q_id,
+                        std::span<const std::uint8_t> message,
+                        const IdentityKey& verifier, num::RandomSource& rng) {
+  // Pick U with the same distribution as a real signature, then solve the
+  // verification equation for Σ using the verifier's secret key.
+  DvSignature sig;
+  sig.u = group.mul(group.random_scalar(rng), signer_q_id);
+  sig.sigma = group.pair(dv_target(group, signer_q_id, message, sig.u), verifier.secret);
+  return sig;
+}
+
+bool dv_batch_verify(const PairingGroup& group, std::span<const BatchEntry> batch,
+                     const IdentityKey& verifier) {
+  return accumulate(group, batch).verify(verifier);
+}
+
+bool dv_batch_verify(const ParallelPairingEngine& engine,
+                     std::span<const BatchEntry> batch, const IdentityKey& verifier) {
+  return accumulate(engine, batch).verify(verifier);
+}
+
+// --- batch-rejection bisection ---------------------------------------------
 
 std::vector<std::size_t> bisect_invalid(
     std::size_t n, const std::function<bool(std::size_t, std::size_t)>& range_valid,
@@ -105,27 +107,14 @@ std::vector<std::size_t> dv_batch_isolate(const PairingGroup& group,
                                           std::span<const BatchEntry> batch,
                                           const IdentityKey& verifier,
                                           BisectionStats* stats) {
-  std::vector<Point> terms(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const BatchEntry& entry = batch[i];
-    const BigUint h = tag_hash(group, entry.sig->u, entry.message);
-    terms[i] = group.add(entry.sig->u, group.mul(h, entry.signer_q_id));
-  }
-  return isolate_with_terms(group, batch, terms, verifier, stats);
+  return accumulate(group, batch).isolate(verifier, stats);
 }
 
 std::vector<std::size_t> dv_batch_isolate(const ParallelPairingEngine& engine,
                                           std::span<const BatchEntry> batch,
                                           const IdentityKey& verifier,
                                           BisectionStats* stats) {
-  const PairingGroup& group = engine.group();
-  std::vector<Point> terms(batch.size());
-  engine.for_each(batch.size(), [&](std::size_t i) {
-    const BatchEntry& entry = batch[i];
-    const BigUint h = tag_hash(group, entry.sig->u, entry.message);
-    terms[i] = group.add(entry.sig->u, group.mul(h, entry.signer_q_id));
-  });
-  return isolate_with_terms(group, batch, terms, verifier, stats);
+  return accumulate(engine, batch).isolate(verifier, stats);
 }
 
 // --- cross-user shared batches ---------------------------------------------
@@ -137,18 +126,8 @@ CrossUserVerdict dv_cross_user_verify(const PairingGroup& group,
                                       std::span<const std::uint8_t> attestation_message,
                                       const DvSignature& attestation,
                                       bool isolate_on_reject) {
-  CrossUserVerdict verdict;
-  // Pairing 1: the cloud server's epoch attestation over the batch digest.
-  verdict.attestation_valid =
-      dv_verify(group, attestor_q_id, attestation_message, attestation, verifier);
-  // Pairing 2: the mixed-signer aggregate (Eq. 8/9), any batch size.
-  verdict.aggregate_valid = dv_batch_verify(group, entries, verifier);
-  verdict.accepted = verdict.attestation_valid && verdict.aggregate_valid;
-  if (!verdict.aggregate_valid && isolate_on_reject) {
-    verdict.invalid_entries =
-        dv_batch_isolate(group, entries, verifier, &verdict.bisection);
-  }
-  return verdict;
+  return cross_user_verdict(group, accumulate(group, entries), verifier, attestor_q_id,
+                            attestation_message, attestation, isolate_on_reject);
 }
 
 CrossUserVerdict dv_cross_user_verify(const ParallelPairingEngine& engine,
@@ -158,16 +137,9 @@ CrossUserVerdict dv_cross_user_verify(const ParallelPairingEngine& engine,
                                       std::span<const std::uint8_t> attestation_message,
                                       const DvSignature& attestation,
                                       bool isolate_on_reject) {
-  CrossUserVerdict verdict;
-  verdict.attestation_valid = dv_verify(engine.group(), attestor_q_id,
-                                        attestation_message, attestation, verifier);
-  verdict.aggregate_valid = dv_batch_verify(engine, entries, verifier);
-  verdict.accepted = verdict.attestation_valid && verdict.aggregate_valid;
-  if (!verdict.aggregate_valid && isolate_on_reject) {
-    verdict.invalid_entries =
-        dv_batch_isolate(engine, entries, verifier, &verdict.bisection);
-  }
-  return verdict;
+  return cross_user_verdict(engine.group(), accumulate(engine, entries), verifier,
+                            attestor_q_id, attestation_message, attestation,
+                            isolate_on_reject);
 }
 
 DesignatedVerifier::DesignatedVerifier(const PairingGroup& group,
@@ -177,55 +149,69 @@ DesignatedVerifier::DesignatedVerifier(const PairingGroup& group,
 bool DesignatedVerifier::verify(const Point& signer_q_id,
                                 std::span<const std::uint8_t> message,
                                 const DvSignature& sig) const {
-  const BigUint h = tag_hash(*group_, sig.u, message);
-  const Point target = group_->add(sig.u, group_->mul(h, signer_q_id));
   // ê(sk_B, target) = ê(target, sk_B): same GT element as dv_verify compares.
-  return fixed_.pair_with(target) == sig.sigma;
-}
-
-bool DesignatedVerifier::verify_aggregate(const Point& u_aggregate,
-                                          const Gt& sigma_aggregate) const {
-  return fixed_.pair_with(u_aggregate) == sigma_aggregate;
+  return fixed_.pair_with(dv_target(*group_, signer_q_id, message, sig.u)) == sig.sigma;
 }
 
 BatchAccumulator::BatchAccumulator(const PairingGroup& group)
-    : group_(&group),
-      u_aggregate_(Point::at_infinity()),
-      sigma_aggregate_(group.gt_one()) {}
+    : group_(&group), sigma_aggregate_(group.gt_one()) {}
 
 void BatchAccumulator::add(const Point& signer_q_id, std::span<const std::uint8_t> message,
                            const DvSignature& sig) {
-  const BigUint h = tag_hash(*group_, sig.u, message);
-  const Point term = group_->add(sig.u, group_->mul(h, signer_q_id));
-  u_aggregate_ = group_->add(u_aggregate_, term);
-  sigma_aggregate_ = group_->gt_mul(sigma_aggregate_, sig.sigma);
-  ++count_;
+  file(signer_q_id, tag_hash(*group_, sig.u, message), sig);
 }
 
 void BatchAccumulator::add_batch(const ParallelPairingEngine& engine,
                                  std::span<const BatchEntry> entries) {
-  // Per-entry terms into disjoint slots, folded below in entry order: point
-  // addition and GT multiplication are exact and associative/commutative, so
-  // the aggregates match sequential add() calls bit for bit.
-  std::vector<Point> terms(entries.size());
+  std::vector<BigUint> hashes(entries.size());
   engine.for_each(entries.size(), [&](std::size_t i) {
-    const BatchEntry& entry = entries[i];
-    const BigUint h = tag_hash(*group_, entry.sig->u, entry.message);
-    terms[i] = group_->add(entry.sig->u, group_->mul(h, entry.signer_q_id));
+    hashes[i] = tag_hash(*group_, entries[i].sig->u, entries[i].message);
   });
   for (std::size_t i = 0; i < entries.size(); ++i) {
-    u_aggregate_ = group_->add(u_aggregate_, terms[i]);
-    sigma_aggregate_ = group_->gt_mul(sigma_aggregate_, entries[i].sig->sigma);
-    ++count_;
+    file(entries[i].signer_q_id, std::move(hashes[i]), *entries[i].sig);
   }
 }
 
+void BatchAccumulator::file(const Point& signer_q_id, BigUint h, const DvSignature& sig) {
+  auto known = std::find(signers_.begin(), signers_.end(), signer_q_id);
+  if (known == signers_.end()) known = signers_.insert(known, signer_q_id);
+  signer_of_.push_back(static_cast<std::uint32_t>(known - signers_.begin()));
+  h_.push_back(std::move(h));
+  u_.push_back(sig.u);
+  sigma_.push_back(sig.sigma);
+  sigma_aggregate_ = group_->gt_mul(sigma_aggregate_, sig.sigma);
+}
+
+Point BatchAccumulator::aggregate(const ec::MsmTable& tables, std::size_t lo,
+                                  std::size_t hi) const {
+  std::vector<BigUint> sums(signers_.size());
+  for (std::size_t i = lo; i < hi; ++i) sums[signer_of_[i]] += h_[i];
+  return group_->multi_mul(tables, sums, std::span<const Point>{u_}.subspan(lo, hi - lo));
+}
+
+Point BatchAccumulator::u_aggregate() const {
+  return aggregate(ec::MsmTable{group_->curve(), signers_}, 0, size());
+}
+
 bool BatchAccumulator::verify(const IdentityKey& verifier) const {
-  return group_->pair(u_aggregate_, verifier.secret) == sigma_aggregate_;
+  return group_->pair(u_aggregate(), verifier.secret) == sigma_aggregate_;
 }
 
 bool BatchAccumulator::verify(const DesignatedVerifier& verifier) const {
-  return verifier.verify_aggregate(u_aggregate_, sigma_aggregate_);
+  return verifier.fixed().pair_with(u_aggregate()) == sigma_aggregate_;
+}
+
+std::vector<std::size_t> BatchAccumulator::isolate(const IdentityKey& verifier,
+                                                   BisectionStats* stats) const {
+  const ec::MsmTable tables{group_->curve(), signers_};
+  return bisect_invalid(
+      size(),
+      [&](std::size_t lo, std::size_t hi) {
+        Gt sigma = group_->gt_one();
+        for (std::size_t i = lo; i < hi; ++i) sigma = group_->gt_mul(sigma, sigma_[i]);
+        return group_->pair(aggregate(tables, lo, hi), verifier.secret) == sigma;
+      },
+      stats);
 }
 
 }  // namespace seccloud::ibc

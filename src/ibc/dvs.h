@@ -9,9 +9,14 @@
 // this is the paper's privacy-cheating discouragement.
 // Batch verification (Eq. 8/9): Σ_A = Π Σ_ij and
 //   U_A = Σ_ij (U_ij + h_ij·Q_IDi)  ⇒  ê(U_A, sk_B) == Σ_A,
-// costing one pairing for any number of signatures and signers.
+// costing one pairing for any number of signatures and signers; U_A is one
+// signer-grouped multi-scalar multiplication (see BatchAccumulator).
+// Each ParallelPairingEngine overload hashes the entries across the engine's
+// pool and is otherwise its PairingGroup overload: verdicts, isolated sets,
+// aggregates and op-counter totals are bit-identical for any thread count.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <span>
 #include <vector>
@@ -85,27 +90,20 @@ std::vector<std::size_t> bisect_invalid(
 /// Batch-verify fallback (Section VI, degradation path): when the one-pairing
 /// Eq. (8)/(9) check rejects, isolates exactly which entries are invalid by
 /// bisecting over range aggregates — each oracle call is ONE pairing on the
-/// partial aggregate ê(Σ range terms, sk_B) == Π range Σ, so k bad of n cost
-/// O(k·log n) pairings versus n for individual re-verification. Returns the
-/// invalid entry indices in ascending order (empty means the full aggregate
-/// verifies — nothing to isolate).
+/// partial aggregate ê(U_range, sk_B) == Π range Σ, U_range a grouped MSM on
+/// the batch's hashes and signer tables — so k bad of n cost O(k·log n)
+/// pairings versus n for individual re-verification. Returns the invalid
+/// entry indices ascending (empty: the full aggregate verifies).
 std::vector<std::size_t> dv_batch_isolate(const PairingGroup& group,
                                           std::span<const BatchEntry> batch,
                                           const IdentityKey& verifier,
                                           BisectionStats* stats = nullptr);
 
-/// Parallel variant: the per-entry U + h·Q_ID terms run across the engine's
-/// pool; the bisection itself (and thus the isolated set, oracle-call count,
-/// and op-counter totals) is bit-identical to the serial overload.
 std::vector<std::size_t> dv_batch_isolate(const ParallelPairingEngine& engine,
                                           std::span<const BatchEntry> batch,
                                           const IdentityKey& verifier,
                                           BisectionStats* stats = nullptr);
 
-/// Parallel Eq. (8)/(9): the per-entry U + h·Q_ID terms are computed across
-/// the engine's pool and folded in entry order, then checked with one
-/// pairing. Verdict, aggregates, and op-counter totals are bit-identical to
-/// the serial dv_batch_verify for any thread count.
 bool dv_batch_verify(const ParallelPairingEngine& engine,
                      std::span<const BatchEntry> batch, const IdentityKey& verifier);
 
@@ -137,9 +135,6 @@ CrossUserVerdict dv_cross_user_verify(const PairingGroup& group,
                                       const DvSignature& attestation,
                                       bool isolate_on_reject = true);
 
-/// Parallel variant: per-entry terms run across the engine's pool; verdict,
-/// isolated set, and op-counter totals are bit-identical to the serial
-/// overload for any thread count.
 CrossUserVerdict dv_cross_user_verify(const ParallelPairingEngine& engine,
                                       std::span<const BatchEntry> entries,
                                       const IdentityKey& verifier,
@@ -163,8 +158,8 @@ class DesignatedVerifier {
   bool verify(const Point& signer_q_id, std::span<const std::uint8_t> message,
               const DvSignature& sig) const;
 
-  /// ê(U_A, sk_B) == Σ_A for an already-aggregated batch.
-  bool verify_aggregate(const Point& u_aggregate, const Gt& sigma_aggregate) const;
+  /// The precomputed ê(sk_B, ·).
+  const pairing::FixedPairing& fixed() const noexcept { return fixed_; }
 
  private:
   const PairingGroup* group_;
@@ -173,8 +168,11 @@ class DesignatedVerifier {
 };
 
 /// Incremental batch accumulator ("the signature combination can be
-/// performed incrementally", Section VI). add() is pairing-free; the single
-/// pairing happens in verify().
+/// performed incrementally", Section VI). add() only hashes the entry and
+/// files it under its signer; the checks evaluate
+///   U_A = Σ_i U_i + Σ_j (Σ_{i signed by j} h_i)·Q_j
+/// as one multi-scalar multiplication with one term per distinct signer. The
+/// h_i are summed as integers, not mod q, so U_A is exact for every Q_j.
 class BatchAccumulator {
  public:
   explicit BatchAccumulator(const PairingGroup& group);
@@ -182,15 +180,14 @@ class BatchAccumulator {
   void add(const Point& signer_q_id, std::span<const std::uint8_t> message,
            const DvSignature& sig);
 
-  /// Bulk add: the per-entry U + h·Q_ID terms (one hash-to-Zq and one point
-  /// multiplication each) run across the engine's pool, then fold into the
-  /// accumulator in entry order. State afterwards is bit-identical to
-  /// calling add() for each entry in order.
+  /// Bulk add with the hashes on the engine's pool; the state afterwards is
+  /// bit-identical to calling add() for each entry in order.
   void add_batch(const ParallelPairingEngine& engine,
                  std::span<const BatchEntry> entries);
 
-  std::size_t size() const noexcept { return count_; }
-  const Point& u_aggregate() const noexcept { return u_aggregate_; }
+  std::size_t size() const noexcept { return h_.size(); }
+  /// U_A = Σ (U + h·Q_ID), as one grouped multi-scalar multiplication.
+  Point u_aggregate() const;
   const Gt& sigma_aggregate() const noexcept { return sigma_aggregate_; }
 
   /// ê(U_A, sk_B) == Σ_A.
@@ -199,11 +196,23 @@ class BatchAccumulator {
   /// Same check through a precomputed verifier (no Jacobian recomputation).
   bool verify(const DesignatedVerifier& verifier) const;
 
+  /// The dv_batch_isolate bisection over the accumulated entries (indices in
+  /// add order).
+  std::vector<std::size_t> isolate(const IdentityKey& verifier,
+                                   BisectionStats* stats = nullptr) const;
+
  private:
+  void file(const Point& signer_q_id, BigUint h, const DvSignature& sig);
+  /// Σ_{i∈[lo,hi)} (U_i + h_i·Q_i) as one grouped MSM over the signers' tables.
+  Point aggregate(const ec::MsmTable& tables, std::size_t lo, std::size_t hi) const;
+
   const PairingGroup* group_;
-  Point u_aggregate_;   ///< U_A = Σ (U + h·Q_ID)
-  Gt sigma_aggregate_;  ///< Σ_A = Π Σ
-  std::size_t count_ = 0;
+  std::vector<Point> signers_;  ///< distinct Q_ID, first-appearance order
+  std::vector<std::uint32_t> signer_of_;  ///< per entry: index into signers_
+  std::vector<BigUint> h_;                ///< per entry: H2(U ‖ m)
+  std::vector<Point> u_;                  ///< per entry: U
+  std::vector<Gt> sigma_;                 ///< per entry: Σ
+  Gt sigma_aggregate_;                    ///< Σ_A = Π Σ
 };
 
 }  // namespace seccloud::ibc

@@ -1,5 +1,6 @@
 #include "pairing/group.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "hash/hash_to.h"
@@ -139,6 +140,15 @@ OpCounters PairingGroup::lifetime_counters() const noexcept {
   return snapshot(counters_);
 }
 
+Point PairingGroup::multi_mul(const ec::MsmTable& bases, std::span<const BigUint> scalars,
+                              std::span<const Point> addends) const {
+  const auto terms = static_cast<std::uint64_t>(std::count_if(
+      scalars.begin(), scalars.end(), [](const BigUint& k) { return !k.is_zero(); }));
+  counters_.msm_terms.fetch_add(terms, std::memory_order_relaxed);
+  tls_op_counters().msm_terms += terms;
+  return curve_->multi_mul(bases, scalars, addends);
+}
+
 void PairingGroup::add_ops(const OpCounters& delta) const noexcept {
   accumulate(counters_, delta);
   // add_ops is always called on the thread that performed the work (fixed-
@@ -157,6 +167,7 @@ void PairingGroup::publish_to(obs::MetricsRegistry& registry, std::string prefix
         snap.counters[prefix + ".point_muls"] = ops.point_muls;
         snap.counters[prefix + ".gt_exps"] = ops.gt_exps;
         snap.counters[prefix + ".hash_to_points"] = ops.hash_to_points;
+        snap.counters[prefix + ".msm_terms"] = ops.msm_terms;
       });
 }
 

@@ -53,6 +53,11 @@ class PairingGroup {
     ++tls_op_counters().point_muls;
     return curve_->mul(k, a);
   }
+  /// Σ k_i·B_i + Σ addends over prepared bases (one Straus pass, see
+  /// ec::Curve::multi_mul). Counts one msm_term per nonzero scalar; the
+  /// addends and zero scalars are free.
+  Point multi_mul(const ec::MsmTable& bases, std::span<const BigUint> scalars,
+                  std::span<const Point> addends = {}) const;
   /// Uniform scalar in [1, q).
   BigUint random_scalar(num::RandomSource& rng) const {
     return rng.next_nonzero_below(params_.q);

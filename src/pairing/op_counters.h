@@ -20,9 +20,10 @@ struct OpCountersT {
   T pairings{};       ///< full pair() evaluations
   T miller_loops{};   ///< Miller loops (pair_product shares one final exp)
   T final_exps{};
-  T point_muls{};
+  T point_muls{};     ///< standalone scalar multiplications (mul)
   T gt_exps{};
   T hash_to_points{}; ///< hash-to-G1 evaluations (H1 in the paper)
+  T msm_terms{};      ///< nonzero-scalar terms of multi-scalar multiplications
 
   bool operator==(const OpCountersT&) const = default;
 };
@@ -39,6 +40,7 @@ inline OpCounters snapshot(const AtomicOpCounters& a) noexcept {
   out.point_muls = a.point_muls.load(std::memory_order_relaxed);
   out.gt_exps = a.gt_exps.load(std::memory_order_relaxed);
   out.hash_to_points = a.hash_to_points.load(std::memory_order_relaxed);
+  out.msm_terms = a.msm_terms.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -50,6 +52,7 @@ inline void accumulate(AtomicOpCounters& a, const OpCounters& d) noexcept {
   a.point_muls.fetch_add(d.point_muls, std::memory_order_relaxed);
   a.gt_exps.fetch_add(d.gt_exps, std::memory_order_relaxed);
   a.hash_to_points.fetch_add(d.hash_to_points, std::memory_order_relaxed);
+  a.msm_terms.fetch_add(d.msm_terms, std::memory_order_relaxed);
 }
 
 /// Relaxed store of a value into an atomic accumulator.
@@ -60,6 +63,7 @@ inline void store(AtomicOpCounters& a, const OpCounters& v) noexcept {
   a.point_muls.store(v.point_muls, std::memory_order_relaxed);
   a.gt_exps.store(v.gt_exps, std::memory_order_relaxed);
   a.hash_to_points.store(v.hash_to_points, std::memory_order_relaxed);
+  a.msm_terms.store(v.msm_terms, std::memory_order_relaxed);
 }
 
 inline OpCounters& operator+=(OpCounters& a, const OpCounters& b) noexcept {
@@ -69,6 +73,7 @@ inline OpCounters& operator+=(OpCounters& a, const OpCounters& b) noexcept {
   a.point_muls += b.point_muls;
   a.gt_exps += b.gt_exps;
   a.hash_to_points += b.hash_to_points;
+  a.msm_terms += b.msm_terms;
   return a;
 }
 
@@ -84,6 +89,7 @@ inline OpCounters operator-(OpCounters a, const OpCounters& b) noexcept {
   a.point_muls -= b.point_muls;
   a.gt_exps -= b.gt_exps;
   a.hash_to_points -= b.hash_to_points;
+  a.msm_terms -= b.msm_terms;
   return a;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "hash/hmac_drbg.h"
 #include "hash/sha256.h"
@@ -96,6 +97,10 @@ EpochReport AuditService::run_epoch() {
   constexpr std::uint8_t kReasonStale = 1;
   constexpr std::uint8_t kReasonUnkeyed = 2;
   std::vector<std::uint8_t> filter_reason(requests.size(), 0);
+  // Highest version admitted per user in this epoch: a request at or below
+  // it replays a version already in flight, exactly like a request at or
+  // below the audited high-water mark replays one from an earlier epoch.
+  std::unordered_map<UserHandle, std::uint64_t> admitted_version;
   std::size_t total_entries = 0;
   for (std::size_t r = 0; r < requests.size(); ++r) {
     const AuditRequest& request = requests[r];
@@ -106,7 +111,11 @@ EpochReport AuditService::run_epoch() {
       filter_reason[r] = kReasonUnkeyed;
       continue;
     }
-    if (request.version <= registry_.audited_version(request.user)) {
+    const auto in_epoch = admitted_version.find(request.user);
+    const std::uint64_t high_water =
+        std::max(registry_.audited_version(request.user),
+                 in_epoch != admitted_version.end() ? in_epoch->second : 0);
+    if (request.version <= high_water) {
       ++report.stale_rejected;
       failed[r] = 1;
       filter_reason[r] = kReasonStale;
@@ -121,6 +130,7 @@ EpochReport AuditService::run_epoch() {
       continue;
     }
     admitted.push_back({r, *q_id});
+    admitted_version[request.user] = request.version;
     total_entries += request.blocks.size();
   }
   const auto t_filter = std::chrono::steady_clock::now();
@@ -160,11 +170,13 @@ EpochReport AuditService::run_epoch() {
   // The attestation over the batch digest is the service analogue of the
   // paper's Sig_CS(R): its verification is the second pairing of every
   // batch. Signing costs (one dv_transform pairing per batch) are attributed
-  // to assembly_ops, not the verify window the bench gate pins.
+  // to assembly_ops, not the verify window the bench gate pins. Batches sign
+  // on the engine's lanes: each has its own DRBG seed and output slot, so the
+  // attestations do not depend on the thread count.
   const pairing::OpCounters ops_before_assembly = group_->counters();
   std::vector<core::Bytes> attest_messages(batches);
   std::vector<ibc::DvSignature> attestations(batches);
-  for (std::size_t i = 0; i < batches; ++i) {
+  engine_.for_each(batches, [&](std::size_t i) {
     const std::size_t lo = i * cap;
     const std::size_t hi = std::min(entries.size(), lo + cap);
     hash::Sha256 sha;
@@ -193,7 +205,7 @@ EpochReport AuditService::run_epoch() {
     hash::HmacDrbg drbg{std::span<const std::uint8_t>{drbg_seed}};
     const ibc::IbsSignature ibs = ibc::ibs_sign(*group_, attestor_, msg, drbg);
     attestations[i] = ibc::dv_transform(*group_, ibs, verifier_.q_id);
-  }
+  });
   report.assembly_ops = group_->counters() - ops_before_assembly;
   const auto t_attest = std::chrono::steady_clock::now();
 
@@ -258,8 +270,16 @@ EpochReport AuditService::run_epoch() {
       if (auto* c = m_failed_.load(std::memory_order_acquire)) c->inc();
       continue;
     }
-    registry_.record_audit(requests[a.request_index].user,
-                           requests[a.request_index].version);
+    if (!registry_.record_audit(requests[a.request_index].user,
+                                requests[a.request_index].version)) {
+      // The filter admits each user's versions in increasing order, so only
+      // a mark advanced through registry() since the filter ran lands here:
+      // the request is a stale replay after all, not a verified audit.
+      ++report.stale_rejected;
+      filter_reason[a.request_index] = kReasonStale;
+      if (auto* c = m_stale_.load(std::memory_order_acquire)) c->inc();
+      continue;
+    }
     ++report.verified_requests;
     if (auto* c = m_verified_.load(std::memory_order_acquire)) c->inc();
   }

@@ -118,6 +118,7 @@ void write_op_counters(obs::JsonWriter& w, const pairing::OpCounters& ops) {
   w.key("point_muls").value(ops.point_muls);
   w.key("gt_exps").value(ops.gt_exps);
   w.key("hash_to_points").value(ops.hash_to_points);
+  w.key("msm_terms").value(ops.msm_terms);
   w.end_object();
 }
 

@@ -37,9 +37,19 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::submit(TaskGroup& group, Task task) {
   group.pending_.fetch_add(1, std::memory_order_acq_rel);
-  // Wrap so completion is tracked no matter which lane runs it.
+  // Wrap so completion is tracked no matter which lane runs it. The latency
+  // is observed before the completion is published, so a waiter that
+  // returns from wait() sees every task of its group in the histogram.
   Task wrapped = [this, &group, task = std::move(task)] {
-    task();
+    if (obs::Histogram* task_ms = m_task_ms_.load(std::memory_order_acquire)) {
+      const auto begin = std::chrono::steady_clock::now();
+      task();
+      const std::chrono::duration<double, std::milli> elapsed =
+          std::chrono::steady_clock::now() - begin;
+      task_ms->observe(elapsed.count());
+    } else {
+      task();
+    }
     if (group.pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       std::lock_guard<std::mutex> lock(done_m_);
       done_cv_.notify_all();
@@ -83,15 +93,7 @@ bool ThreadPool::try_run_one(std::size_t self) {
   if (stolen) {
     if (obs::Counter* steals = m_steals_.load(std::memory_order_acquire)) steals->inc();
   }
-  if (obs::Histogram* task_ms = m_task_ms_.load(std::memory_order_acquire)) {
-    const auto begin = std::chrono::steady_clock::now();
-    task();
-    const std::chrono::duration<double, std::milli> elapsed =
-        std::chrono::steady_clock::now() - begin;
-    task_ms->observe(elapsed.count());
-  } else {
-    task();
-  }
+  task();
   return true;
 }
 

@@ -14,10 +14,12 @@
 // the same schedule.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "ec/curve.h"
+#include "ec/p256.h"
 #include "field/fp.h"
 #include "field/fp2.h"
 #include "field/fp_fixed.h"
@@ -269,8 +271,11 @@ TEST(CurveBackendDifferential, ScalarMultiplicationBitIdentical) {
     Xoshiro256 rng(5150);
     const Point& gen = g.generator();
     const BigUint& q = g.order();
+    // All-ones scalars run a carry across whole limbs in the wNAF recoding.
     std::vector<BigUint> scalars{BigUint{1}, BigUint{2},  BigUint{3},
                                  BigUint{7}, BigUint{255}, BigUint{256},
+                                 (BigUint{1} << 64) - BigUint{1},
+                                 (BigUint{1} << 128) - BigUint{1},
                                  q - BigUint{1}, q};
     const std::size_t iters = property_iters(8);
     for (std::size_t i = 0; i < iters; ++i) scalars.push_back(g.random_scalar(rng));
@@ -351,6 +356,123 @@ TEST(CurveBackendDifferential, SmallOrderBasePointsSurviveWnafTable) {
         EXPECT_EQ(got, g.curve().mul(k % BigUint{d}, pt))
             << "d=" << d << " k=" << k.to_hex();
       }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Multi-scalar multiplication vs the oracle's Σ k_i·P_i
+// ---------------------------------------------------------------------------
+
+/// Σ k_i·P_i by the oracle's double-and-add, one term at a time.
+Point oracle_sum(const oracle::Curve& ref, std::span<const BigUint> ks,
+                 std::span<const Point> pts) {
+  Point sum = Point::at_infinity();
+  for (std::size_t i = 0; i < ks.size(); ++i) sum = ref.add(sum, ref.mul(ks[i], pts[i]));
+  return sum;
+}
+
+TEST(MultiMulDifferential, EveryTermCountMatchesOracle) {
+  // n = 0…70 terms on both pairing curves (a = 1) and on P-256 (a = −3),
+  // with zero scalars, O, repeated points, P next to −P, and scalars of 1,
+  // q − 1, q and wider than q mixed into the random ones. Points come from
+  // the whole curve, not just the order-q subgroup.
+  const ec::P256 p256;
+  struct Case {
+    const ec::Curve& curve;
+    oracle::Curve ref;
+  };
+  std::vector<Case> cases;
+  for (const PairingGroup* g : {&pairing::tiny_group(), &pairing::default_group()}) {
+    cases.push_back({g->curve(), oracle::Curve{oracle::Fp{g->params().p}, BigUint{1}}});
+  }
+  cases.push_back({p256.curve(), oracle::Curve{oracle::Fp{p256.curve().fp().modulus()},
+                                               p256.curve().a()}});
+  constexpr std::size_t kMaxTerms = 70;
+  for (const auto& [curve, ref] : cases) {
+    Xoshiro256 rng(6174);
+    const BigUint& q = curve.order();
+    std::vector<BigUint> ks;
+    std::vector<Point> pts;
+    for (std::size_t i = 0; i < kMaxTerms; ++i) {
+      BigUint k = rng.next_below(q);
+      if (i % 7 == 3) k = BigUint{};
+      if (i == 1) k = BigUint{1};
+      if (i == 2) k = q - BigUint{1};
+      if (i == 4) k = q;
+      if (i == 8) k = (q << 3) + BigUint{5};
+      Point pt = curve.random_point(rng);
+      if (i % 11 == 5) pt = Point::at_infinity();
+      if (i % 13 == 6) pt = pts[i - 1];              // repeated point
+      if (i % 13 == 7) {
+        pt = curve.neg(pts[i - 1]);                  // P next to −P …
+        if (i % 2 == 1) k = ks[i - 1];               // … sometimes cancelling
+      }
+      ks.push_back(std::move(k));
+      pts.push_back(std::move(pt));
+    }
+    Point expected = Point::at_infinity();
+    for (std::size_t n = 0; n <= kMaxTerms; ++n) {
+      const std::span<const BigUint> k_n{ks.data(), n};
+      const std::span<const Point> p_n{pts.data(), n};
+      EXPECT_EQ(curve.multi_mul(k_n, p_n), expected) << "n=" << n;
+      if (n < kMaxTerms) expected = ref.add(expected, ref.mul(ks[n], pts[n]));
+    }
+  }
+}
+
+TEST(MultiMulDifferential, PreparedTableWithAddendsMatchesOracle) {
+  // One table serves many multi_muls (the batch check and every bisection
+  // range share one), and addends fold in with scalar 1.
+  for (const auto& [g, ref] : group_cases()) {
+    Xoshiro256 rng(1729);
+    std::vector<Point> bases;
+    for (std::size_t i = 0; i < 6; ++i) bases.push_back(g.curve().random_point(rng));
+    const ec::MsmTable table{g.curve(), bases};
+    ASSERT_EQ(table.size(), bases.size());
+    std::vector<Point> addends{g.curve().random_point(rng), Point::at_infinity()};
+    addends.push_back(g.curve().neg(addends[0]));
+    addends.push_back(bases[2]);
+    for (std::size_t round = 0; round < 4; ++round) {
+      std::vector<BigUint> ks;
+      for (std::size_t i = 0; i < bases.size(); ++i) {
+        ks.push_back((i + round) % 3 == 0 ? BigUint{} : rng.next_below(g.order() << 8));
+      }
+      const std::span<const Point> adds = std::span<const Point>{addends}.first(round);
+      Point expected = oracle_sum(ref, ks, bases);
+      for (const Point& a : adds) expected = ref.add(expected, a);
+      EXPECT_EQ(g.curve().multi_mul(table, ks, adds), expected) << "round " << round;
+    }
+    const std::vector<BigUint> too_few(bases.size() - 1, BigUint{1});
+    EXPECT_THROW(g.curve().multi_mul(table, too_few), std::invalid_argument);
+  }
+  const PairingGroup& tiny = pairing::tiny_group();
+  const ec::MsmTable foreign{pairing::default_group().curve(), {}};
+  EXPECT_THROW(tiny.curve().multi_mul(foreign, {}), std::invalid_argument);
+}
+
+TEST(MultiMulDifferential, SmallOrderBasesHitInfinityInsideTheTables) {
+  // y² = x³ + 2x + 19 over F_1013 has 1050 = 2·3·5²·7 points, so it has
+  // bases of order 2, 3, 5 and 7 — exactly the orders whose odd multiples
+  // 3P, 5P or 7P (or 2P while building them) are O. mul and multi_mul must
+  // stay exact and must not throw.
+  const BigUint p{1013};
+  const PrimeField f{p};
+  const ec::Curve curve{f, BigUint{2}, BigUint{19}, BigUint{1050}, BigUint{1}};
+  const oracle::Curve ref{oracle::Fp{p}, BigUint{2}};
+  Xoshiro256 rng(4711);
+  const Point generic = curve.random_point(rng);
+  for (const std::uint64_t d : {2ull, 3ull, 5ull, 7ull}) {
+    Point base = Point::at_infinity();
+    while (base.infinity) base = ref.mul(BigUint{1050 / d}, curve.random_point(rng));
+    ASSERT_TRUE(ref.mul(BigUint{d}, base).infinity) << "d=" << d;
+    for (const BigUint& k : {BigUint{1}, BigUint{d}, BigUint{d + 1}, BigUint{255},
+                             BigUint{256}, BigUint{1000}, (BigUint{1} << 100) + BigUint{3}}) {
+      EXPECT_EQ(curve.mul(k, base), ref.mul(k, base)) << "d=" << d << " k=" << k.to_hex();
+      const std::vector<Point> pts{base, curve.neg(base), base, generic, Point::at_infinity()};
+      const std::vector<BigUint> ks{k, k + BigUint{1}, BigUint{2} * k, k, k};
+      EXPECT_EQ(curve.multi_mul(ks, pts), oracle_sum(ref, ks, pts))
+          << "d=" << d << " k=" << k.to_hex();
     }
   }
 }

@@ -154,6 +154,70 @@ TEST_F(ParallelDvsTest, AddBatchStateBitIdenticalToSequentialAdds) {
   }
 }
 
+TEST_F(ParallelDvsTest, GroupedAggregateEqualsPerEntryFold) {
+  // U_A is evaluated grouped by signer — Σ U_i + Σ_j (Σ h_i)·Q_j, one MSM
+  // term per distinct Q_ID — and must equal the per-entry fold
+  // Σ (U_i + h_i·Q_i) bit for bit: signers interleaved non-contiguously,
+  // one of them a hostile key of order 3 outside G1 (where summing the h_i
+  // mod q would be wrong), for every thread count.
+  const pairing::Point torsion_key = [&] {
+    const num::BigUint cofactor = (g.params().p + num::BigUint{1}) / num::BigUint{3};
+    pairing::Point pt = pairing::Point::at_infinity();
+    while (pt.infinity) pt = g.curve().mul(cofactor, g.curve().random_point(rng));
+    return pt;
+  }();
+  const ibc::IdentityKey carol = sio.extract("carol");
+  std::vector<pairing::Point> ids = signer_ids;
+  std::vector<ibc::DvSignature> all = sigs;
+  std::vector<std::string> msgs = messages;
+  for (std::size_t i = 0; i < 7; ++i) {
+    msgs.push_back("extra-" + std::to_string(i));
+    const bool hostile = i % 3 == 1;
+    ids.push_back(hostile ? torsion_key : carol.q_id);
+    all.push_back(ibc::dv_transform(
+        g, ibc::ibs_sign(g, hostile ? alice : carol, as_bytes(msgs.back()), rng), server.q_id));
+  }
+  // Interleave: A B A B … then carol/hostile entries spread between them.
+  std::vector<std::size_t> order;
+  for (std::size_t i = 0; i < sigs.size(); ++i) {
+    order.push_back(i);
+    if (i % 2 == 1 && sigs.size() + i / 2 < all.size()) order.push_back(sigs.size() + i / 2);
+  }
+  for (std::size_t i = sigs.size() + sigs.size() / 2; i < all.size(); ++i) order.push_back(i);
+  ASSERT_EQ(order.size(), all.size());
+  std::vector<ibc::BatchEntry> batch;
+  pairing::Point fold = pairing::Point::at_infinity();
+  for (const std::size_t i : order) {
+    batch.push_back({ids[i], as_bytes(msgs[i]), &all[i]});
+    const num::BigUint h = ibc::tag_hash(g, all[i].u, as_bytes(msgs[i]));
+    fold = g.add(fold, g.add(all[i].u, g.mul(h, ids[i])));
+  }
+
+  ibc::BatchAccumulator serial{g};
+  for (const ibc::BatchEntry& e : batch) serial.add(e.signer_q_id, e.message, *e.sig);
+  EXPECT_EQ(serial.u_aggregate(), fold);
+  std::vector<std::size_t> per_entry_invalid;
+  for (std::size_t k = 0; k < batch.size(); ++k) {
+    if (!ibc::dv_verify(g, batch[k].signer_q_id, batch[k].message, *batch[k].sig, server)) {
+      per_entry_invalid.push_back(k);
+    }
+  }
+  ASSERT_EQ(per_entry_invalid.size(), 2u) << "the entries claimed under the torsion key";
+  ibc::BisectionStats serial_stats;
+  EXPECT_EQ(ibc::dv_batch_isolate(g, batch, server, &serial_stats), per_entry_invalid);
+  for (const std::size_t threads : {1u, 2u, 3u, 4u}) {
+    const pairing::ParallelPairingEngine engine{g, threads};
+    ibc::BatchAccumulator parallel{g};
+    parallel.add_batch(engine, batch);
+    EXPECT_EQ(parallel.u_aggregate(), fold) << threads << " threads";
+    EXPECT_EQ(parallel.sigma_aggregate(), serial.sigma_aggregate()) << threads << " threads";
+    ibc::BisectionStats stats;
+    EXPECT_EQ(ibc::dv_batch_isolate(engine, batch, server, &stats), per_entry_invalid)
+        << threads << " threads";
+    EXPECT_EQ(stats, serial_stats) << threads << " threads";
+  }
+}
+
 TEST_F(ParallelDvsTest, ParallelBatchVerifyMatchesSerialVerdicts) {
   const auto batch = entries();
   const bool serial_ok = ibc::dv_batch_verify(g, batch, server);

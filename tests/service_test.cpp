@@ -13,6 +13,7 @@
 #include "ibc/keys.h"
 #include "obs/metrics.h"
 #include "pairing/group.h"
+#include "seccloud/client.h"
 #include "seccloud/service/service.h"
 #include "sim/fleet.h"
 
@@ -324,6 +325,68 @@ TEST_F(ServiceFixture, ByzantineSignerIsolatedWithoutPoisoningTheBatch) {
   // The Byzantine user's version did NOT advance: a later honest submission
   // at the same version must succeed.
   EXPECT_EQ(svc.registry().audited_version(fleet.handle(2)), 0u);
+}
+
+TEST_F(ServiceFixture, SmallOrderBoundKeyGetsThePerEntryVerdict) {
+  // Binding only checks that a key is on the curve, so a hostile user can
+  // bind a point of order 2 or 3 (outside G1): its MSM table then holds O
+  // (2P or 3P). run_epoch must not throw; each such user's outcome must be
+  // what per-entry dv_verify says about its blocks, and the honest users
+  // sharing the batch still verify.
+  AuditService svc = make_service(/*threads=*/2, /*batch_capacity=*/16);
+  FleetWorkload fleet{sio, {.users = 16, .active_users = 3, .blocks_per_request = 2, .seed = 19}};
+  fleet.populate(svc);
+  for (auto& r : fleet.make_requests(svc)) ASSERT_TRUE(svc.submit(std::move(r)).accepted);
+
+  // Σ' = ê(U + h·Q, sk_DA) passes dv_verify under key Q; an unrelated Σ' fails.
+  const auto make_block = [&](const pairing::Point& q, std::uint64_t index, bool consistent) {
+    core::SignedBlock sb;
+    sb.block = core::DataBlock::from_value(index, 77 + index);
+    sb.sig.u = g.mul(g.random_scalar(rng), g.generator());
+    const num::BigUint h = ibc::tag_hash(g, sb.sig.u, core::block_message_bytes(sb.block));
+    sb.sig.sigma_da = consistent ? g.pair(g.add(sb.sig.u, g.mul(h, q)), da.secret)
+                                 : g.pair(g.generator(), sb.sig.u);
+    sb.sig.sigma_cs = sb.sig.sigma_da;
+    return sb;
+  };
+  struct Hostile {
+    UserHandle user;
+    bool per_entry_valid;
+  };
+  std::vector<Hostile> hostile;
+  for (const std::uint64_t order : {2u, 3u}) {
+    const num::BigUint cofactor = (g.params().p + num::BigUint{1}) / num::BigUint{order};
+    pairing::Point key = pairing::Point::at_infinity();
+    while (key.infinity) key = g.curve().mul(cofactor, g.curve().random_point(rng));
+    for (const bool consistent : {true, false}) {
+      AuditRequest r;
+      r.user = svc.register_user(
+          "torsion-" + std::to_string(order) + (consistent ? "-consistent" : "-forged"), key);
+      r.version = 1;
+      r.blocks = {make_block(key, 0, true), make_block(key, 1, consistent)};
+      bool valid = true;
+      for (const core::SignedBlock& sb : r.blocks) {
+        valid = valid && ibc::dv_verify(g, key, core::block_message_bytes(sb.block),
+                                        sb.sig.for_da(), da);
+      }
+      hostile.push_back({r.user, valid});
+      ASSERT_TRUE(svc.submit(std::move(r)).accepted);
+    }
+  }
+
+  ASSERT_EQ(std::count_if(hostile.begin(), hostile.end(),
+                          [](const Hostile& h) { return h.per_entry_valid; }),
+            2) << "one consistent and one forged request per key";
+
+  EpochReport report;
+  ASSERT_NO_THROW(report = svc.run_epoch());
+  EXPECT_EQ(report.requests, 7u);
+  for (const Hostile& h : hostile) {
+    EXPECT_EQ(svc.registry().audited_version(h.user), h.per_entry_valid ? 1u : 0u);
+  }
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(svc.registry().audited_version(fleet.handle(i)), 1u) << "honest user " << i;
+  }
 }
 
 TEST_F(ServiceFixture, UnkeyedUsersAreRejectedBeforeBatching) {
