@@ -234,6 +234,22 @@ Point Curve::mul(const BigUint& k, const Point& pt) const {
   return multi_mul(MsmTable{*this, {&pt, 1}}, {&k, 1});
 }
 
+Point Curve::mul(const FixedBaseTable& base, const BigUint& k) const {
+  constexpr std::size_t kChunk = FixedBaseTable::kChunkBits;
+  static_assert(64 % kChunk == 0, "a chunk must not straddle two limbs");
+  if (k.bit_length() > base.span_bits()) {
+    throw std::invalid_argument("Curve::mul: scalar wider than the fixed-base table");
+  }
+  std::vector<BigUint> chunks(base.chunks_.size());
+  for (std::size_t j = 0; j < chunks.size(); ++j) {
+    const std::size_t bit = j * kChunk;
+    const std::uint64_t chunk =
+        (k.limb(bit / 64) >> (bit % 64)) & ((std::uint64_t{1} << kChunk) - 1);
+    if (chunk != 0) chunks[j] = BigUint{chunk};
+  }
+  return multi_mul(base.chunks_, chunks);
+}
+
 Point Curve::multi_mul(std::span<const BigUint> scalars, std::span<const Point> points) const {
   if (scalars.size() != points.size()) {
     throw std::invalid_argument("Curve::multi_mul: size mismatch");
@@ -267,6 +283,26 @@ MsmTable::MsmTable(const Curve& curve, std::span<const Point> bases) : curve_(&c
   }
   const std::vector<MontAffine> odd = fe_to_affine_batch(m, odd_jac);
   for (std::size_t i = 0; i < odd.size(); ++i) odd_[i / 3 * kEntries + 1 + i % 3] = odd[i];
+}
+
+FixedBaseTable::FixedBaseTable(const Curve& curve, const Point& base)
+    : chunks_(curve, chunk_bases(curve, base)) {}
+
+std::vector<Point> FixedBaseTable::chunk_bases(const Curve& curve, const Point& base) {
+  const MontCtx& m = curve.fp().mont();
+  const std::size_t count = (curve.order().bit_length() + kChunkBits - 1) / kChunkBits;
+  const MontAffine p = fe_import(curve.fp(), base);
+  FeJac acc = p.inf ? fe_jac_infinity(m) : FeJac{p.x, p.y, m.one_mont()};
+  std::vector<FeJac> jac;
+  jac.reserve(count);
+  for (std::size_t j = 0; j < count; ++j) {
+    jac.push_back(acc);
+    for (std::size_t d = 0; d < kChunkBits; ++d) acc = fe_jac_dbl(m, curve.a_mont_, acc);
+  }
+  std::vector<Point> out;
+  out.reserve(count);
+  for (const MontAffine& pt : fe_to_affine_batch(m, jac)) out.push_back(fe_export(curve.fp(), pt));
+  return out;
 }
 
 std::optional<Point> Curve::lift_x(const BigUint& x, bool even_y) const {

@@ -12,6 +12,9 @@
 // Every operation is exact for every on-curve input: O, zero scalars,
 // repeated points, P with −P, and points outside the prime-order subgroup
 // (small multiples of a base of order 2–7 hit O inside the window tables).
+//
+// Scalar multiplication is not constant-time (wNAF digits steer the adds);
+// FixedBaseTable multiplication shares the same kernel and the same caveat.
 #pragma once
 
 #include <optional>
@@ -65,6 +68,27 @@ class MsmTable {
   std::vector<MontAffine> odd_;
 };
 
+/// A long-lived base prepared for repeated k·P: one MsmTable over the
+/// chunk bases {2^(kChunkBits·j)·P : j < ⌈bits(order)/kChunkBits⌉}, so
+/// k·P = Σ_j c_j·(2^(kChunkBits·j)·P) over k's kChunkBits-bit chunks c_j runs
+/// as one Straus pass whose shared doubling chain is a chunk long instead of
+/// bits(order) long. Built with one doubling chain and two shared inversions.
+class FixedBaseTable {
+ public:
+  static constexpr std::size_t kChunkBits = 8;
+
+  /// `curve` must outlive the table.
+  FixedBaseTable(const Curve& curve, const Point& base);
+  /// Widest scalar Curve::mul accepts with this table, in bits.
+  std::size_t span_bits() const noexcept { return kChunkBits * chunks_.size(); }
+
+ private:
+  friend class Curve;
+  static std::vector<Point> chunk_bases(const Curve& curve, const Point& base);
+
+  MsmTable chunks_;
+};
+
 /// A curve instance: field, coefficients, subgroup order and cofactor.
 class Curve {
  public:
@@ -87,6 +111,9 @@ class Curve {
   Point neg(const Point& pt) const;
   /// Scalar multiplication k·P (width-4 wNAF over Jacobian coordinates).
   Point mul(const BigUint& k, const Point& pt) const;
+  /// k·P over a prepared fixed base, equal to mul(k, P). Throws
+  /// std::invalid_argument if k is wider than the table's span_bits().
+  Point mul(const FixedBaseTable& base, const BigUint& k) const;
 
   /// Σ k_i·P_i (prepares the points, then the prepared-table overload).
   Point multi_mul(std::span<const BigUint> scalars, std::span<const Point> points) const;
@@ -118,6 +145,7 @@ class Curve {
 
  private:
   friend class MsmTable;
+  friend class FixedBaseTable;
 
   const PrimeField* field_;
   BigUint a_;

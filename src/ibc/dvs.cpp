@@ -5,10 +5,18 @@
 namespace seccloud::ibc {
 namespace {
 
-/// U + H2(U‖m)·Q_ID: the point Eq. (5)/(7) pairs with sk_B.
+/// U + H2(U‖m)·Q_ID: the point Eq. (5)/(7) pairs with sk_B, where
+/// `mul_q_id(h)` is h·Q_ID.
+template <typename MulQId>
+Point dv_target_with(const PairingGroup& group, const MulQId& mul_q_id,
+                     std::span<const std::uint8_t> message, const Point& u) {
+  return group.add(u, mul_q_id(tag_hash(group, u, message)));
+}
+
 Point dv_target(const PairingGroup& group, const Point& signer_q_id,
                 std::span<const std::uint8_t> message, const Point& u) {
-  return group.add(u, group.mul(tag_hash(group, u, message), signer_q_id));
+  return dv_target_with(
+      group, [&](const BigUint& h) { return group.mul(h, signer_q_id); }, message, u);
 }
 
 void bisect_range(std::size_t lo, std::size_t hi, std::size_t depth,
@@ -39,15 +47,15 @@ BatchAccumulator accumulate(const ParallelPairingEngine& engine,
   return acc;
 }
 
-/// Pairing 1: the cloud server's epoch attestation over the batch digest.
-/// Pairing 2: the mixed-signer aggregate (Eq. 8/9), any batch size.
-CrossUserVerdict cross_user_verdict(const PairingGroup& group, const BatchAccumulator& acc,
-                                    const IdentityKey& verifier, const Point& attestor_q_id,
-                                    std::span<const std::uint8_t> attestation_message,
-                                    const DvSignature& attestation, bool isolate_on_reject) {
+/// Pairing 1, the cloud server's epoch attestation over the batch digest,
+/// arrives as `attestation_valid`. Pairing 2 checks the mixed-signer
+/// aggregate (Eq. 8/9), any batch size, through `verifier` (an IdentityKey
+/// or a DesignatedVerifier), which also serves every bisection oracle call.
+template <typename Verifier>
+CrossUserVerdict cross_user_verdict(const BatchAccumulator& acc, const Verifier& verifier,
+                                    bool attestation_valid, bool isolate_on_reject) {
   CrossUserVerdict verdict;
-  verdict.attestation_valid =
-      dv_verify(group, attestor_q_id, attestation_message, attestation, verifier);
+  verdict.attestation_valid = attestation_valid;
   verdict.aggregate_valid = acc.verify(verifier);
   verdict.accepted = verdict.attestation_valid && verdict.aggregate_valid;
   if (!verdict.aggregate_valid && isolate_on_reject) {
@@ -61,6 +69,10 @@ CrossUserVerdict cross_user_verdict(const PairingGroup& group, const BatchAccumu
 DvSignature dv_transform(const PairingGroup& group, const IbsSignature& sig,
                          const Point& q_verifier) {
   return {sig.u, group.pair(sig.v, q_verifier)};
+}
+
+DvSignature dv_transform(const pairing::FixedPairing& q_verifier, const IbsSignature& sig) {
+  return {sig.u, q_verifier.pair_with(sig.v)};
 }
 
 bool dv_verify(const PairingGroup& group, const Point& signer_q_id,
@@ -126,8 +138,10 @@ CrossUserVerdict dv_cross_user_verify(const PairingGroup& group,
                                       std::span<const std::uint8_t> attestation_message,
                                       const DvSignature& attestation,
                                       bool isolate_on_reject) {
-  return cross_user_verdict(group, accumulate(group, entries), verifier, attestor_q_id,
-                            attestation_message, attestation, isolate_on_reject);
+  return cross_user_verdict(
+      accumulate(group, entries), verifier,
+      dv_verify(group, attestor_q_id, attestation_message, attestation, verifier),
+      isolate_on_reject);
 }
 
 CrossUserVerdict dv_cross_user_verify(const ParallelPairingEngine& engine,
@@ -137,8 +151,20 @@ CrossUserVerdict dv_cross_user_verify(const ParallelPairingEngine& engine,
                                       std::span<const std::uint8_t> attestation_message,
                                       const DvSignature& attestation,
                                       bool isolate_on_reject) {
-  return cross_user_verdict(engine.group(), accumulate(engine, entries), verifier,
-                            attestor_q_id, attestation_message, attestation,
+  return cross_user_verdict(
+      accumulate(engine, entries), verifier,
+      dv_verify(engine.group(), attestor_q_id, attestation_message, attestation, verifier),
+      isolate_on_reject);
+}
+
+CrossUserVerdict dv_cross_user_verify(const DesignatedVerifier& verifier,
+                                      std::span<const BatchEntry> entries,
+                                      const ec::FixedBaseTable& attestor_q_id,
+                                      std::span<const std::uint8_t> attestation_message,
+                                      const DvSignature& attestation,
+                                      bool isolate_on_reject) {
+  return cross_user_verdict(accumulate(verifier.group(), entries), verifier,
+                            verifier.verify(attestor_q_id, attestation_message, attestation),
                             isolate_on_reject);
 }
 
@@ -151,6 +177,14 @@ bool DesignatedVerifier::verify(const Point& signer_q_id,
                                 const DvSignature& sig) const {
   // ê(sk_B, target) = ê(target, sk_B): same GT element as dv_verify compares.
   return fixed_.pair_with(dv_target(*group_, signer_q_id, message, sig.u)) == sig.sigma;
+}
+
+bool DesignatedVerifier::verify(const ec::FixedBaseTable& signer_q_id,
+                                std::span<const std::uint8_t> message,
+                                const DvSignature& sig) const {
+  const Point target = dv_target_with(
+      *group_, [&](const BigUint& h) { return group_->mul(signer_q_id, h); }, message, sig.u);
+  return fixed_.pair_with(target) == sig.sigma;
 }
 
 BatchAccumulator::BatchAccumulator(const PairingGroup& group)
@@ -201,17 +235,29 @@ bool BatchAccumulator::verify(const DesignatedVerifier& verifier) const {
   return verifier.fixed().pair_with(u_aggregate()) == sigma_aggregate_;
 }
 
-std::vector<std::size_t> BatchAccumulator::isolate(const IdentityKey& verifier,
-                                                   BisectionStats* stats) const {
+template <typename PairSk>
+std::vector<std::size_t> BatchAccumulator::isolate_with(const PairSk& pair_sk,
+                                                        BisectionStats* stats) const {
   const ec::MsmTable tables{group_->curve(), signers_};
   return bisect_invalid(
       size(),
       [&](std::size_t lo, std::size_t hi) {
         Gt sigma = group_->gt_one();
         for (std::size_t i = lo; i < hi; ++i) sigma = group_->gt_mul(sigma, sigma_[i]);
-        return group_->pair(aggregate(tables, lo, hi), verifier.secret) == sigma;
+        return pair_sk(aggregate(tables, lo, hi)) == sigma;
       },
       stats);
+}
+
+std::vector<std::size_t> BatchAccumulator::isolate(const IdentityKey& verifier,
+                                                   BisectionStats* stats) const {
+  return isolate_with([&](const Point& u) { return group_->pair(u, verifier.secret); },
+                      stats);
+}
+
+std::vector<std::size_t> BatchAccumulator::isolate(const DesignatedVerifier& verifier,
+                                                   BisectionStats* stats) const {
+  return isolate_with([&](const Point& u) { return verifier.fixed().pair_with(u); }, stats);
 }
 
 }  // namespace seccloud::ibc

@@ -29,6 +29,8 @@ namespace seccloud::ibc {
 
 using pairing::ParallelPairingEngine;
 
+class DesignatedVerifier;
+
 /// A designated-verifier signature for one verifier.
 struct DvSignature {
   Point u;   ///< U = r·Q_ID (same as the underlying IBS).
@@ -40,6 +42,10 @@ struct DvSignature {
 /// Transforms an IBS into designated-verifier form for verifier `q_verifier`.
 DvSignature dv_transform(const PairingGroup& group, const IbsSignature& sig,
                          const Point& q_verifier);
+
+/// The same transform through the fixed-argument precomputation on Q_B:
+/// ê(Q_B, V) = ê(V, Q_B) by symmetry, so the result is bit-identical.
+DvSignature dv_transform(const pairing::FixedPairing& q_verifier, const IbsSignature& sig);
 
 /// Eq. (5)/(7): verifier-side check using the verifier's own secret key.
 bool dv_verify(const PairingGroup& group, const Point& signer_q_id,
@@ -143,6 +149,18 @@ CrossUserVerdict dv_cross_user_verify(const ParallelPairingEngine& engine,
                                       const DvSignature& attestation,
                                       bool isolate_on_reject = true);
 
+/// The same verdict for a long-lived verifier: the attestation check, the
+/// aggregate and every bisection oracle call replay the precomputed sk_B
+/// lines, and the attestation's h·Q_CS runs on a fixed-base table. Verdicts,
+/// isolated sets, bisection stats and op counters are bit-identical to the
+/// IdentityKey forms.
+CrossUserVerdict dv_cross_user_verify(const DesignatedVerifier& verifier,
+                                      std::span<const BatchEntry> entries,
+                                      const ec::FixedBaseTable& attestor_q_id,
+                                      std::span<const std::uint8_t> attestation_message,
+                                      const DvSignature& attestation,
+                                      bool isolate_on_reject = true);
+
 /// A verifier with the fixed-argument Miller precomputation for its secret
 /// key sk_B — the same second argument in every Eq. 5/7/8/9 check — so each
 /// verification replays recorded line functions instead of recomputing the
@@ -156,6 +174,9 @@ class DesignatedVerifier {
 
   /// Eq. (5)/(7) with the precomputed sk_B pairing.
   bool verify(const Point& signer_q_id, std::span<const std::uint8_t> message,
+              const DvSignature& sig) const;
+  /// The same check with h·Q_ID on a fixed-base table of the signer's Q_ID.
+  bool verify(const ec::FixedBaseTable& signer_q_id, std::span<const std::uint8_t> message,
               const DvSignature& sig) const;
 
   /// The precomputed ê(sk_B, ·).
@@ -201,7 +222,15 @@ class BatchAccumulator {
   std::vector<std::size_t> isolate(const IdentityKey& verifier,
                                    BisectionStats* stats = nullptr) const;
 
+  /// The same bisection with every oracle pairing through the precomputed
+  /// verifier: identical indices, stats and op counters.
+  std::vector<std::size_t> isolate(const DesignatedVerifier& verifier,
+                                   BisectionStats* stats = nullptr) const;
+
  private:
+  /// The one bisection body; `pair_sk(U)` evaluates ê(U, sk_B).
+  template <typename PairSk>
+  std::vector<std::size_t> isolate_with(const PairSk& pair_sk, BisectionStats* stats) const;
   void file(const Point& signer_q_id, BigUint h, const DvSignature& sig);
   /// Σ_{i∈[lo,hi)} (U_i + h_i·Q_i) as one grouped MSM over the signers' tables.
   Point aggregate(const ec::MsmTable& tables, std::size_t lo, std::size_t hi) const;

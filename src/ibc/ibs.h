@@ -27,6 +27,13 @@ BigUint tag_hash(const PairingGroup& group, const Point& u,
 IbsSignature ibs_sign(const PairingGroup& group, const IdentityKey& signer,
                       std::span<const std::uint8_t> message, num::RandomSource& rng);
 
+/// The same signature from fixed-base tables on the signer's Q_ID and sk_ID
+/// (for a long-lived signer): bit-identical to the overload above for the
+/// same RNG draws. The sk_ID table is as secret as sk_ID.
+IbsSignature ibs_sign(const PairingGroup& group, const ec::FixedBaseTable& q_id,
+                      const ec::FixedBaseTable& secret,
+                      std::span<const std::uint8_t> message, num::RandomSource& rng);
+
 bool ibs_verify(const PairingGroup& group, const PublicParams& params,
                 std::string_view signer_id, std::span<const std::uint8_t> message,
                 const IbsSignature& sig);

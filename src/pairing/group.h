@@ -53,6 +53,13 @@ class PairingGroup {
     ++tls_op_counters().point_muls;
     return curve_->mul(k, a);
   }
+  /// k·P over a prepared fixed base (ec::Curve::mul); counts one point_mul,
+  /// exactly like mul(k, P).
+  Point mul(const ec::FixedBaseTable& base, const BigUint& k) const {
+    counters_.point_muls.fetch_add(1, std::memory_order_relaxed);
+    ++tls_op_counters().point_muls;
+    return curve_->mul(base, k);
+  }
   /// Σ k_i·B_i + Σ addends over prepared bases (one Straus pass, see
   /// ec::Curve::multi_mul). Counts one msm_term per nonzero scalar; the
   /// addends and zero scalars are free.

@@ -143,13 +143,13 @@ AuditReport verify_computation_audit_impl(
       }
     } else {
       for (const auto& input : item.inputs) {
-        // Messages are retained in both modes: a batch reject needs them
-        // again to rebuild the entries for bisection.
-        batched_messages.push_back(block_message_bytes(input.block));
         if (par == nullptr) {
-          batch.add(q_user, batched_messages.back(), input.sig.for_da());
+          batch.add(q_user, block_message_bytes(input.block), input.sig.for_da());
+        } else {
+          // Hashed across the pool by the add_batch sweep below.
+          batched_messages.push_back(block_message_bytes(input.block));
+          batched_blocks.push_back(&input);
         }
-        batched_blocks.push_back(&input);
       }
     }
 
@@ -207,29 +207,20 @@ AuditReport verify_computation_audit_impl(
   if (mode == SignatureCheckMode::kBatch && batch.size() > 0) {
     obs::ProfileSpan batch_span = obs::profile_span("batch_verify");
     if (batch_span) batch_span.arg("entries", std::to_string(batch.size()));
-    batch_ok = batch.verify(da_key);
+    batch_ok = par != nullptr ? batch.verify(*par->verifier) : batch.verify(da_key);
   }
   if (mode == SignatureCheckMode::kBatch && batch.size() > 0 && !batch_ok) {
     // Batch rejected: bisect over range aggregates to isolate the exact
     // invalid entries — O(k·log n) pairings for k bad of n, versus n for
     // re-verifying every member individually.
     obs::ProfileSpan isolate_span = obs::profile_span("bisection_isolate");
-    std::vector<ibc::DvSignature> sigs;  // for_da() returns by value; keep alive
-    std::vector<ibc::BatchEntry> entries;
-    sigs.reserve(batched_blocks.size());
-    entries.reserve(batched_blocks.size());
-    for (std::size_t i = 0; i < batched_blocks.size(); ++i) {
-      sigs.push_back(batched_blocks[i]->sig.for_da());
-      entries.push_back({q_user, batched_messages[i], &sigs.back()});
-    }
     report.invalid_signature_entries =
-        par != nullptr
-            ? ibc::dv_batch_isolate(*par->engine, entries, da_key, &report.bisection)
-            : ibc::dv_batch_isolate(group, entries, da_key, &report.bisection);
+        par != nullptr ? batch.isolate(*par->verifier, &report.bisection)
+                       : batch.isolate(da_key, &report.bisection);
     report.signature_failures += report.invalid_signature_entries.size();
     if (report.signature_failures == 0) ++report.signature_failures;  // aggregate forged
     if (isolate_span) {
-      isolate_span.arg("entries", std::to_string(entries.size()));
+      isolate_span.arg("entries", std::to_string(batch.size()));
       isolate_span.arg("invalid",
                        std::to_string(report.invalid_signature_entries.size()));
     }
@@ -287,7 +278,9 @@ StorageAuditReport verify_storage_audit_impl(const PairingGroup& group,
         batch.add(entry.signer_q_id, entry.message, *entry.sig);
       }
     }
-    if (batch.size() == 0 || batch.verify(verifier_key)) {
+    const bool batch_ok = batch.size() == 0 || (par != nullptr ? batch.verify(*par->verifier)
+                                                               : batch.verify(verifier_key));
+    if (batch_ok) {
       report.accepted = true;
       report.ops = group.counters();
       return report;
@@ -297,10 +290,8 @@ StorageAuditReport verify_storage_audit_impl(const PairingGroup& group,
     batch_span.end();
     obs::ProfileSpan isolate_span = obs::profile_span("bisection_isolate");
     report.invalid_signature_entries =
-        par != nullptr
-            ? ibc::dv_batch_isolate(*par->engine, entries, verifier_key,
-                                    &report.bisection)
-            : ibc::dv_batch_isolate(group, entries, verifier_key, &report.bisection);
+        par != nullptr ? batch.isolate(*par->verifier, &report.bisection)
+                       : batch.isolate(verifier_key, &report.bisection);
     report.signature_failures = report.invalid_signature_entries.size();
     if (report.signature_failures == 0) ++report.signature_failures;  // aggregate forged
     if (isolate_span) {

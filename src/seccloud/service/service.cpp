@@ -40,8 +40,11 @@ AuditService::AuditService(const PairingGroup& group, IdentityKey verifier,
         config.registry.key_width = group.curve().serialize(group.generator()).size();
         return config;
       }()),
-      verifier_(std::move(verifier)),
       attestor_(std::move(attestor)),
+      verifier_(group, verifier),
+      verifier_q_id_(group, verifier.q_id),
+      attestor_q_id_(group.curve(), attestor_.q_id),
+      attestor_secret_(group.curve(), attestor_.secret),
       registry_(config_.registry),
       queue_(config_.epoch),
       engine_(group, config_.threads) {}
@@ -203,8 +206,9 @@ EpochReport AuditService::run_epoch() {
     append_u64(drbg_seed, report.epoch);
     append_u64(drbg_seed, i);
     hash::HmacDrbg drbg{std::span<const std::uint8_t>{drbg_seed}};
-    const ibc::IbsSignature ibs = ibc::ibs_sign(*group_, attestor_, msg, drbg);
-    attestations[i] = ibc::dv_transform(*group_, ibs, verifier_.q_id);
+    const ibc::IbsSignature ibs =
+        ibc::ibs_sign(*group_, attestor_q_id_, attestor_secret_, msg, drbg);
+    attestations[i] = ibc::dv_transform(verifier_q_id_, ibs);
   });
   report.assembly_ops = group_->counters() - ops_before_assembly;
   const auto t_attest = std::chrono::steady_clock::now();
@@ -223,8 +227,8 @@ EpochReport AuditService::run_epoch() {
         lo < refs.size() ? meta[refs[lo].request_index].request_id : 0;
     obs::ExemplarScope exemplar{first_request_id, report.epoch};
     verdicts[i] = ibc::dv_cross_user_verify(
-        *group_, std::span<const ibc::BatchEntry>{entries}.subspan(lo, hi - lo),
-        verifier_, attestor_.q_id, attest_messages[i], attestations[i]);
+        verifier_, std::span<const ibc::BatchEntry>{entries}.subspan(lo, hi - lo),
+        attestor_q_id_, attest_messages[i], attestations[i]);
     if (auto* h = m_batch_verify_ms_.load(std::memory_order_acquire)) {
       h->observe(std::chrono::duration<double, std::milli>(
                      std::chrono::steady_clock::now() - bt0)
@@ -254,7 +258,8 @@ EpochReport AuditService::run_epoch() {
       report.invalid_entries.push_back({user, ref.request_index, ref.block_index});
       byzantine.push_back(user);
     }
-    report.results.push_back({lo, hi - lo, std::move(verdict)});
+    report.results.push_back(
+        {lo, hi - lo, std::move(verdict), std::move(attest_messages[i]), attestations[i]});
   }
   std::sort(byzantine.begin(), byzantine.end());
   byzantine.erase(std::unique(byzantine.begin(), byzantine.end()), byzantine.end());

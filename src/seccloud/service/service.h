@@ -21,6 +21,12 @@
 // disjoint verdict slot, attestations are signed with a per-(seed, epoch,
 // batch) HMAC-DRBG, and op counters accumulate atomically — verdicts,
 // isolated sets, and op totals are bit-identical for any thread count.
+//
+// Fixed-key precomputation: the keys every epoch uses — sk_B, Q_B, Q_CS and
+// sk_CS — are prepared once at construction (Miller lines for the two
+// pairing arguments, fixed-base tables for the attestor's two scalar
+// multiplications) and shared read-only by every lane. Attestations, verdicts
+// and op counters are bit-identical to the unprepared IdentityKey paths.
 #pragma once
 
 #include <atomic>
@@ -83,6 +89,8 @@ struct BatchResult {
   std::size_t first_entry = 0;  ///< flat index of the batch's first entry
   std::size_t entries = 0;
   ibc::CrossUserVerdict verdict;
+  core::Bytes attestation_message;  ///< the signed batch digest statement
+  ibc::DvSignature attestation;     ///< the CS attestation the batch was checked against
 };
 
 struct EpochReport {
@@ -130,7 +138,7 @@ class AuditService {
   std::uint64_t epoch() const noexcept { return queue_.epoch(); }
   /// Identity points clients designate their signatures to: the service's
   /// own verifying identity and the attesting cloud server.
-  const Point& verifier_q_id() const noexcept { return verifier_.q_id; }
+  const Point& verifier_q_id() const noexcept { return verifier_.key().q_id; }
   const Point& attestor_q_id() const noexcept { return attestor_.q_id; }
 
   /// Registers an identity record only (cheap; no key material).
@@ -176,8 +184,11 @@ class AuditService {
  private:
   const PairingGroup* group_;
   ServiceConfig config_;
-  IdentityKey verifier_;
   IdentityKey attestor_;
+  ibc::DesignatedVerifier verifier_;     ///< sk_B lines: aggregate, attestation, bisection
+  pairing::FixedPairing verifier_q_id_;  ///< Q_B lines: the attestation's Σ = ê(V, Q_B)
+  ec::FixedBaseTable attestor_q_id_;     ///< Q_CS: r·Q_CS when signing, h·Q_CS when checking
+  ec::FixedBaseTable attestor_secret_;   ///< sk_CS: (r + h)·sk_CS; as secret as sk_CS
   ShardedRegistry registry_;
   AdmissionQueue queue_;
   ParallelPairingEngine engine_;

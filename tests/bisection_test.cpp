@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "bigint/rng.h"
+#include "ec/curve.h"
 #include "ibc/dvs.h"
 #include "ibc/ibs.h"
 #include "ibc/keys.h"
@@ -70,9 +71,11 @@ struct DvBatch {
   std::vector<ibc::BatchEntry> entries;
 };
 
-/// Builds n valid (message, Σ) pairs for one signer/verifier, then corrupts
-/// the signatures at `bad` by perturbing Σ.
-DvBatch make_batch(const pairing::PairingGroup& g, const ibc::IdentityKey& signer,
+/// Builds n valid (message, Σ) pairs for one verifier, entry i signed by
+/// signers[i mod |signers|] (so several signers interleave entry by entry),
+/// then corrupts the signatures at `bad` by perturbing Σ.
+DvBatch make_batch(const pairing::PairingGroup& g,
+                   const std::vector<ibc::IdentityKey>& signers,
                    const ibc::IdentityKey& verifier, std::size_t n,
                    const std::vector<std::size_t>& bad, Xoshiro256& rng) {
   DvBatch batch;
@@ -82,14 +85,16 @@ DvBatch make_batch(const pairing::PairingGroup& g, const ibc::IdentityKey& signe
   for (std::size_t i = 0; i < n; ++i) {
     batch.messages.push_back({static_cast<std::uint8_t>(i), 'm', 's', 'g',
                               static_cast<std::uint8_t>(i >> 8)});
-    const ibc::IbsSignature ibs = ibc::ibs_sign(g, signer, batch.messages.back(), rng);
+    const ibc::IbsSignature ibs =
+        ibc::ibs_sign(g, signers[i % signers.size()], batch.messages.back(), rng);
     batch.sigs.push_back(ibc::dv_transform(g, ibs, verifier.q_id));
   }
   for (const std::size_t i : bad) {
     batch.sigs[i].sigma = g.gt_mul(batch.sigs[i].sigma, batch.sigs[i].sigma);
   }
   for (std::size_t i = 0; i < n; ++i) {
-    batch.entries.push_back({signer.q_id, batch.messages[i], &batch.sigs[i]});
+    batch.entries.push_back(
+        {signers[i % signers.size()].q_id, batch.messages[i], &batch.sigs[i]});
   }
   return batch;
 }
@@ -101,7 +106,7 @@ TEST(DvBatchIsolateTest, SixtyFourEntryBatchWithThreeCorrupted) {
   const auto signer = sio.extract("user@bisect");
   const auto verifier = sio.extract("da@bisect");
   const std::vector<std::size_t> bad = {3, 17, 42};
-  const DvBatch batch = make_batch(g, signer, verifier, 64, bad, rng);
+  const DvBatch batch = make_batch(g, {signer}, verifier, 64, bad, rng);
 
   ASSERT_FALSE(ibc::dv_batch_verify(g, batch.entries, verifier));
 
@@ -137,7 +142,7 @@ TEST(DvBatchIsolateTest, SerialAndParallelAreBitIdentical) {
   const ibc::Sio sio{g, rng};
   const auto signer = sio.extract("user@bisect-par");
   const auto verifier = sio.extract("da@bisect-par");
-  const DvBatch batch = make_batch(g, signer, verifier, 24, {1, 9, 20, 21}, rng);
+  const DvBatch batch = make_batch(g, {signer}, verifier, 24, {1, 9, 20, 21}, rng);
 
   g.reset_counters();
   ibc::BisectionStats serial_stats;
@@ -170,13 +175,106 @@ TEST(DvBatchIsolateTest, CancellationForgeryEvadesTheAggregate) {
   const ibc::Sio sio{g, rng};
   const auto signer = sio.extract("user@forge");
   const auto verifier = sio.extract("da@forge");
-  DvBatch batch = make_batch(g, signer, verifier, 8, {}, rng);
+  DvBatch batch = make_batch(g, {signer}, verifier, 8, {}, rng);
   std::swap(batch.sigs[2].sigma, batch.sigs[5].sigma);
 
   EXPECT_FALSE(ibc::dv_verify(g, signer.q_id, batch.messages[2], batch.sigs[2], verifier));
   EXPECT_FALSE(ibc::dv_verify(g, signer.q_id, batch.messages[5], batch.sigs[5], verifier));
   EXPECT_TRUE(ibc::dv_batch_verify(g, batch.entries, verifier));
   EXPECT_TRUE(ibc::dv_batch_isolate(g, batch.entries, verifier, nullptr).empty());
+
+  // The precomputed verifier evaluates the same pairings, so it is fooled
+  // the same way.
+  const ibc::DesignatedVerifier dv{g, verifier};
+  EXPECT_FALSE(dv.verify(signer.q_id, batch.messages[2], batch.sigs[2]));
+  EXPECT_FALSE(dv.verify(signer.q_id, batch.messages[5], batch.sigs[5]));
+  ibc::BatchAccumulator acc{g};
+  for (const auto& entry : batch.entries) acc.add(entry.signer_q_id, entry.message, *entry.sig);
+  EXPECT_TRUE(acc.verify(dv));
+  EXPECT_TRUE(acc.isolate(dv).empty());
+}
+
+TEST(DvBatchIsolateTest, PrecomputedVerifierIsolatesBitIdentically) {
+  // Three interleaved signers, so every bisection range mixes signers and
+  // its grouped MSM carries one term per signer.
+  Xoshiro256 rng{806};
+  const auto& g = tiny_group();
+  const ibc::Sio sio{g, rng};
+  const std::vector<ibc::IdentityKey> signers{sio.extract("alice@dv"), sio.extract("bob@dv"),
+                                              sio.extract("carol@dv")};
+  const auto verifier = sio.extract("da@dv");
+  const ibc::DesignatedVerifier dv{g, verifier};
+  for (const std::vector<std::size_t>& bad :
+       std::vector<std::vector<std::size_t>>{{}, {0}, {4, 5}, {1, 9, 10, 22}, {23}}) {
+    const DvBatch batch = make_batch(g, signers, verifier, 24, bad, rng);
+    ibc::BatchAccumulator acc{g};
+    for (const auto& entry : batch.entries) {
+      acc.add(entry.signer_q_id, entry.message, *entry.sig);
+    }
+
+    g.reset_counters();
+    ibc::BisectionStats key_stats;
+    const bool key_ok = acc.verify(verifier);
+    const auto key_invalid = acc.isolate(verifier, &key_stats);
+    const auto key_ops = g.counters();
+
+    g.reset_counters();
+    ibc::BisectionStats dv_stats;
+    const bool dv_ok = acc.verify(dv);
+    const auto dv_invalid = acc.isolate(dv, &dv_stats);
+    const auto dv_ops = g.counters();
+
+    EXPECT_EQ(key_invalid, bad);
+    EXPECT_EQ(dv_invalid, key_invalid);
+    EXPECT_EQ(dv_ok, key_ok);
+    EXPECT_EQ(dv_ok, bad.empty());
+    EXPECT_EQ(dv_stats, key_stats);
+    EXPECT_EQ(dv_ops, key_ops);
+  }
+}
+
+TEST(DvBatchIsolateTest, PrecomputedCrossUserVerdictIsBitIdentical) {
+  // The service's form — sk_B lines plus a fixed-base table on the
+  // attestor's Q_ID — against the IdentityKey form, on an honest batch, a
+  // batch with bad members, and a forged attestation.
+  Xoshiro256 rng{807};
+  const auto& g = tiny_group();
+  const ibc::Sio sio{g, rng};
+  const std::vector<ibc::IdentityKey> signers{sio.extract("dan@xu"), sio.extract("eve@xu")};
+  const auto verifier = sio.extract("da@xu");
+  const auto attestor = sio.extract("cs@xu");
+  const ibc::DesignatedVerifier dv{g, verifier};
+  const ec::FixedBaseTable attestor_q_id{g.curve(), attestor.q_id};
+  const core::Bytes statement{'e', 'p', 'o', 'c', 'h'};
+  const ibc::DvSignature attestation = ibc::dv_transform(
+      g, ibc::ibs_sign(g, attestor, statement, rng), verifier.q_id);
+  ibc::DvSignature forged = attestation;
+  forged.sigma = g.gt_mul(forged.sigma, forged.sigma);
+
+  for (const std::vector<std::size_t>& bad :
+       std::vector<std::vector<std::size_t>>{{}, {3, 12}}) {
+    const DvBatch batch = make_batch(g, signers, verifier, 16, bad, rng);
+    for (const bool genuine : {true, false}) {
+      const ibc::DvSignature& att = genuine ? attestation : forged;
+      g.reset_counters();
+      const ibc::CrossUserVerdict by_key = ibc::dv_cross_user_verify(
+          g, batch.entries, verifier, attestor.q_id, statement, att);
+      const auto key_ops = g.counters();
+      g.reset_counters();
+      const ibc::CrossUserVerdict by_dv =
+          ibc::dv_cross_user_verify(dv, batch.entries, attestor_q_id, statement, att);
+      const auto dv_ops = g.counters();
+
+      EXPECT_EQ(by_key.attestation_valid, genuine);
+      EXPECT_EQ(by_key.invalid_entries, bad);
+      EXPECT_EQ(by_dv.accepted, by_key.accepted);
+      EXPECT_EQ(by_dv.attestation_valid, by_key.attestation_valid);
+      EXPECT_EQ(by_dv.aggregate_valid, by_key.aggregate_valid);
+      EXPECT_EQ(by_dv.invalid_entries, by_key.invalid_entries);
+      EXPECT_EQ(by_dv.bisection, by_key.bisection);
+      EXPECT_EQ(dv_ops, key_ops);
+    }
+  }
 }
 
 // --- auditor integration ----------------------------------------------------

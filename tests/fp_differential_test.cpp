@@ -14,7 +14,9 @@
 // the same schedule.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <span>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -474,6 +476,76 @@ TEST(MultiMulDifferential, SmallOrderBasesHitInfinityInsideTheTables) {
       EXPECT_EQ(curve.multi_mul(ks, pts), oracle_sum(ref, ks, pts))
           << "d=" << d << " k=" << k.to_hex();
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Fixed-base tables (8-bit chunks over one Straus pass) vs the oracle
+// ---------------------------------------------------------------------------
+
+TEST(FixedBaseDifferential, MatchesOracleOnEveryGroup) {
+  // The tiny and 512-bit pairing groups (a = 1) and P-256 (a = −3, 256-bit
+  // order): k = 0, 1, q − 1, the widest scalar the table spans, and random
+  // scalars, on a generic base and on O.
+  const ec::P256 p256;
+  struct Case {
+    const ec::Curve& curve;
+    oracle::Curve ref;
+  };
+  std::vector<Case> cases;
+  for (const PairingGroup* g : {&pairing::tiny_group(), &pairing::default_group()}) {
+    cases.push_back({g->curve(), oracle::Curve{oracle::Fp{g->params().p}, BigUint{1}}});
+  }
+  cases.push_back({p256.curve(), oracle::Curve{oracle::Fp{p256.curve().fp().modulus()},
+                                               p256.curve().a()}});
+  for (const auto& [curve, ref] : cases) {
+    Xoshiro256 rng(9001);
+    const BigUint& q = curve.order();
+    const Point base = curve.random_point(rng);
+    const ec::FixedBaseTable table{curve, base};
+    const ec::FixedBaseTable table_inf{curve, Point::at_infinity()};
+    ASSERT_GE(table.span_bits(), q.bit_length());
+    ASSERT_LT(table.span_bits(), q.bit_length() + ec::FixedBaseTable::kChunkBits);
+    const BigUint widest = (BigUint{1} << table.span_bits()) - BigUint{1};
+    std::vector<BigUint> scalars{BigUint{}, BigUint{1}, q - BigUint{1}, widest};
+    for (std::size_t i = 0; i < property_iters(8); ++i) scalars.push_back(rng.next_below(q));
+    for (const BigUint& k : scalars) {
+      EXPECT_EQ(curve.mul(table, k), ref.mul(k, base)) << "k=" << k.to_hex();
+      EXPECT_EQ(curve.mul(table_inf, k), Point::at_infinity()) << "k=" << k.to_hex();
+    }
+    EXPECT_THROW(curve.mul(table, BigUint{1} << table.span_bits()), std::invalid_argument);
+    EXPECT_THROW(curve.mul(table_inf, widest + BigUint{1}), std::invalid_argument);
+  }
+  const PairingGroup& tiny = pairing::tiny_group();
+  const ec::FixedBaseTable foreign{pairing::default_group().curve(),
+                                   pairing::default_group().generator()};
+  EXPECT_THROW(tiny.curve().mul(foreign, BigUint{1}), std::invalid_argument);
+}
+
+TEST(FixedBaseDifferential, SmallOrderBasesMatchCurveMul) {
+  // The F_1013 curve of the MSM test above (1050 = 2·3·5²·7 points): chunk
+  // bases 2^(8j)·P of a small-order P repeat or collapse to O, and their odd
+  // multiples hit O inside the table. mul over the table must equal
+  // Curve::mul and the oracle, and must not throw.
+  const BigUint p{1013};
+  const PrimeField f{p};
+  const ec::Curve curve{f, BigUint{2}, BigUint{19}, BigUint{1050}, BigUint{1}};
+  const oracle::Curve ref{oracle::Fp{p}, BigUint{2}};
+  Xoshiro256 rng(4712);
+  for (const std::uint64_t d : {2ull, 3ull, 5ull, 7ull}) {
+    Point base = Point::at_infinity();
+    while (base.infinity) base = ref.mul(BigUint{1050 / d}, curve.random_point(rng));
+    ASSERT_TRUE(ref.mul(BigUint{d}, base).infinity) << "d=" << d;
+    std::unique_ptr<ec::FixedBaseTable> table;
+    ASSERT_NO_THROW(table = std::make_unique<ec::FixedBaseTable>(curve, base)) << "d=" << d;
+    for (const BigUint& k : {BigUint{}, BigUint{1}, BigUint{d}, BigUint{d + 1}, BigUint{255},
+                             BigUint{256}, BigUint{1049}, rng.next_below(BigUint{1050})}) {
+      Point got;
+      ASSERT_NO_THROW(got = curve.mul(*table, k)) << "d=" << d << " k=" << k.to_hex();
+      EXPECT_EQ(got, curve.mul(k, base)) << "d=" << d << " k=" << k.to_hex();
+      EXPECT_EQ(got, ref.mul(k, base)) << "d=" << d << " k=" << k.to_hex();
+    }
+    EXPECT_THROW(curve.mul(*table, BigUint{1} << table->span_bits()), std::invalid_argument);
   }
 }
 

@@ -82,6 +82,32 @@ TEST_F(IbcTest, SignaturesAreRandomized) {
   EXPECT_NE(s1.u, s2.u);  // fresh r each time
 }
 
+TEST_F(IbcTest, PrecomputedSigningAndTransformAreBitIdentical) {
+  // Fixed-base tables on Q_ID and sk_ID, and the Q_B Miller lines, give the
+  // same signature and Σ as the plain path for the same RNG draws, with the
+  // same op counts (one point_mul per scalar multiplication).
+  const ec::FixedBaseTable q_id{g.curve(), alice.q_id};
+  const ec::FixedBaseTable secret{g.curve(), alice.secret};
+  const pairing::FixedPairing q_server{g, server.q_id};
+  for (const std::string_view text : {"", "payload", "another block"}) {
+    const auto msg = as_bytes(text);
+    Xoshiro256 plain_rng(77);
+    Xoshiro256 table_rng(77);
+    g.reset_counters();
+    const IbsSignature plain = ibs_sign(g, alice, msg, plain_rng);
+    const DvSignature plain_dv = dv_transform(g, plain, server.q_id);
+    const auto plain_ops = g.counters();
+    g.reset_counters();
+    const IbsSignature tabled = ibs_sign(g, q_id, secret, msg, table_rng);
+    const DvSignature tabled_dv = dv_transform(q_server, tabled);
+    const auto tabled_ops = g.counters();
+    EXPECT_EQ(tabled, plain);
+    EXPECT_EQ(tabled_dv, plain_dv);
+    EXPECT_EQ(tabled_ops, plain_ops);
+    EXPECT_TRUE(DesignatedVerifier(g, server).verify(q_id, msg, tabled_dv));
+  }
+}
+
 TEST_F(IbcTest, DvTransformVerifiesForDesignatedVerifierOnly) {
   const auto msg = as_bytes(std::string_view{"payload"});
   const IbsSignature ibs = ibs_sign(g, alice, msg, rng);

@@ -10,6 +10,9 @@
 #include <vector>
 
 #include "bigint/rng.h"
+#include "hash/hmac_drbg.h"
+#include "ibc/dvs.h"
+#include "ibc/ibs.h"
 #include "ibc/keys.h"
 #include "obs/metrics.h"
 #include "pairing/group.h"
@@ -251,6 +254,55 @@ TEST_F(ServiceFixture, HonestEpochVerifiesAtTwoPairingsPerBatch) {
   EXPECT_EQ(report.bisection.oracle_calls, 0u);
   // Audits recorded against the freshness high-water mark.
   EXPECT_EQ(svc.registry().audited_version(fleet.handle(0)), 1u);
+}
+
+TEST_F(ServiceFixture, PrecomputedKeysKeepAttestationsAndCountersBitIdentical) {
+  // The service signs and checks through keys prepared once at construction
+  // (sk_B and Q_B Miller lines, Q_CS and sk_CS fixed-base tables), shared by
+  // two lanes over two epochs. Every attestation must equal the plain
+  // ibs_sign + dv_transform from the same per-(seed, epoch, batch) DRBG, and
+  // each epoch's op counters must equal the values the unprepared
+  // IdentityKey path spends on the same traffic.
+  AuditService svc = make_service(/*threads=*/2, /*batch_capacity=*/8);
+  FleetWorkload fleet{sio, {.users = 32, .active_users = 6, .blocks_per_request = 3, .seed = 29}};
+  fleet.populate(svc);
+  // Per batch: signing is 2 point_muls + the dv_transform pairing; the check
+  // is the attestation's point_mul and pairing plus the aggregate's pairing
+  // and one msm_term per signer; epoch 0's two bad entries add 14 oracle
+  // pairings and their range MSMs.
+  const pairing::OpCounters assembly_unprepared{
+      .pairings = 3, .miller_loops = 3, .final_exps = 3, .point_muls = 6};
+  const std::vector<pairing::OpCounters> verify_unprepared{
+      {.pairings = 20, .miller_loops = 20, .final_exps = 20, .point_muls = 3, .msm_terms = 33},
+      {.pairings = 6, .miller_loops = 6, .final_exps = 6, .point_muls = 3, .msm_terms = 8}};
+  for (std::uint64_t epoch = 0; epoch < 2; ++epoch) {
+    auto behaviors = [epoch](std::size_t i) {
+      return epoch == 0 && (i == 1 || i == 4) ? FleetBehavior::kBadSignature
+                                              : FleetBehavior::kHonest;
+    };
+    for (auto& r : fleet.make_requests(svc, behaviors)) {
+      ASSERT_TRUE(svc.submit(std::move(r)).accepted);
+    }
+    const EpochReport report = svc.run_epoch();
+    ASSERT_EQ(report.batches, 3u);  // 18 entries / capacity 8
+    EXPECT_EQ(report.byzantine_users.size(), epoch == 0 ? 2u : 0u);
+    for (std::size_t i = 0; i < report.results.size(); ++i) {
+      const service::BatchResult& br = report.results[i];
+      EXPECT_TRUE(br.verdict.attestation_valid);
+      core::Bytes seed(svc.config().attestor_seed.begin(), svc.config().attestor_seed.end());
+      for (const std::uint64_t v : {epoch, std::uint64_t{i}}) {
+        for (int b = 0; b < 8; ++b) seed.push_back(static_cast<std::uint8_t>(v >> (8 * b)));
+      }
+      hash::HmacDrbg drbg{std::span<const std::uint8_t>{seed}};
+      EXPECT_EQ(br.attestation,
+                ibc::dv_transform(g, ibc::ibs_sign(g, cs, br.attestation_message, drbg),
+                                  da.q_id))
+          << "epoch " << epoch << " batch " << i;
+    }
+    EXPECT_EQ(report.assembly_ops, assembly_unprepared) << "epoch " << epoch;
+    EXPECT_EQ(report.verify_ops, verify_unprepared[epoch]) << "epoch " << epoch;
+    EXPECT_EQ(report.verify_ops.pairings, 2 * report.batches + report.bisection.oracle_calls);
+  }
 }
 
 TEST_F(ServiceFixture, StaleReplayIsFilteredAtZeroPairingCost) {
