@@ -5,9 +5,10 @@
 // re-verifying all n individually. This bench sweeps batch size n against
 // the number of corrupted members k and reports the measured pairing counts
 // (from the group's op counters) of the fallback path — batch check plus
-// bisection, 1 + O(k·log n) pairings — against individual re-verification
-// at n pairings. The headline cell is the acceptance criterion: a batch of
-// 64 with 3 corrupted isolates exactly those 3 at a fraction of 64 pairings.
+// standalone isolation, at most 2 + k·⌈log2 n⌉ pairings — against individual
+// re-verification at n pairings. The headline cell is the acceptance
+// criterion: a batch of 64 with 3 corrupted isolates exactly those 3 at a
+// fraction of 64 pairings.
 #include <cstdio>
 #include <vector>
 

@@ -19,19 +19,13 @@ Point dv_target(const PairingGroup& group, const Point& signer_q_id,
       group, [&](const BigUint& h) { return group.mul(h, signer_q_id); }, message, u);
 }
 
-void bisect_range(std::size_t lo, std::size_t hi, std::size_t depth,
-                  const std::function<bool(std::size_t, std::size_t)>& range_valid,
-                  std::vector<std::size_t>& out, BisectionStats& stats) {
-  stats.max_depth = std::max(stats.max_depth, depth);
-  ++stats.oracle_calls;
-  if (range_valid(lo, hi)) return;
-  if (hi - lo == 1) {
-    out.push_back(lo);
-    return;
-  }
-  const std::size_t mid = lo + (hi - lo) / 2;
-  bisect_range(lo, mid, depth + 1, range_valid, out, stats);
-  bisect_range(mid, hi, depth + 1, range_valid, out, stats);
+/// ê(sk_B, ·) with the Miller loop on sk_B, the argument every check fixes.
+auto pair_sk(const PairingGroup& group, const IdentityKey& verifier) {
+  return [&group, &verifier](const Point& u) { return group.pair(verifier.secret, u); };
+}
+
+auto pair_sk(const DesignatedVerifier& verifier) {
+  return [&verifier](const Point& u) { return verifier.fixed().pair_with(u); };
 }
 
 BatchAccumulator accumulate(const PairingGroup& group, std::span<const BatchEntry> batch) {
@@ -50,18 +44,31 @@ BatchAccumulator accumulate(const ParallelPairingEngine& engine,
 /// Pairing 1, the cloud server's epoch attestation over the batch digest,
 /// arrives as `attestation_valid`. Pairing 2 checks the mixed-signer
 /// aggregate (Eq. 8/9), any batch size, through `verifier` (an IdentityKey
-/// or a DesignatedVerifier), which also serves every bisection oracle call.
+/// or a DesignatedVerifier), which also serves every isolation evaluation
+/// below that aggregate.
 template <typename Verifier>
 CrossUserVerdict cross_user_verdict(const BatchAccumulator& acc, const Verifier& verifier,
                                     bool attestation_valid, bool isolate_on_reject) {
   CrossUserVerdict verdict;
+  const BatchAccumulator::Check aggregate = acc.check(verifier);
   verdict.attestation_valid = attestation_valid;
-  verdict.aggregate_valid = acc.verify(verifier);
+  verdict.aggregate_valid = aggregate.valid;
   verdict.accepted = verdict.attestation_valid && verdict.aggregate_valid;
   if (!verdict.aggregate_valid && isolate_on_reject) {
-    verdict.invalid_entries = acc.isolate(verifier, &verdict.bisection);
+    verdict.invalid_entries = acc.isolate(verifier, aggregate, &verdict.bisection);
   }
   return verdict;
+}
+
+/// BatchAccumulator::isolate below a fresh check, counted as one more
+/// oracle call (none for an empty batch).
+std::vector<std::size_t> isolate_fresh(const BatchAccumulator& acc,
+                                       const IdentityKey& verifier, BisectionStats* stats) {
+  if (acc.size() == 0) return {};
+  BisectionStats local;
+  BisectionStats& s = stats != nullptr ? *stats : local;
+  ++s.oracle_calls;
+  return acc.isolate(verifier, acc.check(verifier), &s);
 }
 
 }  // namespace
@@ -105,28 +112,18 @@ bool dv_batch_verify(const ParallelPairingEngine& engine,
 
 // --- batch-rejection bisection ---------------------------------------------
 
-std::vector<std::size_t> bisect_invalid(
-    std::size_t n, const std::function<bool(std::size_t, std::size_t)>& range_valid,
-    BisectionStats* stats) {
-  BisectionStats local;
-  BisectionStats& s = stats != nullptr ? *stats : local;
-  std::vector<std::size_t> invalid;
-  if (n > 0) bisect_range(0, n, 0, range_valid, invalid, s);
-  return invalid;
-}
-
 std::vector<std::size_t> dv_batch_isolate(const PairingGroup& group,
                                           std::span<const BatchEntry> batch,
                                           const IdentityKey& verifier,
                                           BisectionStats* stats) {
-  return accumulate(group, batch).isolate(verifier, stats);
+  return isolate_fresh(accumulate(group, batch), verifier, stats);
 }
 
 std::vector<std::size_t> dv_batch_isolate(const ParallelPairingEngine& engine,
                                           std::span<const BatchEntry> batch,
                                           const IdentityKey& verifier,
                                           BisectionStats* stats) {
-  return accumulate(engine, batch).isolate(verifier, stats);
+  return isolate_fresh(accumulate(engine, batch), verifier, stats);
 }
 
 // --- cross-user shared batches ---------------------------------------------
@@ -227,37 +224,77 @@ Point BatchAccumulator::u_aggregate() const {
   return aggregate(ec::MsmTable{group_->curve(), signers_}, 0, size());
 }
 
-bool BatchAccumulator::verify(const IdentityKey& verifier) const {
-  return group_->pair(u_aggregate(), verifier.secret) == sigma_aggregate_;
+Gt BatchAccumulator::sigma_product(std::size_t lo, std::size_t hi) const {
+  Gt product = group_->gt_one();
+  for (std::size_t i = lo; i < hi; ++i) product = group_->gt_mul(product, sigma_[i]);
+  return product;
 }
 
-bool BatchAccumulator::verify(const DesignatedVerifier& verifier) const {
-  return verifier.fixed().pair_with(u_aggregate()) == sigma_aggregate_;
+template <typename PairSk>
+BatchAccumulator::Check BatchAccumulator::check_with(const PairSk& pair_sk) const {
+  Check root{ec::MsmTable{group_->curve(), signers_}, {}, false};
+  root.paired = pair_sk(aggregate(root.tables, 0, size()));
+  root.valid = root.paired == sigma_aggregate_;
+  return root;
+}
+
+BatchAccumulator::Check BatchAccumulator::check(const IdentityKey& verifier) const {
+  return check_with(pair_sk(*group_, verifier));
+}
+
+BatchAccumulator::Check BatchAccumulator::check(const DesignatedVerifier& verifier) const {
+  return check_with(pair_sk(verifier));
 }
 
 template <typename PairSk>
 std::vector<std::size_t> BatchAccumulator::isolate_with(const PairSk& pair_sk,
+                                                        const Check& root,
                                                         BisectionStats* stats) const {
-  const ec::MsmTable tables{group_->curve(), signers_};
-  return bisect_invalid(
-      size(),
-      [&](std::size_t lo, std::size_t hi) {
-        Gt sigma = group_->gt_one();
-        for (std::size_t i = lo; i < hi; ++i) sigma = group_->gt_mul(sigma, sigma_[i]);
-        return pair_sk(aggregate(tables, lo, hi)) == sigma;
-      },
-      stats);
+  BisectionStats local;
+  std::vector<std::size_t> invalid;
+  if (!root.valid) {
+    descend(pair_sk, root.tables, 0, size(), root.paired, 0, invalid,
+            stats != nullptr ? *stats : local);
+  }
+  return invalid;
+}
+
+template <typename PairSk>
+void BatchAccumulator::descend(const PairSk& pair_sk, const ec::MsmTable& tables,
+                               std::size_t lo, std::size_t hi, const Gt& paired,
+                               std::size_t depth, std::vector<std::size_t>& invalid,
+                               BisectionStats& stats) const {
+  if (hi - lo == 1) {
+    invalid.push_back(lo);
+    return;
+  }
+  const std::size_t mid = lo + (hi - lo) / 2;
+  stats.max_depth = std::max(stats.max_depth, depth + 1);
+  ++stats.oracle_calls;
+  const Gt left = pair_sk(aggregate(tables, lo, mid));
+  // ê(sk_B, ·) is a homomorphism in its evaluation argument and its values
+  // are unitary, so the right half's pairing is the parent's times the
+  // conjugate of the left's. The Σ side is never derived this way: an
+  // attacker's Σ need not be unitary, or even invertible.
+  const Gt right = group_->gt_mul(paired, group_->gt_inv(left));
+  if (left != sigma_product(lo, mid)) {
+    descend(pair_sk, tables, lo, mid, left, depth + 1, invalid, stats);
+  }
+  if (right != sigma_product(mid, hi)) {
+    descend(pair_sk, tables, mid, hi, right, depth + 1, invalid, stats);
+  }
 }
 
 std::vector<std::size_t> BatchAccumulator::isolate(const IdentityKey& verifier,
+                                                   const Check& root,
                                                    BisectionStats* stats) const {
-  return isolate_with([&](const Point& u) { return group_->pair(u, verifier.secret); },
-                      stats);
+  return isolate_with(pair_sk(*group_, verifier), root, stats);
 }
 
 std::vector<std::size_t> BatchAccumulator::isolate(const DesignatedVerifier& verifier,
+                                                   const Check& root,
                                                    BisectionStats* stats) const {
-  return isolate_with([&](const Point& u) { return verifier.fixed().pair_with(u); }, stats);
+  return isolate_with(pair_sk(verifier), root, stats);
 }
 
 }  // namespace seccloud::ibc

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -74,32 +73,21 @@ bool dv_batch_verify(const PairingGroup& group, std::span<const BatchEntry> batc
 
 // --- batch-rejection bisection ---------------------------------------------
 
-/// Cost accounting for one divide-and-conquer isolation run.
+/// Cost accounting for one isolation run.
 struct BisectionStats {
-  std::size_t oracle_calls = 0;  ///< subrange validity checks (1 pairing each for DVS)
-  std::size_t max_depth = 0;     ///< deepest recursion level examined (root = 0)
+  std::size_t oracle_calls = 0;  ///< range evaluations: one grouped MSM + one pairing each
+  std::size_t max_depth = 0;     ///< deepest tree level whose ranges were checked (root = 0)
 
   bool operator==(const BisectionStats&) const = default;
 };
 
-/// Divide-and-conquer isolation of the invalid members of [0, n): checks
-/// whole subranges through `range_valid(lo, hi)` and only splits ranges that
-/// fail, so k bad members of n cost O(k·log n) oracle calls instead of n.
-/// Returns the invalid indices in ascending order. The oracle must be
-/// *monotone* (a range containing no invalid member reports valid) — true
-/// for aggregate signature checks, where a subrange of valid signatures
-/// always satisfies the aggregated equation.
-std::vector<std::size_t> bisect_invalid(
-    std::size_t n, const std::function<bool(std::size_t, std::size_t)>& range_valid,
-    BisectionStats* stats = nullptr);
-
 /// Batch-verify fallback (Section VI, degradation path): when the one-pairing
 /// Eq. (8)/(9) check rejects, isolates exactly which entries are invalid by
-/// bisecting over range aggregates — each oracle call is ONE pairing on the
-/// partial aggregate ê(U_range, sk_B) == Π range Σ, U_range a grouped MSM on
-/// the batch's hashes and signer tables — so k bad of n cost O(k·log n)
-/// pairings versus n for individual re-verification. Returns the invalid
-/// entry indices ascending (empty: the full aggregate verifies).
+/// walking the range tree (BatchAccumulator::isolate). The aggregate itself
+/// is evaluated first, then one range per failing internal node, so k bad of
+/// n cost at most 1 + k·⌈log2 n⌉ pairings versus n for individual
+/// re-verification. Returns the invalid entry indices ascending (empty: the
+/// full aggregate verifies).
 std::vector<std::size_t> dv_batch_isolate(const PairingGroup& group,
                                           std::span<const BatchEntry> batch,
                                           const IdentityKey& verifier,
@@ -131,8 +119,9 @@ struct CrossUserVerdict {
 /// Sig_CS(R) in the paper's audit protocol — and one pairing checks the
 /// mixed-signer aggregate (Eq. 8/9) over every entry regardless of how many
 /// users contributed. On an aggregate reject (and `isolate_on_reject`), the
-/// PR-4 bisection isolates the bad entries across user boundaries in
-/// 1+O(k·log n) extra pairings so one Byzantine user cannot poison the epoch.
+/// range walk starts from that aggregate and isolates the bad entries across
+/// user boundaries in at most k·⌈log2 n⌉ extra pairings, so one Byzantine
+/// user cannot poison the epoch.
 CrossUserVerdict dv_cross_user_verify(const PairingGroup& group,
                                       std::span<const BatchEntry> entries,
                                       const IdentityKey& verifier,
@@ -211,26 +200,47 @@ class BatchAccumulator {
   Point u_aggregate() const;
   const Gt& sigma_aggregate() const noexcept { return sigma_aggregate_; }
 
-  /// ê(U_A, sk_B) == Σ_A.
-  bool verify(const IdentityKey& verifier) const;
-
+  /// One evaluated aggregate check: ê(sk_B, U_A), with the Miller loop on
+  /// sk_B, and the signer tables its MSM ran on. Isolating a rejected batch
+  /// starts from both, so it pays no second root MSM, pairing or table build.
+  struct Check {
+    ec::MsmTable tables;
+    Gt paired;   ///< ê(sk_B, U_A)
+    bool valid;  ///< paired == Σ_A
+  };
+  Check check(const IdentityKey& verifier) const;
   /// Same check through a precomputed verifier (no Jacobian recomputation).
-  bool verify(const DesignatedVerifier& verifier) const;
+  Check check(const DesignatedVerifier& verifier) const;
 
-  /// The dv_batch_isolate bisection over the accumulated entries (indices in
-  /// add order).
-  std::vector<std::size_t> isolate(const IdentityKey& verifier,
+  /// ê(sk_B, U_A) == Σ_A.
+  bool verify(const IdentityKey& verifier) const { return check(verifier).valid; }
+  bool verify(const DesignatedVerifier& verifier) const { return check(verifier).valid; }
+
+  /// The invalid entries (indices in add order) below `root`, this
+  /// accumulator's check by the same verifier. The walk splits each failing
+  /// range at mid = lo + (hi − lo)/2, evaluates only the left half and
+  /// derives the right half's pairing as A(parent)·A(left)⁻¹; Σ products are
+  /// always multiplied out. Each evaluation counts one oracle call, so k bad
+  /// of n cost at most k·⌈log2 n⌉. Empty when `root` is valid.
+  std::vector<std::size_t> isolate(const IdentityKey& verifier, const Check& root,
                                    BisectionStats* stats = nullptr) const;
-
-  /// The same bisection with every oracle pairing through the precomputed
-  /// verifier: identical indices, stats and op counters.
-  std::vector<std::size_t> isolate(const DesignatedVerifier& verifier,
+  std::vector<std::size_t> isolate(const DesignatedVerifier& verifier, const Check& root,
                                    BisectionStats* stats = nullptr) const;
 
  private:
-  /// The one bisection body; `pair_sk(U)` evaluates ê(U, sk_B).
+  /// `pair_sk(U)` evaluates ê(sk_B, U).
   template <typename PairSk>
-  std::vector<std::size_t> isolate_with(const PairSk& pair_sk, BisectionStats* stats) const;
+  Check check_with(const PairSk& pair_sk) const;
+  template <typename PairSk>
+  std::vector<std::size_t> isolate_with(const PairSk& pair_sk, const Check& root,
+                                        BisectionStats* stats) const;
+  /// Descends into [lo, hi), a failing range whose pairing is `paired`.
+  template <typename PairSk>
+  void descend(const PairSk& pair_sk, const ec::MsmTable& tables, std::size_t lo,
+               std::size_t hi, const Gt& paired, std::size_t depth,
+               std::vector<std::size_t>& invalid, BisectionStats& stats) const;
+  /// Π_{i∈[lo,hi)} Σ_i.
+  Gt sigma_product(std::size_t lo, std::size_t hi) const;
   void file(const Point& signer_q_id, BigUint h, const DvSignature& sig);
   /// Σ_{i∈[lo,hi)} (U_i + h_i·Q_i) as one grouped MSM over the signers' tables.
   Point aggregate(const ec::MsmTable& tables, std::size_t lo, std::size_t hi) const;

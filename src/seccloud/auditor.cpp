@@ -1,6 +1,7 @@
 #include "seccloud/auditor.h"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -203,20 +204,20 @@ AuditReport verify_computation_audit_impl(
     batch.add_batch(*par->engine, entries);
   }
 
-  bool batch_ok = true;
+  std::optional<ibc::BatchAccumulator::Check> aggregate;
   if (mode == SignatureCheckMode::kBatch && batch.size() > 0) {
     obs::ProfileSpan batch_span = obs::profile_span("batch_verify");
     if (batch_span) batch_span.arg("entries", std::to_string(batch.size()));
-    batch_ok = par != nullptr ? batch.verify(*par->verifier) : batch.verify(da_key);
+    aggregate = par != nullptr ? batch.check(*par->verifier) : batch.check(da_key);
   }
-  if (mode == SignatureCheckMode::kBatch && batch.size() > 0 && !batch_ok) {
-    // Batch rejected: bisect over range aggregates to isolate the exact
-    // invalid entries — O(k·log n) pairings for k bad of n, versus n for
-    // re-verifying every member individually.
+  if (aggregate && !aggregate->valid) {
+    // Batch rejected: walk the range tree below the rejected aggregate to
+    // isolate the exact invalid entries — at most k·⌈log2 n⌉ pairings for k
+    // bad of n, versus n for re-verifying every member individually.
     obs::ProfileSpan isolate_span = obs::profile_span("bisection_isolate");
     report.invalid_signature_entries =
-        par != nullptr ? batch.isolate(*par->verifier, &report.bisection)
-                       : batch.isolate(da_key, &report.bisection);
+        par != nullptr ? batch.isolate(*par->verifier, *aggregate, &report.bisection)
+                       : batch.isolate(da_key, *aggregate, &report.bisection);
     report.signature_failures += report.invalid_signature_entries.size();
     if (report.signature_failures == 0) ++report.signature_failures;  // aggregate forged
     if (isolate_span) {
@@ -278,20 +279,23 @@ StorageAuditReport verify_storage_audit_impl(const PairingGroup& group,
         batch.add(entry.signer_q_id, entry.message, *entry.sig);
       }
     }
-    const bool batch_ok = batch.size() == 0 || (par != nullptr ? batch.verify(*par->verifier)
-                                                               : batch.verify(verifier_key));
-    if (batch_ok) {
+    std::optional<ibc::BatchAccumulator::Check> aggregate;
+    if (batch.size() > 0) {
+      aggregate = par != nullptr ? batch.check(*par->verifier) : batch.check(verifier_key);
+    }
+    if (!aggregate || aggregate->valid) {
       report.accepted = true;
       report.ops = group.counters();
       return report;
     }
-    // Batch rejected: isolate the invalid members by bisection instead of
-    // re-verifying all n individually (O(k·log n) pairings for k bad of n).
+    // Batch rejected: walk the range tree below the rejected aggregate
+    // instead of re-verifying all n individually (at most k·⌈log2 n⌉
+    // pairings for k bad of n).
     batch_span.end();
     obs::ProfileSpan isolate_span = obs::profile_span("bisection_isolate");
     report.invalid_signature_entries =
-        par != nullptr ? batch.isolate(*par->verifier, &report.bisection)
-                       : batch.isolate(verifier_key, &report.bisection);
+        par != nullptr ? batch.isolate(*par->verifier, *aggregate, &report.bisection)
+                       : batch.isolate(verifier_key, *aggregate, &report.bisection);
     report.signature_failures = report.invalid_signature_entries.size();
     if (report.signature_failures == 0) ++report.signature_failures;  // aggregate forged
     if (isolate_span) {

@@ -90,7 +90,7 @@ IsolationPath bisection_path(std::size_t index, std::size_t n) noexcept {
   std::size_t lo = 0;
   std::size_t hi = n;
   while (hi - lo > 1 && path.depth < 32) {
-    const std::size_t mid = lo + (hi - lo) / 2;  // mirrors ibc::bisect_range
+    const std::size_t mid = lo + (hi - lo) / 2;  // mirrors BatchAccumulator::isolate
     if (index < mid) {
       hi = mid;  // left half: path bit 0
     } else {

@@ -71,8 +71,8 @@ std::vector<std::uint8_t> encode_ledger_entry(const LedgerEntry& entry);
 std::optional<LedgerEntry> decode_ledger_entry(std::span<const std::uint8_t> payload);
 
 /// Recomputes the bisection descent for `index` inside a batch of `n`
-/// entries, mirroring ibc::bisect_invalid's split rule (mid = lo+(hi-lo)/2,
-/// left first). Returns {depth, path}: one path bit per split, LSB = the
+/// entries, mirroring the split rule of ibc::BatchAccumulator::isolate's
+/// range walk (mid = lo+(hi-lo)/2, left first). Returns {depth, path}: one path bit per split, LSB = the
 /// root split, 0 = the entry sat in the left half.
 struct IsolationPath {
   std::uint8_t depth = 0;

@@ -1,14 +1,18 @@
-// Batch-verify fallback with bisection: when the one-pairing aggregate check
-// (Eq. 8/9) rejects, dv_batch_isolate must return the exact invalid entry
-// set at O(k·log n) pairing cost — measurably cheaper than re-verifying all
-// n individually — and the auditor layer must surface the per-entry verdict
-// in its reports, bit-identically between the serial and parallel paths.
+// Batch-verify fallback: when the one-pairing aggregate check (Eq. 8/9)
+// rejects, the derived range walk must return the exact invalid entry set —
+// the same set and depth as the textbook bisection with a direct oracle — at
+// one range evaluation per failing internal node, measurably cheaper than
+// re-verifying all n individually, and the auditor layer must surface the
+// per-entry verdict in its reports, bit-identically between the serial and
+// parallel paths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "bigint/rng.h"
+#include "bisection_reference.h"
 #include "ec/curve.h"
 #include "ibc/dvs.h"
 #include "ibc/ibs.h"
@@ -25,7 +29,7 @@ namespace {
 using num::Xoshiro256;
 using pairing::tiny_group;
 
-// --- the pure divide-and-conquer kernel ------------------------------------
+// --- the reference divide-and-conquer --------------------------------------
 
 TEST(BisectInvalidTest, IsolatesExactSetWithMonotoneOracle) {
   const std::vector<std::vector<std::size_t>> cases = {
@@ -37,13 +41,14 @@ TEST(BisectInvalidTest, IsolatesExactSetWithMonotoneOracle) {
       return std::none_of(bad.begin(), bad.end(),
                           [&](std::size_t b) { return lo <= b && b < hi; });
     };
-    EXPECT_EQ(ibc::bisect_invalid(n, oracle, &stats), bad);
+    EXPECT_EQ(reference::bisect_invalid(n, oracle, &stats), bad);
     EXPECT_GE(stats.oracle_calls, 1u);
   }
   // Empty input: no oracle calls at all.
   ibc::BisectionStats stats;
-  EXPECT_TRUE(ibc::bisect_invalid(0, [](std::size_t, std::size_t) { return true; }, &stats)
-                  .empty());
+  EXPECT_TRUE(
+      reference::bisect_invalid(0, [](std::size_t, std::size_t) { return true; }, &stats)
+          .empty());
   EXPECT_EQ(stats.oracle_calls, 0u);
 }
 
@@ -56,7 +61,7 @@ TEST(BisectInvalidTest, CostIsLogarithmicForFewBadMembers) {
     return std::none_of(bad.begin(), bad.end(),
                         [&](std::size_t b) { return lo <= b && b < hi; });
   };
-  EXPECT_EQ(ibc::bisect_invalid(n, oracle, &stats), bad);
+  EXPECT_EQ(reference::bisect_invalid(n, oracle, &stats), bad);
   // Each bad member opens at most 2 calls per level plus shared prefixes:
   // comfortably under k·2·(log2 n + 1) = 66, and far under n = 1024.
   EXPECT_LE(stats.oracle_calls, bad.size() * 2 * 11);
@@ -190,8 +195,9 @@ TEST(DvBatchIsolateTest, CancellationForgeryEvadesTheAggregate) {
   EXPECT_FALSE(dv.verify(signer.q_id, batch.messages[5], batch.sigs[5]));
   ibc::BatchAccumulator acc{g};
   for (const auto& entry : batch.entries) acc.add(entry.signer_q_id, entry.message, *entry.sig);
-  EXPECT_TRUE(acc.verify(dv));
-  EXPECT_TRUE(acc.isolate(dv).empty());
+  const ibc::BatchAccumulator::Check root = acc.check(dv);
+  EXPECT_TRUE(root.valid);
+  EXPECT_TRUE(acc.isolate(dv, root).empty());
 }
 
 TEST(DvBatchIsolateTest, PrecomputedVerifierIsolatesBitIdentically) {
@@ -214,14 +220,16 @@ TEST(DvBatchIsolateTest, PrecomputedVerifierIsolatesBitIdentically) {
 
     g.reset_counters();
     ibc::BisectionStats key_stats;
-    const bool key_ok = acc.verify(verifier);
-    const auto key_invalid = acc.isolate(verifier, &key_stats);
+    const ibc::BatchAccumulator::Check key_root = acc.check(verifier);
+    const bool key_ok = key_root.valid;
+    const auto key_invalid = acc.isolate(verifier, key_root, &key_stats);
     const auto key_ops = g.counters();
 
     g.reset_counters();
     ibc::BisectionStats dv_stats;
-    const bool dv_ok = acc.verify(dv);
-    const auto dv_invalid = acc.isolate(dv, &dv_stats);
+    const ibc::BatchAccumulator::Check dv_root = acc.check(dv);
+    const bool dv_ok = dv_root.valid;
+    const auto dv_invalid = acc.isolate(dv, dv_root, &dv_stats);
     const auto dv_ops = g.counters();
 
     EXPECT_EQ(key_invalid, bad);
@@ -274,6 +282,199 @@ TEST(DvBatchIsolateTest, PrecomputedCrossUserVerdictIsBitIdentical) {
       EXPECT_EQ(by_dv.bisection, by_key.bisection);
       EXPECT_EQ(dv_ops, key_ops);
     }
+  }
+}
+
+// --- the derived walk against the reference ---------------------------------
+
+/// The first n entries of `batch`, pointing into the copy's own messages and
+/// signatures so they can be tampered with independently.
+DvBatch copy_of(const DvBatch& batch, std::size_t n) {
+  DvBatch copy;
+  copy.messages.assign(batch.messages.begin(), batch.messages.begin() + n);
+  copy.sigs.assign(batch.sigs.begin(), batch.sigs.begin() + n);
+  for (std::size_t i = 0; i < n; ++i) {
+    copy.entries.push_back({batch.entries[i].signer_q_id, copy.messages[i], &copy.sigs[i]});
+  }
+  return copy;
+}
+
+/// The reference's range check, evaluated directly: ê(sk_B, Σ_{i∈[lo,hi)}
+/// (U_i + h_i·Q_i)) == Π Σ_i, point by point, with no MSM and nothing derived.
+reference::RangeOracle direct_oracle(const pairing::PairingGroup& g, const DvBatch& batch,
+                                     const ibc::IdentityKey& verifier) {
+  return [&g, &batch, &verifier](std::size_t lo, std::size_t hi) {
+    pairing::Point u = pairing::Point::at_infinity();
+    pairing::Gt sigma = g.gt_one();
+    for (std::size_t i = lo; i < hi; ++i) {
+      const ibc::BatchEntry& e = batch.entries[i];
+      const num::BigUint h = ibc::tag_hash(g, e.sig->u, e.message);
+      u = g.add(u, g.add(e.sig->u, g.mul(h, e.signer_q_id)));
+      sigma = g.gt_mul(sigma, e.sig->sigma);
+    }
+    return g.pair(verifier.secret, u) == sigma;
+  };
+}
+
+struct Isolation {
+  std::vector<std::size_t> invalid;
+  ibc::BisectionStats reused;  ///< the walk below a reused aggregate check
+};
+
+/// Both isolate overloads below a reused check, and dv_batch_isolate from a
+/// fresh one, must return the reference's set and max_depth. The reused walk
+/// evaluates one range per failing internal node, which the reference
+/// evaluates twice (and its root once more). Every isolated entry must fail
+/// on its own.
+Isolation expect_matches_reference(const pairing::PairingGroup& g, const DvBatch& batch,
+                                   const ibc::IdentityKey& verifier,
+                                   const ibc::DesignatedVerifier& dv) {
+  ibc::BisectionStats ref_stats;
+  Isolation result;
+  result.invalid = reference::bisect_invalid(batch.entries.size(),
+                                             direct_oracle(g, batch, verifier), &ref_stats);
+  ibc::BatchAccumulator acc{g};
+  for (const auto& e : batch.entries) acc.add(e.signer_q_id, e.message, *e.sig);
+
+  const auto walk = [&](const auto& v) {
+    const ibc::BatchAccumulator::Check root = acc.check(v);
+    EXPECT_EQ(root.valid, result.invalid.empty());
+    ibc::BisectionStats reused;
+    EXPECT_EQ(acc.isolate(v, root, &reused), result.invalid);
+    EXPECT_EQ(reused.max_depth, ref_stats.max_depth);
+    EXPECT_EQ(ref_stats.oracle_calls, 1 + 2 * reused.oracle_calls);
+    return reused;
+  };
+  result.reused = walk(verifier);
+  EXPECT_EQ(walk(dv), result.reused);
+  ibc::BisectionStats fresh;
+  EXPECT_EQ(ibc::dv_batch_isolate(g, batch.entries, verifier, &fresh), result.invalid);
+  EXPECT_EQ(fresh.max_depth, ref_stats.max_depth);
+  EXPECT_EQ(fresh.oracle_calls, result.reused.oracle_calls + 1);
+  for (const std::size_t i : result.invalid) {
+    const ibc::BatchEntry& e = batch.entries[i];
+    EXPECT_FALSE(ibc::dv_verify(g, e.signer_q_id, e.message, *e.sig, verifier)) << i;
+    EXPECT_FALSE(dv.verify(e.signer_q_id, e.message, *e.sig)) << i;
+  }
+  return result;
+}
+
+struct DerivedIsolationTest : ::testing::Test {
+  const pairing::PairingGroup& g = tiny_group();
+  Xoshiro256 rng{808};
+  ibc::Sio sio{g, rng};
+  std::vector<ibc::IdentityKey> signers{sio.extract("fay@walk"), sio.extract("gus@walk")};
+  ibc::IdentityKey verifier = sio.extract("da@walk");
+  ibc::DesignatedVerifier dv{g, verifier};
+
+  /// Σ := ê(sk_B, U + H2(U‖m)·Q_ID) for entry i's current U, whatever U is.
+  void make_consistent(DvBatch& batch, std::size_t i) const {
+    const ibc::BatchEntry& e = batch.entries[i];
+    const num::BigUint h = ibc::tag_hash(g, e.sig->u, e.message);
+    batch.sigs[i].sigma = g.pair(verifier.secret, g.add(e.sig->u, g.mul(h, e.signer_q_id)));
+  }
+};
+
+TEST_F(DerivedIsolationTest, SingleFaultAtEveryPositionOfSixtyFour) {
+  const DvBatch pristine = make_batch(g, signers, verifier, 64, {}, rng);
+  for (std::size_t bad = 0; bad < 64; ++bad) {
+    SCOPED_TRACE("fault at " + std::to_string(bad));
+    DvBatch batch = copy_of(pristine, 64);
+    batch.sigs[bad].sigma = g.gt_mul(batch.sigs[bad].sigma, batch.sigs[bad].sigma);
+    const Isolation isolation = expect_matches_reference(g, batch, verifier, dv);
+    EXPECT_EQ(isolation.invalid, std::vector<std::size_t>{bad});
+    EXPECT_EQ(isolation.reused.oracle_calls, 6u) << "one evaluation per level below the root";
+    EXPECT_EQ(isolation.reused.max_depth, 6u);
+  }
+}
+
+TEST_F(DerivedIsolationTest, FaultsInBothHalvesAndAnAllBadBatch) {
+  const DvBatch pristine = make_batch(g, signers, verifier, 64, {}, rng);
+  std::vector<std::size_t> all(64);
+  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
+  for (const std::vector<std::size_t>& bad : std::vector<std::vector<std::size_t>>{
+           {5, 40}, {0, 63}, {31, 32}, {1, 2, 33, 62}, all}) {
+    SCOPED_TRACE(std::to_string(bad.size()) + " faults from " + std::to_string(bad.front()));
+    DvBatch batch = copy_of(pristine, 64);
+    for (const std::size_t i : bad) {
+      batch.sigs[i].sigma = g.gt_mul(batch.sigs[i].sigma, batch.sigs[i].sigma);
+    }
+    const Isolation isolation = expect_matches_reference(g, batch, verifier, dv);
+    EXPECT_EQ(isolation.invalid, bad);
+    EXPECT_LE(isolation.reused.oracle_calls, bad.size() * 6) << "k·⌈log2 n⌉";
+  }
+}
+
+TEST_F(DerivedIsolationTest, BatchSizesAroundPowersOfTwo) {
+  const DvBatch pristine = make_batch(g, signers, verifier, 65, {}, rng);
+  for (const std::size_t n : {1u, 2u, 3u, 63u, 65u}) {
+    for (const std::vector<std::size_t>& bad : std::vector<std::vector<std::size_t>>{
+             {}, {0}, {n - 1}, {n / 2, n - 1}}) {
+      SCOPED_TRACE("n " + std::to_string(n) + ", " + std::to_string(bad.size()) + " faults");
+      DvBatch batch = copy_of(pristine, n);
+      for (const std::size_t i : bad) {
+        batch.sigs[i].sigma = g.gt_mul(batch.sigs[i].sigma, batch.sigs[i].sigma);
+      }
+      std::vector<std::size_t> expected = bad;
+      expected.erase(std::unique(expected.begin(), expected.end()), expected.end());
+      EXPECT_EQ(expect_matches_reference(g, batch, verifier, dv).invalid, expected);
+    }
+  }
+}
+
+TEST_F(DerivedIsolationTest, IdentityAndTorsionInUAreTransparent) {
+  // U = O and U tainted by order-2 and order-3 torsion: ê(sk_B, ·) ignores
+  // the torsion, so an entry whose Σ matches its tainted target is valid in
+  // every range that holds it, and one that does not is isolated.
+  const pairing::Point two_torsion = pairing::Point::affine(num::BigUint{}, num::BigUint{});
+  ASSERT_TRUE(g.curve().is_on_curve(two_torsion));
+  const num::BigUint cofactor = (g.params().p + num::BigUint{1}) / num::BigUint{3};
+  pairing::Point three_torsion = pairing::Point::at_infinity();
+  while (three_torsion.infinity) {
+    three_torsion = g.curve().mul(cofactor, g.curve().random_point(rng));
+  }
+  ASSERT_TRUE(g.curve().mul(num::BigUint{3}, three_torsion).infinity);
+
+  DvBatch batch = make_batch(g, signers, verifier, 16, {}, rng);
+  const auto taint = [&](std::size_t i, const pairing::Point* torsion) {
+    batch.sigs[i].u = torsion == nullptr ? pairing::Point::at_infinity()
+                                         : g.add(batch.sigs[i].u, *torsion);
+  };
+  taint(1, nullptr);
+  make_consistent(batch, 1);
+  taint(4, nullptr);
+  taint(6, &two_torsion);
+  make_consistent(batch, 6);
+  taint(9, &two_torsion);
+  taint(11, &three_torsion);
+  make_consistent(batch, 11);
+  taint(14, &three_torsion);
+  EXPECT_EQ(expect_matches_reference(g, batch, verifier, dv).invalid,
+            (std::vector<std::size_t>{4, 9, 14}));
+}
+
+TEST_F(DerivedIsolationTest, SigmaOutsideGtIsNeverDerived) {
+  // Σ = −1 (unitary, order 2), Σ = 0 (not invertible) and Σ = 2 (not
+  // unitary). Dividing Σ products would be wrong here: with Σ_left = 0, a
+  // derived Σ_right would let the failing right half through.
+  const pairing::Gt minus_one = g.fp2().neg(g.gt_one());
+  const pairing::Gt zero = g.fp2().zero();
+  const pairing::Gt two = g.fp2().from_base(num::BigUint{2});
+  const DvBatch pristine = make_batch(g, signers, verifier, 16, {}, rng);
+  struct Row {
+    std::vector<std::size_t> at;
+    std::vector<pairing::Gt> sigma;
+  };
+  const pairing::Gt squared = g.gt_mul(pristine.sigs[12].sigma, pristine.sigs[12].sigma);
+  for (const Row& row : std::vector<Row>{{{2}, {minus_one}},
+                                         {{7}, {zero}},
+                                         {{12}, {two}},
+                                         {{3, 12}, {zero, squared}},
+                                         {{2, 7, 12}, {minus_one, zero, two}}}) {
+    SCOPED_TRACE("first tampered entry " + std::to_string(row.at.front()));
+    DvBatch batch = copy_of(pristine, 16);
+    for (std::size_t j = 0; j < row.at.size(); ++j) batch.sigs[row.at[j]].sigma = row.sigma[j];
+    EXPECT_EQ(expect_matches_reference(g, batch, verifier, dv).invalid, row.at);
   }
 }
 

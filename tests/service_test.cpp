@@ -268,12 +268,13 @@ TEST_F(ServiceFixture, PrecomputedKeysKeepAttestationsAndCountersBitIdentical) {
   fleet.populate(svc);
   // Per batch: signing is 2 point_muls + the dv_transform pairing; the check
   // is the attestation's point_mul and pairing plus the aggregate's pairing
-  // and one msm_term per signer; epoch 0's two bad entries add 14 oracle
-  // pairings and their range MSMs.
+  // and one msm_term per signer; epoch 0's two bad entries, one in each of
+  // two 8-entry batches, add 6 oracle pairings (one left-half range per level
+  // below the reused aggregate) and their range MSMs.
   const pairing::OpCounters assembly_unprepared{
       .pairings = 3, .miller_loops = 3, .final_exps = 3, .point_muls = 6};
   const std::vector<pairing::OpCounters> verify_unprepared{
-      {.pairings = 20, .miller_loops = 20, .final_exps = 20, .point_muls = 3, .msm_terms = 33},
+      {.pairings = 12, .miller_loops = 12, .final_exps = 12, .point_muls = 3, .msm_terms = 16},
       {.pairings = 6, .miller_loops = 6, .final_exps = 6, .point_muls = 3, .msm_terms = 8}};
   for (std::uint64_t epoch = 0; epoch < 2; ++epoch) {
     auto behaviors = [epoch](std::size_t i) {
@@ -370,7 +371,7 @@ TEST_F(ServiceFixture, ByzantineSignerIsolatedWithoutPoisoningTheBatch) {
   EXPECT_EQ(report.byzantine_users[0], fleet.handle(2));
   EXPECT_EQ(report.failed_requests, 1u);
   EXPECT_EQ(report.verified_requests, 4u) << "honest users still accepted";
-  // 2 pairings for the batch + 1+O(k·log n) bisection oracle calls.
+  // 2 pairings for the batch + at most k·⌈log2 n⌉ isolation oracle calls.
   EXPECT_GT(report.bisection.oracle_calls, 0u);
   EXPECT_EQ(report.verify_ops.pairings,
             2 * report.batches + report.bisection.oracle_calls);

@@ -17,7 +17,11 @@ current directory) this asserts:
   * BENCH_service_steady_state.json additionally satisfies the service
     schema: per-scale u<N>_* sweep values, the service.* metrics tree, a
     nonzero backpressure rejection count, and — pinned — exactly 2 pairings
-    per clean cross-user batch.
+    per clean cross-user batch;
+  * BENCH_ablation_bisection_fallback.json spends at most 2 + k·⌈log2 n⌉
+    pairings on its acceptance cell (k = 3 bad of n = 64): the batch check,
+    isolation's own root check, and one range evaluation per failing
+    internal node.
 
 Every TRACE_*.json (Chrome trace-event format) in the same directory is also
 checked: the traceEvents array must exist, every event needs a name and
@@ -137,6 +141,29 @@ def check_service_bench(doc: dict, errors: list) -> None:
             errors.append(f"service bench: values.{key} missing or out of [0, 100]")
 
 
+# ablation_bisection_fallback's acceptance cell: k corrupted of n entries.
+BISECTION_CELL_N = 64
+BISECTION_CELL_K = 3
+
+
+def check_bisection_bench(doc: dict, errors: list) -> None:
+    """The isolation cost model as a ceiling: a rejected batch pays its
+    aggregate check, the standalone isolation's root check, and at most one
+    range evaluation per level for each bad entry. A regression past it
+    fails here, so it cannot be quietly re-pinned in the baseline."""
+    spent = doc.get("values", {}).get("acceptance_fallback_pairings")
+    levels = (BISECTION_CELL_N - 1).bit_length()  # ceil(log2 n)
+    bound = 2 + BISECTION_CELL_K * levels
+    if not isinstance(spent, (int, float)):
+        errors.append("bisection bench: values.acceptance_fallback_pairings missing")
+    elif spent > bound:
+        errors.append(
+            f"bisection bench: acceptance_fallback_pairings is {spent}, above "
+            f"2 + k*ceil(log2 n) = {bound} for k = {BISECTION_CELL_K} of "
+            f"n = {BISECTION_CELL_N}"
+        )
+
+
 def check_file(path: pathlib.Path) -> list:
     errors = []
     try:
@@ -185,6 +212,8 @@ def check_file(path: pathlib.Path) -> list:
             )
     if doc["name"] == "service_steady_state":
         check_service_bench(doc, errors)
+    if doc["name"] == "ablation_bisection_fallback":
+        check_bisection_bench(doc, errors)
     return errors
 
 
