@@ -141,19 +141,6 @@ CrossUserVerdict dv_cross_user_verify(const PairingGroup& group,
       isolate_on_reject);
 }
 
-CrossUserVerdict dv_cross_user_verify(const ParallelPairingEngine& engine,
-                                      std::span<const BatchEntry> entries,
-                                      const IdentityKey& verifier,
-                                      const Point& attestor_q_id,
-                                      std::span<const std::uint8_t> attestation_message,
-                                      const DvSignature& attestation,
-                                      bool isolate_on_reject) {
-  return cross_user_verdict(
-      accumulate(engine, entries), verifier,
-      dv_verify(engine.group(), attestor_q_id, attestation_message, attestation, verifier),
-      isolate_on_reject);
-}
-
 CrossUserVerdict dv_cross_user_verify(const DesignatedVerifier& verifier,
                                       std::span<const BatchEntry> entries,
                                       const ec::FixedBaseTable& attestor_q_id,

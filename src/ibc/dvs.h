@@ -130,14 +130,6 @@ CrossUserVerdict dv_cross_user_verify(const PairingGroup& group,
                                       const DvSignature& attestation,
                                       bool isolate_on_reject = true);
 
-CrossUserVerdict dv_cross_user_verify(const ParallelPairingEngine& engine,
-                                      std::span<const BatchEntry> entries,
-                                      const IdentityKey& verifier,
-                                      const Point& attestor_q_id,
-                                      std::span<const std::uint8_t> attestation_message,
-                                      const DvSignature& attestation,
-                                      bool isolate_on_reject = true);
-
 /// The same verdict for a long-lived verifier: the attestation check, the
 /// aggregate and every bisection oracle call replay the precomputed sk_B
 /// lines, and the attestation's h·Q_CS runs on a fixed-base table. Verdicts,

@@ -4,40 +4,11 @@
 #include <chrono>
 #include <cstring>
 
-#include "hash/sha256.h"
-
 namespace seccloud::obs {
 namespace {
 
-// Distinct magic from the session journal ('S','J'), the channel frame codec
-// ('S','C'), and the telemetry stream ('S','T') so a journey stream can never
-// be replayed as any of them.
-constexpr std::uint8_t kMagic0 = 'S';
-constexpr std::uint8_t kMagic1 = 'Y';
-constexpr std::uint8_t kVersion = 1;
-constexpr std::uint8_t kRecordTypeJourney = 1;
-constexpr std::size_t kHeaderBytes = 2 + 1 + 1 + 4 + 4 + 4;  // magic‖ver‖type‖stream‖seq‖len
-constexpr std::size_t kChecksumBytes = 8;
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (i * 8)));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (i * 8)));
-}
-
-std::uint32_t read_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-std::uint64_t read_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
+using framing::get_le;
+using framing::put_le;
 
 // SplitMix64 finalizer — the standard 64-bit avalanche mix. Deterministic
 // sampling wants every (seed, epoch, request_id) triple to land on an
@@ -97,21 +68,21 @@ std::uint64_t JourneyRecord::stage_sum_us() const noexcept {
 std::vector<std::uint8_t> encode_journey_record(const JourneyRecord& record) {
   std::vector<std::uint8_t> out;
   out.reserve(kJourneyPayloadBytes);
-  put_u64(out, record.request_id);
-  put_u64(out, record.user);
-  put_u64(out, record.epoch);
-  put_u32(out, record.batch);
-  put_u32(out, record.request_index);
-  put_u32(out, record.blocks);
-  put_u32(out, record.retry_after_epochs);
+  put_le(out, record.request_id);
+  put_le(out, record.user);
+  put_le(out, record.epoch);
+  put_le(out, record.batch);
+  put_le(out, record.request_index);
+  put_le(out, record.blocks);
+  put_le(out, record.retry_after_epochs);
   out.push_back(static_cast<std::uint8_t>(record.verdict));
   out.push_back(record.sampled);
   out.push_back(record.bisection_depth);
   out.push_back(0);  // reserved
-  put_u32(out, record.amortized_pairings_milli);
-  for (const std::uint32_t us : record.stage_us) put_u32(out, us);
-  put_u32(out, record.end_to_end_us);
-  put_u32(out, 0);  // reserved
+  put_le(out, record.amortized_pairings_milli);
+  for (const std::uint32_t us : record.stage_us) put_le(out, us);
+  put_le(out, record.end_to_end_us);
+  put_le<std::uint32_t>(out, 0);  // reserved
   return out;
 }
 
@@ -119,13 +90,13 @@ std::optional<JourneyRecord> decode_journey_record(std::span<const std::uint8_t>
   if (payload.size() != kJourneyPayloadBytes) return std::nullopt;
   const std::uint8_t* p = payload.data();
   JourneyRecord r;
-  r.request_id = read_u64(p + 0);
-  r.user = read_u64(p + 8);
-  r.epoch = read_u64(p + 16);
-  r.batch = read_u32(p + 24);
-  r.request_index = read_u32(p + 28);
-  r.blocks = read_u32(p + 32);
-  r.retry_after_epochs = read_u32(p + 36);
+  r.request_id = get_le<std::uint64_t>(p + 0);
+  r.user = get_le<std::uint64_t>(p + 8);
+  r.epoch = get_le<std::uint64_t>(p + 16);
+  r.batch = get_le<std::uint32_t>(p + 24);
+  r.request_index = get_le<std::uint32_t>(p + 28);
+  r.blocks = get_le<std::uint32_t>(p + 32);
+  r.retry_after_epochs = get_le<std::uint32_t>(p + 36);
   const std::uint8_t verdict = p[40];
   if (verdict < 1 ||
       verdict > static_cast<std::uint8_t>(JourneyVerdict::kRejectedAdmission)) {
@@ -134,77 +105,37 @@ std::optional<JourneyRecord> decode_journey_record(std::span<const std::uint8_t>
   r.verdict = static_cast<JourneyVerdict>(verdict);
   r.sampled = p[41];
   r.bisection_depth = p[42];
-  r.amortized_pairings_milli = read_u32(p + 44);
+  r.amortized_pairings_milli = get_le<std::uint32_t>(p + 44);
   for (std::size_t i = 0; i < kJourneyStageCount; ++i) {
-    r.stage_us[i] = read_u32(p + 48 + i * 4);
+    r.stage_us[i] = get_le<std::uint32_t>(p + 48 + i * 4);
   }
-  r.end_to_end_us = read_u32(p + 80);
+  r.end_to_end_us = get_le<std::uint32_t>(p + 80);
   return r;
 }
 
 // --- framed stream ----------------------------------------------------------
 
-std::vector<std::uint8_t> encode_journey_frame(std::uint32_t stream_id, std::uint32_t seq,
-                                               const JourneyRecord& record) {
-  const std::vector<std::uint8_t> payload = encode_journey_record(record);
-  std::vector<std::uint8_t> out;
-  out.reserve(kHeaderBytes + payload.size() + kChecksumBytes);
-  out.push_back(kMagic0);
-  out.push_back(kMagic1);
-  out.push_back(kVersion);
-  out.push_back(kRecordTypeJourney);
-  put_u32(out, stream_id);
-  put_u32(out, seq);
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
-  const hash::Digest digest = hash::Sha256::digest(std::span<const std::uint8_t>(out));
-  out.insert(out.end(), digest.begin(), digest.begin() + kChecksumBytes);
-  return out;
-}
-
 JourneyReplay replay_journeys(std::span<const std::uint8_t> bytes) {
+  const framing::Replay<std::uint8_t> replay = kJourneyFormat.replay(bytes);
   JourneyReplay result;
-  std::size_t pos = 0;
-  while (pos < bytes.size()) {
-    const std::span<const std::uint8_t> rest = bytes.subspan(pos);
-    if (rest.size() < kHeaderBytes + kChecksumBytes) {
-      result.torn_tail = true;
-      break;
-    }
-    if (rest[0] != kMagic0 || rest[1] != kMagic1 || rest[2] != kVersion ||
-        rest[3] != kRecordTypeJourney) {
-      result.torn_tail = true;
-      break;
-    }
-    const std::uint32_t len = read_u32(rest.data() + 12);
-    const std::size_t total = kHeaderBytes + std::size_t{len} + kChecksumBytes;
-    if (rest.size() < total) {
-      result.torn_tail = true;
-      break;
-    }
-    const hash::Digest digest = hash::Sha256::digest(rest.first(kHeaderBytes + len));
-    if (!std::equal(digest.begin(), digest.begin() + kChecksumBytes,
-                    rest.begin() + static_cast<std::ptrdiff_t>(kHeaderBytes + len))) {
-      result.torn_tail = true;
-      break;
-    }
-    auto record = decode_journey_record(rest.subspan(kHeaderBytes, len));
-    if (record) {
+  result.torn_tail = replay.torn_tail;
+  result.clean_bytes = replay.clean_bytes;
+  for (const framing::Frame<std::uint8_t>& frame : replay.frames) {
+    if (auto record = decode_journey_record(frame.payload)) {
       result.records.push_back(*record);
     } else {
       // Frame intact, payload malformed (wrong size / bad verdict byte): the
       // stream keeps replaying but the loss is visible to validators.
       ++result.malformed_payloads;
     }
-    pos += total;
   }
-  result.clean_bytes = pos;
   return result;
 }
 
 // --- the recorder -----------------------------------------------------------
 
-JourneyRecorder::JourneyRecorder(JourneyRecorderConfig config) : config_(config) {
+JourneyRecorder::JourneyRecorder(JourneyRecorderConfig config)
+    : config_(config), stream_(kJourneyFormat, config.stream_id) {
   if (config_.ring_capacity == 0) config_.ring_capacity = 1;
 }
 
@@ -217,9 +148,7 @@ bool JourneyRecorder::sample_probabilistic(std::uint64_t epoch,
 
 void JourneyRecorder::record(const JourneyRecord& record) {
   const auto t0 = std::chrono::steady_clock::now();
-  const std::vector<std::uint8_t> frame =
-      encode_journey_frame(config_.stream_id, seq_++, record);
-  stream_.insert(stream_.end(), frame.begin(), frame.end());
+  stream_.append(1, encode_journey_record(record));
   ring_.push_back(record);
   while (ring_.size() > config_.ring_capacity) ring_.pop_front();
   capture_ms_ += std::chrono::duration<double, std::milli>(

@@ -14,14 +14,11 @@
 //     batch, per-stage microsecond durations over the eight lifecycle
 //     stages, the batch's pairing spend amortized per entry, and the
 //     bisection depth when the request's own entries were isolated;
-//   * JourneyRecorder — bounded in-memory ring plus a checksummed
-//     append-only stream using the PR-4 journal framing under its own magic
-//     ('S','Y'), so a journey stream can never be confused with a session
-//     journal ('S','J') or a telemetry stream ('S','T'); replay is
-//     prefix-tolerant, a torn tail terminates cleanly. A deterministic
-//     sampling policy keeps full-mode overhead inside the 2% telemetry
-//     budget: rejected/filtered requests, bisected requests, and the
-//     slowest request of every epoch are always sampled; the rest pass a
+//   * JourneyRecorder — bounded in-memory ring plus an append-only stream
+//     of checksummed frames under magic 'S','Y' (DESIGN.md §8). A
+//     deterministic sampling policy keeps full-mode overhead inside the 2%
+//     telemetry budget: rejected/filtered requests, bisected requests, and
+//     the slowest request of every epoch are always sampled; the rest pass a
 //     seeded SplitMix64 coin so any run replays the same choice;
 //   * attribute_journeys — the critical-path decomposition: per-stage
 //     p50/p95/p99 across an epoch's journeys plus the p99 journey's stage
@@ -39,6 +36,8 @@
 #include <optional>
 #include <span>
 #include <vector>
+
+#include "hash/framing.h"
 
 namespace seccloud::obs {
 
@@ -125,16 +124,12 @@ std::optional<JourneyRecord> decode_journey_record(std::span<const std::uint8_t>
 
 // --- framed stream ----------------------------------------------------------
 
-/// Frames one journey into the PR-4 journal discipline under the journey
-/// magic 'S','Y': magic ‖ version ‖ type ‖ stream ‖ seq ‖ length-prefixed
-/// payload ‖ truncated SHA-256.
-std::vector<std::uint8_t> encode_journey_frame(std::uint32_t stream_id, std::uint32_t seq,
-                                               const JourneyRecord& record);
+/// The journey stream's framing: magic 'S','Y', one record type (1).
+inline constexpr framing::Format<std::uint8_t> kJourneyFormat{'Y', 1};
 
-/// Prefix-tolerant replay of a journey stream: every intact record in
-/// order; a torn tail (or any corruption) terminates cleanly and the intact
-/// prefix stands. Frames that decode but carry a malformed payload are
-/// counted, never silently dropped.
+/// Replays a journey stream: every intact frame's decoded record, in order.
+/// Frames that decode but carry a malformed payload are counted, never
+/// silently dropped.
 struct JourneyReplay {
   std::vector<JourneyRecord> records;
   bool torn_tail = false;
@@ -175,8 +170,8 @@ class JourneyRecorder {
   void record(const JourneyRecord& record);
 
   const std::deque<JourneyRecord>& ring() const noexcept { return ring_; }
-  std::span<const std::uint8_t> stream() const noexcept { return stream_; }
-  std::size_t records() const noexcept { return seq_; }
+  std::span<const std::uint8_t> stream() const noexcept { return stream_.bytes(); }
+  std::size_t records() const noexcept { return stream_.seq(); }
   /// Cumulative wall time inside record() — the overhead the telemetry
   /// budget (≤2% of epoch time) accounts for.
   double capture_ms() const noexcept { return capture_ms_; }
@@ -184,8 +179,7 @@ class JourneyRecorder {
  private:
   JourneyRecorderConfig config_;
   std::deque<JourneyRecord> ring_;
-  std::vector<std::uint8_t> stream_;
-  std::uint32_t seq_ = 0;
+  framing::Writer<std::uint8_t> stream_;
   double capture_ms_ = 0.0;
 };
 

@@ -3,31 +3,11 @@
 #include <algorithm>
 #include <chrono>
 
-#include "hash/sha256.h"
 #include "obs/export.h"
 #include "obs/slo.h"
 
 namespace seccloud::obs {
 namespace {
-
-// Distinct magic from the session journal ('S','J') and the channel frame
-// codec ('S','C') so a telemetry stream can never be replayed as either.
-constexpr std::uint8_t kMagic0 = 'S';
-constexpr std::uint8_t kMagic1 = 'T';
-constexpr std::uint8_t kVersion = 1;
-constexpr std::size_t kHeaderBytes = 2 + 1 + 1 + 4 + 4 + 4;  // magic‖ver‖type‖stream‖seq‖len
-constexpr std::size_t kChecksumBytes = 8;
-constexpr std::uint8_t kRecordTypeMax = 3;
-
-void append_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (i * 8)));
-}
-
-std::uint32_t read_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
 
 std::uint64_t get_u64(const JsonValue& obj, std::string_view key) {
   const JsonValue* v = obj.find(key);
@@ -48,68 +28,6 @@ const char* to_string(TelemetryRecordType type) noexcept {
     case TelemetryRecordType::kLedgerEntry: return "ledger-entry";
   }
   return "unknown";
-}
-
-// --- framed record codec ---------------------------------------------------
-
-std::vector<std::uint8_t> encode_telemetry_record(const TelemetryRecord& record) {
-  std::vector<std::uint8_t> out;
-  out.reserve(kHeaderBytes + record.payload.size() + kChecksumBytes);
-  out.push_back(kMagic0);
-  out.push_back(kMagic1);
-  out.push_back(kVersion);
-  out.push_back(static_cast<std::uint8_t>(record.type));
-  append_u32(out, record.stream_id);
-  append_u32(out, record.seq);
-  append_u32(out, static_cast<std::uint32_t>(record.payload.size()));
-  out.insert(out.end(), record.payload.begin(), record.payload.end());
-  const hash::Digest digest = hash::Sha256::digest(std::span<const std::uint8_t>(out));
-  out.insert(out.end(), digest.begin(), digest.begin() + kChecksumBytes);
-  return out;
-}
-
-std::optional<TelemetryRecord> decode_telemetry_record(std::span<const std::uint8_t> bytes,
-                                                       std::size_t* consumed) {
-  if (bytes.size() < kHeaderBytes + kChecksumBytes) return std::nullopt;
-  if (bytes[0] != kMagic0 || bytes[1] != kMagic1 || bytes[2] != kVersion) return std::nullopt;
-  const std::uint8_t type = bytes[3];
-  if (type < 1 || type > kRecordTypeMax) return std::nullopt;
-  const std::uint32_t stream_id = read_u32(bytes.data() + 4);
-  const std::uint32_t seq = read_u32(bytes.data() + 8);
-  const std::uint32_t len = read_u32(bytes.data() + 12);
-  const std::size_t total = kHeaderBytes + std::size_t{len} + kChecksumBytes;
-  if (bytes.size() < total) return std::nullopt;
-  const hash::Digest digest = hash::Sha256::digest(bytes.first(kHeaderBytes + len));
-  if (!std::equal(digest.begin(), digest.begin() + kChecksumBytes,
-                  bytes.begin() + static_cast<std::ptrdiff_t>(kHeaderBytes + len))) {
-    return std::nullopt;
-  }
-  TelemetryRecord record;
-  record.type = static_cast<TelemetryRecordType>(type);
-  record.stream_id = stream_id;
-  record.seq = seq;
-  record.payload.assign(bytes.begin() + static_cast<std::ptrdiff_t>(kHeaderBytes),
-                        bytes.begin() + static_cast<std::ptrdiff_t>(kHeaderBytes + len));
-  if (consumed != nullptr) *consumed = total;
-  return record;
-}
-
-TelemetryReplay replay_telemetry(std::span<const std::uint8_t> bytes) {
-  TelemetryReplay result;
-  std::size_t pos = 0;
-  while (pos < bytes.size()) {
-    std::size_t consumed = 0;
-    auto record = decode_telemetry_record(bytes.subspan(pos), &consumed);
-    if (!record) {
-      // Torn final append (or trailing garbage): the intact prefix stands.
-      result.torn_tail = true;
-      break;
-    }
-    pos += consumed;
-    result.records.push_back(std::move(*record));
-  }
-  result.clean_bytes = pos;
-  return result;
 }
 
 // --- epoch snapshot JSON codec ---------------------------------------------
@@ -206,7 +124,7 @@ std::optional<EpochSnapshot> EpochSnapshot::from_json(std::string_view json) {
 // --- the sink --------------------------------------------------------------
 
 TelemetrySink::TelemetrySink(MetricsRegistry& registry, TelemetrySinkConfig config)
-    : registry_(&registry), config_(config) {
+    : registry_(&registry), config_(config), stream_(kTelemetryFormat, config.stream_id) {
   if (config_.ring_capacity == 0) config_.ring_capacity = 1;
   last_counters_ = registry_->snapshot().counters;
 }
@@ -226,9 +144,7 @@ void TelemetrySink::capture(EpochSnapshot snapshot) {
   last_counters_ = std::move(now);
 
   const std::string json = snapshot.to_json();
-  append_record(TelemetryRecordType::kEpochSnapshot,
-                std::span<const std::uint8_t>(
-                    reinterpret_cast<const std::uint8_t*>(json.data()), json.size()));
+  append_record(TelemetryRecordType::kEpochSnapshot, json);
   ring_.push_back(std::move(snapshot));
   while (ring_.size() > config_.ring_capacity) ring_.pop_front();
   capture_ms_ += std::chrono::duration<double, std::milli>(
@@ -239,23 +155,15 @@ void TelemetrySink::capture(EpochSnapshot snapshot) {
 void TelemetrySink::alert(const SloAlert& alert) {
   const auto t0 = std::chrono::steady_clock::now();
   const std::string json = alert.to_json();
-  append_record(TelemetryRecordType::kSloAlert,
-                std::span<const std::uint8_t>(
-                    reinterpret_cast<const std::uint8_t*>(json.data()), json.size()));
+  append_record(TelemetryRecordType::kSloAlert, json);
   capture_ms_ += std::chrono::duration<double, std::milli>(
                      std::chrono::steady_clock::now() - t0)
                      .count();
 }
 
-void TelemetrySink::append_record(TelemetryRecordType type,
-                                  std::span<const std::uint8_t> payload) {
-  TelemetryRecord record;
-  record.type = type;
-  record.stream_id = config_.stream_id;
-  record.seq = seq_++;
-  record.payload.assign(payload.begin(), payload.end());
-  const std::vector<std::uint8_t> encoded = encode_telemetry_record(record);
-  stream_.insert(stream_.end(), encoded.begin(), encoded.end());
+void TelemetrySink::append_record(TelemetryRecordType type, std::string_view json) {
+  stream_.append(type, std::span<const std::uint8_t>(
+                           reinterpret_cast<const std::uint8_t*>(json.data()), json.size()));
 }
 
 }  // namespace seccloud::obs

@@ -11,13 +11,8 @@
 //     while the registry itself stays cumulative for scrapes);
 //   * keeps the last `ring_capacity` snapshots in memory for live
 //     inspection; and
-//   * appends one checksummed record to an append-only byte stream using
-//     the PR-4 journal framing discipline (magic ‖ version ‖ type ‖
-//     stream ‖ seq ‖ length-prefixed payload ‖ truncated SHA-256), with a
-//     distinct magic so a telemetry stream can never be confused with a
-//     session journal or captured traffic. The decoder is total and
-//     prefix-tolerant: a torn tail terminates replay cleanly and everything
-//     before the tear stands.
+//   * appends one checksummed frame under magic 'S','T' (DESIGN.md §8) to
+//     an append-only byte stream.
 //
 // Everything here is off the verification hot path: capture cost is one
 // registry snapshot + one record encode, amortized per epoch (hundreds of
@@ -34,6 +29,7 @@
 #include <string_view>
 #include <vector>
 
+#include "hash/framing.h"
 #include "obs/metrics.h"
 
 namespace seccloud::obs {
@@ -53,37 +49,27 @@ enum class TelemetryRecordType : std::uint8_t {
 
 const char* to_string(TelemetryRecordType type) noexcept;
 
+/// The telemetry stream's framing: magic 'S','T', types 1..kLedgerEntry.
+inline constexpr framing::Format<TelemetryRecordType> kTelemetryFormat{
+    'T', TelemetryRecordType::kLedgerEntry};
+
 /// One decoded stream record: header fields plus the type-specific payload.
-struct TelemetryRecord {
-  TelemetryRecordType type = TelemetryRecordType::kEpochSnapshot;
-  std::uint32_t stream_id = 0;  ///< writer-chosen stream discriminator
-  std::uint32_t seq = 0;        ///< record ordinal within the stream
-  std::vector<std::uint8_t> payload;
+using TelemetryRecord = framing::Frame<TelemetryRecordType>;
+using TelemetryReplay = framing::Replay<TelemetryRecordType>;
 
-  bool operator==(const TelemetryRecord&) const = default;
-};
+inline std::vector<std::uint8_t> encode_telemetry_record(const TelemetryRecord& record) {
+  return kTelemetryFormat.encode(record.type, record.stream_id, record.seq, record.payload);
+}
 
-/// Frames one record: magic 'S','T' ‖ version ‖ type ‖ stream ‖ seq ‖
-/// length-prefixed payload ‖ first 8 bytes of SHA-256 over everything
-/// before the checksum — the same construction as the session journal with
-/// its own magic.
-std::vector<std::uint8_t> encode_telemetry_record(const TelemetryRecord& record);
+/// The record at the head of `bytes`; `consumed` receives its size.
+inline std::optional<TelemetryRecord> decode_telemetry_record(
+    std::span<const std::uint8_t> bytes, std::size_t* consumed = nullptr) {
+  return kTelemetryFormat.decode(bytes, consumed);
+}
 
-/// Total decoder for the record at the head of `bytes`; reports the bytes
-/// consumed on success. Truncation, bad magic, or a checksum mismatch yield
-/// nullopt — never a partial record.
-std::optional<TelemetryRecord> decode_telemetry_record(
-    std::span<const std::uint8_t> bytes, std::size_t* consumed = nullptr);
-
-/// Walks a stream from the start, returning every intact record in order.
-/// Stops at the first torn/corrupt record; the intact prefix always stands.
-struct TelemetryReplay {
-  std::vector<TelemetryRecord> records;
-  bool torn_tail = false;
-  std::size_t clean_bytes = 0;
-};
-
-TelemetryReplay replay_telemetry(std::span<const std::uint8_t> bytes);
+inline TelemetryReplay replay_telemetry(std::span<const std::uint8_t> bytes) {
+  return kTelemetryFormat.replay(bytes);
+}
 
 // --- the epoch snapshot ----------------------------------------------------
 
@@ -164,8 +150,8 @@ class TelemetrySink {
   void alert(const SloAlert& alert);
 
   const std::deque<EpochSnapshot>& ring() const noexcept { return ring_; }
-  std::span<const std::uint8_t> stream() const noexcept { return stream_; }
-  std::size_t records() const noexcept { return seq_; }
+  std::span<const std::uint8_t> stream() const noexcept { return stream_.bytes(); }
+  std::size_t records() const noexcept { return stream_.seq(); }
   const TelemetrySinkConfig& config() const noexcept { return config_; }
 
   /// Cumulative wall time spent inside capture()/alert() — the overhead the
@@ -173,14 +159,13 @@ class TelemetrySink {
   double capture_ms() const noexcept { return capture_ms_; }
 
  private:
-  void append_record(TelemetryRecordType type, std::span<const std::uint8_t> payload);
+  void append_record(TelemetryRecordType type, std::string_view json);
 
   MetricsRegistry* registry_;
   TelemetrySinkConfig config_;
   std::map<std::string, std::uint64_t> last_counters_;
   std::deque<EpochSnapshot> ring_;
-  std::vector<std::uint8_t> stream_;
-  std::uint32_t seq_ = 0;
+  framing::Writer<TelemetryRecordType> stream_;
   double capture_ms_ = 0.0;
 };
 

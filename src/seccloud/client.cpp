@@ -1,5 +1,6 @@
 #include "seccloud/client.h"
 
+#include "hash/framing.h"
 #include "ibc/ibs.h"
 
 namespace seccloud::core {
@@ -7,7 +8,7 @@ namespace seccloud::core {
 Bytes block_message_bytes(const DataBlock& block) {
   Bytes out;
   out.reserve(8 + block.payload.size());
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(block.index >> (i * 8)));
+  framing::put_le<std::uint64_t>(out, block.index);
   out.insert(out.end(), block.payload.begin(), block.payload.end());
   return out;
 }

@@ -23,14 +23,6 @@ bool count_fits_remaining(const Decoder& dec, std::uint64_t count,
 
 // --- Encoder ------------------------------------------------------------
 
-void Encoder::put_u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out_.push_back(static_cast<std::uint8_t>(v >> (i * 8)));
-}
-
-void Encoder::put_u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out_.push_back(static_cast<std::uint8_t>(v >> (i * 8)));
-}
-
 void Encoder::put_bytes(std::span<const std::uint8_t> data) {
   out_.insert(out_.end(), data.begin(), data.end());
 }
@@ -79,17 +71,13 @@ std::optional<std::uint8_t> Decoder::get_u8() {
 std::optional<std::uint32_t> Decoder::get_u32() {
   const auto raw = take(4);
   if (!raw) return std::nullopt;
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | (*raw)[static_cast<std::size_t>(i)];
-  return v;
+  return framing::get_le<std::uint32_t>(raw->data());
 }
 
 std::optional<std::uint64_t> Decoder::get_u64() {
   const auto raw = take(8);
   if (!raw) return std::nullopt;
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | (*raw)[static_cast<std::size_t>(i)];
-  return v;
+  return framing::get_le<std::uint64_t>(raw->data());
 }
 
 std::optional<Bytes> Decoder::get_var_bytes(std::size_t max_len) {

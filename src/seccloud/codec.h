@@ -9,6 +9,7 @@
 
 #include <optional>
 
+#include "hash/framing.h"
 #include "seccloud/types.h"
 
 namespace seccloud::core {
@@ -21,8 +22,8 @@ class Encoder {
   explicit Encoder(const PairingGroup& group) : group_(&group) {}
 
   void put_u8(std::uint8_t v) { out_.push_back(v); }
-  void put_u32(std::uint32_t v);
-  void put_u64(std::uint64_t v);
+  void put_u32(std::uint32_t v) { framing::put_le(out_, v); }
+  void put_u64(std::uint64_t v) { framing::put_le(out_, v); }
   void put_bytes(std::span<const std::uint8_t> data);          ///< raw, no length
   void put_var_bytes(std::span<const std::uint8_t> data);      ///< u32 length prefix
   void put_string(std::string_view s);

@@ -2,29 +2,24 @@
 
 #include <stdexcept>
 
+#include "hash/framing.h"
 #include "ibc/ibs.h"
 
 namespace seccloud::core {
-namespace {
-
-void append_u64_le(Bytes& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (i * 8)));
-}
-
-}  // namespace
+using framing::put_le;
 
 Bytes versioned_block_message(const DataBlock& block, std::uint64_t version) {
   Bytes out{'b', 'l', 'k', '2'};
-  append_u64_le(out, version);
-  append_u64_le(out, block.index);
+  put_le<std::uint64_t>(out, version);
+  put_le<std::uint64_t>(out, block.index);
   out.insert(out.end(), block.payload.begin(), block.payload.end());
   return out;
 }
 
 Bytes tombstone_message(std::uint64_t index, std::uint64_t version) {
   Bytes out{'d', 'e', 'l', '2'};
-  append_u64_le(out, version);
-  append_u64_le(out, index);
+  put_le<std::uint64_t>(out, version);
+  put_le<std::uint64_t>(out, index);
   return out;
 }
 

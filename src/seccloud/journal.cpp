@@ -2,42 +2,12 @@
 
 #include <algorithm>
 
-#include "hash/sha256.h"
 #include "obs/metrics.h"
 
 namespace seccloud::core {
-namespace {
 
-// Distinct magic from the channel frame codec ('S','C') so a journal can
-// never be mistaken for captured traffic.
-constexpr std::uint8_t kMagic0 = 'S';
-constexpr std::uint8_t kMagic1 = 'J';
-constexpr std::uint8_t kVersion = 1;
-constexpr std::size_t kHeaderBytes = 3 + 1 + 4 + 4 + 4;  // magic‖ver‖type‖session‖seq‖len
-constexpr std::size_t kChecksumBytes = 8;
-constexpr std::size_t kRecordTypeCount = 4;
-
-void append_u32(Bytes& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (i * 8)));
-}
-
-void append_u64(Bytes& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (i * 8)));
-}
-
-std::uint32_t read_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-std::uint64_t read_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-}  // namespace
+using framing::get_le;
+using framing::put_le;
 
 const char* to_string(JournalRecordType type) noexcept {
   switch (type) {
@@ -49,77 +19,33 @@ const char* to_string(JournalRecordType type) noexcept {
   return "unknown";
 }
 
-// --- record codec ----------------------------------------------------------
-
-Bytes encode_journal_record(const JournalRecord& record) {
-  Bytes out;
-  out.reserve(kHeaderBytes + record.payload.size() + kChecksumBytes);
-  out.push_back(kMagic0);
-  out.push_back(kMagic1);
-  out.push_back(kVersion);
-  out.push_back(static_cast<std::uint8_t>(record.type));
-  append_u32(out, record.session_id);
-  append_u32(out, record.seq);
-  append_u32(out, static_cast<std::uint32_t>(record.payload.size()));
-  out.insert(out.end(), record.payload.begin(), record.payload.end());
-  const hash::Digest digest = hash::Sha256::digest(std::span<const std::uint8_t>(out));
-  out.insert(out.end(), digest.begin(), digest.begin() + kChecksumBytes);
-  return out;
-}
-
-std::optional<JournalRecord> decode_journal_record(std::span<const std::uint8_t> bytes,
-                                                   std::size_t* consumed) {
-  if (bytes.size() < kHeaderBytes + kChecksumBytes) return std::nullopt;
-  if (bytes[0] != kMagic0 || bytes[1] != kMagic1 || bytes[2] != kVersion) return std::nullopt;
-  const std::uint8_t type = bytes[3];
-  if (type < 1 || type > kRecordTypeCount) return std::nullopt;
-  const std::uint32_t session_id = read_u32(bytes.data() + 4);
-  const std::uint32_t seq = read_u32(bytes.data() + 8);
-  const std::uint32_t len = read_u32(bytes.data() + 12);
-  const std::size_t total = kHeaderBytes + std::size_t{len} + kChecksumBytes;
-  if (bytes.size() < total) return std::nullopt;
-  const hash::Digest digest = hash::Sha256::digest(bytes.first(kHeaderBytes + len));
-  if (!std::equal(digest.begin(), digest.begin() + kChecksumBytes,
-                  bytes.begin() + static_cast<std::ptrdiff_t>(kHeaderBytes + len))) {
-    return std::nullopt;
-  }
-  JournalRecord record;
-  record.type = static_cast<JournalRecordType>(type);
-  record.session_id = session_id;
-  record.seq = seq;
-  record.payload.assign(bytes.begin() + static_cast<std::ptrdiff_t>(kHeaderBytes),
-                        bytes.begin() + static_cast<std::ptrdiff_t>(kHeaderBytes + len));
-  if (consumed != nullptr) *consumed = total;
-  return record;
-}
-
 // --- payload codecs --------------------------------------------------------
 
 Bytes encode_session_start_payload(MessageType request_type, std::uint64_t master_seed) {
   Bytes out;
   out.push_back(static_cast<std::uint8_t>(request_type));
-  append_u64(out, master_seed);
+  put_le<std::uint64_t>(out, master_seed);
   return out;
 }
 
 Bytes encode_attempt_start_payload(std::uint64_t started_units) {
   Bytes out;
-  append_u64(out, started_units);
+  put_le<std::uint64_t>(out, started_units);
   return out;
 }
 
 Bytes encode_attempt_outcome_payload(AttemptOutcome outcome, const SessionReport& tallies) {
   Bytes out;
   out.push_back(static_cast<std::uint8_t>(outcome));
-  append_u64(out, tallies.attempts);
-  append_u64(out, tallies.timeouts);
-  append_u64(out, tallies.corrupt_frames);
-  append_u64(out, tallies.stale_replies);
-  append_u64(out, tallies.duplicate_replies);
-  append_u64(out, tallies.malformed_replies);
-  append_u64(out, tallies.waited_units);
-  append_u64(out, tallies.bytes_sent);
-  append_u64(out, tallies.bytes_received);
+  put_le<std::uint64_t>(out, tallies.attempts);
+  put_le<std::uint64_t>(out, tallies.timeouts);
+  put_le<std::uint64_t>(out, tallies.corrupt_frames);
+  put_le<std::uint64_t>(out, tallies.stale_replies);
+  put_le<std::uint64_t>(out, tallies.duplicate_replies);
+  put_le<std::uint64_t>(out, tallies.malformed_replies);
+  put_le<std::uint64_t>(out, tallies.waited_units);
+  put_le<std::uint64_t>(out, tallies.bytes_sent);
+  put_le<std::uint64_t>(out, tallies.bytes_received);
   return out;
 }
 
@@ -130,22 +56,8 @@ Bytes encode_session_end_payload(SessionVerdict verdict) {
 // --- replay & recovery -----------------------------------------------------
 
 ReplayResult replay_journal(std::span<const std::uint8_t> bytes) {
-  ReplayResult result;
-  auto& replayed = obs::default_registry().counter("journal.replayed");
-  std::size_t pos = 0;
-  while (pos < bytes.size()) {
-    std::size_t consumed = 0;
-    auto record = decode_journal_record(bytes.subspan(pos), &consumed);
-    if (!record) {
-      // Torn final append (or trailing garbage): the intact prefix stands.
-      result.torn_tail = true;
-      break;
-    }
-    pos += consumed;
-    result.records.push_back(std::move(*record));
-    replayed.inc();
-  }
-  result.clean_bytes = pos;
+  ReplayResult result = kJournalFormat.replay(bytes);
+  obs::default_registry().counter("journal.replayed").inc(result.frames.size());
   return result;
 }
 
@@ -161,15 +73,15 @@ bool apply_outcome(const Bytes& payload, RecoveredSession& rec) {
   if (code > static_cast<std::uint8_t>(AttemptOutcome::kRejected)) return false;
   const std::uint8_t* p = payload.data() + 1;
   SessionReport& carried = rec.carried;
-  carried.attempts = read_u64(p + 0 * 8);
-  carried.timeouts = read_u64(p + 1 * 8);
-  carried.corrupt_frames = read_u64(p + 2 * 8);
-  carried.stale_replies = read_u64(p + 3 * 8);
-  carried.duplicate_replies = read_u64(p + 4 * 8);
-  carried.malformed_replies = read_u64(p + 5 * 8);
-  carried.waited_units = read_u64(p + 6 * 8);
-  carried.bytes_sent = read_u64(p + 7 * 8);
-  carried.bytes_received = read_u64(p + 8 * 8);
+  carried.attempts = get_le<std::uint64_t>(p + 0 * 8);
+  carried.timeouts = get_le<std::uint64_t>(p + 1 * 8);
+  carried.corrupt_frames = get_le<std::uint64_t>(p + 2 * 8);
+  carried.stale_replies = get_le<std::uint64_t>(p + 3 * 8);
+  carried.duplicate_replies = get_le<std::uint64_t>(p + 4 * 8);
+  carried.malformed_replies = get_le<std::uint64_t>(p + 5 * 8);
+  carried.waited_units = get_le<std::uint64_t>(p + 6 * 8);
+  carried.bytes_sent = get_le<std::uint64_t>(p + 7 * 8);
+  carried.bytes_received = get_le<std::uint64_t>(p + 8 * 8);
   const auto outcome = static_cast<AttemptOutcome>(code);
   if (outcome == AttemptOutcome::kAccepted || outcome == AttemptOutcome::kRejected) {
     rec.concluded = true;
@@ -188,25 +100,25 @@ RecoveredSession recover_session(std::span<const std::uint8_t> journal_bytes) {
   rec.torn_tail = replay.torn_tail;
   std::uint32_t last_outcome_seq = 0;
   std::uint32_t pending_seq = 0;  // attempt started but outcome never landed
-  for (const JournalRecord& record : replay.records) {
+  for (const JournalRecord& record : replay.frames) {
     if (!rec.valid) {
       if (record.type != JournalRecordType::kSessionStart) break;
       if (record.payload.size() != 1 + 8) break;
       const std::uint8_t request = record.payload[0];
       if (request < 1 || request > kMessageTypeCount) break;
       rec.valid = true;
-      rec.session_id = record.session_id;
+      rec.session_id = record.stream_id;
       rec.request_type = static_cast<MessageType>(request);
-      rec.master_seed = read_u64(record.payload.data() + 1);
+      rec.master_seed = get_le<std::uint64_t>(record.payload.data() + 1);
       continue;
     }
-    if (record.session_id != rec.session_id) break;  // foreign record: stop
+    if (record.stream_id != rec.session_id) break;  // foreign record: stop
     switch (record.type) {
       case JournalRecordType::kSessionStart:
         break;  // duplicate start: ignore
       case JournalRecordType::kAttemptStart:
         if (record.payload.size() != 8) break;
-        rec.carried.attempt_started_units.push_back(read_u64(record.payload.data()));
+        rec.carried.attempt_started_units.push_back(get_le<std::uint64_t>(record.payload.data()));
         pending_seq = record.seq;
         break;
       case JournalRecordType::kAttemptOutcome:

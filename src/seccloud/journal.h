@@ -4,12 +4,9 @@
 // transition of an AuditSession is appended to a journal BEFORE the side
 // effect it describes (write-ahead discipline), so recovery can replay the
 // log and re-enter the session at the first attempt whose outcome never
-// landed. Records reuse the framing discipline of session.cpp: magic ‖
-// version ‖ type ‖ session ‖ seq ‖ length-prefixed payload ‖ truncated
-// SHA-256 checksum. The decoder is total and *prefix-tolerant*: a torn or
-// corrupted tail (the crash interrupting the final append) terminates the
-// replay cleanly instead of poisoning it — everything before the tear is
-// trusted, everything after is discarded.
+// landed. Records are checksummed frames under magic 'S','J' (DESIGN.md §8),
+// whose prefix-tolerant replay makes a torn final append (the crash
+// interrupting it) end the log cleanly: everything before the tear stands.
 //
 // Record sequence of one session:
 //   kSessionStart(seq 0)        request type + master challenge seed
@@ -47,23 +44,23 @@ enum class AttemptOutcome : std::uint8_t {
   kRejected = 3,   ///< conclusive reject
 };
 
+/// The journal's framing: magic 'S','J', the session id in the stream-id
+/// field, the attempt as seq.
+inline constexpr framing::Format<JournalRecordType> kJournalFormat{
+    'J', JournalRecordType::kSessionEnd};
+
 /// One decoded journal record: header fields plus the type-specific payload.
-struct JournalRecord {
-  JournalRecordType type = JournalRecordType::kSessionStart;
-  std::uint32_t session_id = 0;
-  std::uint32_t seq = 0;  ///< attempt number; 0 for session start/end
-  Bytes payload;
-};
+using JournalRecord = framing::Frame<JournalRecordType>;
 
-/// Frames one record (same construction as the session frame codec, with a
-/// distinct magic so journals and channel frames cannot be confused).
-Bytes encode_journal_record(const JournalRecord& record);
+inline Bytes encode_journal_record(const JournalRecord& record) {
+  return kJournalFormat.encode(record.type, record.stream_id, record.seq, record.payload);
+}
 
-/// Total decoder for the record starting at the head of `bytes`. On success
-/// also reports how many bytes the record occupied (so a log can be walked);
-/// any truncation, bad magic, or checksum failure yields nullopt.
-std::optional<JournalRecord> decode_journal_record(std::span<const std::uint8_t> bytes,
-                                                   std::size_t* consumed = nullptr);
+/// The record at the head of `bytes`; `consumed` receives its size.
+inline std::optional<JournalRecord> decode_journal_record(std::span<const std::uint8_t> bytes,
+                                                          std::size_t* consumed = nullptr) {
+  return kJournalFormat.decode(bytes, consumed);
+}
 
 // Payload builders for each record type (the session driver writes these;
 // recover_session parses them back).
@@ -103,15 +100,9 @@ class BufferJournal : public SessionJournal {
 
 // --- replay & recovery -----------------------------------------------------
 
-/// Walks a journal from the start, returning every intact record in order.
-/// Stops at the first torn/corrupt record (`torn_tail` = true, and
-/// `clean_bytes` is how far the intact prefix reaches); trailing garbage
-/// never invalidates the prefix. Bumps `journal.replayed` per record.
-struct ReplayResult {
-  std::vector<JournalRecord> records;
-  bool torn_tail = false;
-  std::size_t clean_bytes = 0;
-};
+/// Every intact record of a journal in order, up to the first torn or
+/// corrupt one. Bumps `journal.replayed` per record.
+using ReplayResult = framing::Replay<JournalRecordType>;
 
 ReplayResult replay_journal(std::span<const std::uint8_t> bytes);
 

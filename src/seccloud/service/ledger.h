@@ -11,13 +11,12 @@
 // entry's position, the bisection path that cornered it, and the pairing
 // cost the isolation charged — no rerun, no logs, no registry access.
 //
-// Records ride the obs telemetry framing (kLedgerEntry) with a fixed
-// 64-byte little-endian payload, so the stream inherits the checksummed,
-// torn-tail-tolerant replay discipline of the PR-4 session journal. Since
-// journey tracing landed, each record also carries the request's journey id
-// (= its global request id) when that request's journey was sampled into
-// the JOURNEY_* stream — the forensic join key between "what verdict did
-// this entry get" and "where did this request's time go".
+// Records are kLedgerEntry frames of the telemetry stream ('S','T', DESIGN.md
+// §8) with a fixed 64-byte little-endian payload. Each record also carries
+// the request's journey id (= its global request id) when that request's
+// journey was sampled into the JOURNEY_* stream — the forensic join key
+// between "what verdict did this entry get" and "where did this request's
+// time go".
 #pragma once
 
 #include <cstdint>
@@ -84,17 +83,18 @@ IsolationPath bisection_path(std::size_t index, std::size_t n) noexcept;
 /// Single-writer, like the TelemetrySink it rides beside.
 class VerdictLedger {
  public:
-  explicit VerdictLedger(std::uint32_t stream_id = 0) : stream_id_(stream_id) {}
+  explicit VerdictLedger(std::uint32_t stream_id = 0)
+      : stream_(obs::kTelemetryFormat, stream_id) {}
 
-  void append(const LedgerEntry& entry);
+  void append(const LedgerEntry& entry) {
+    stream_.append(obs::TelemetryRecordType::kLedgerEntry, encode_ledger_entry(entry));
+  }
 
-  std::span<const std::uint8_t> bytes() const noexcept { return stream_; }
-  std::size_t records() const noexcept { return seq_; }
+  std::span<const std::uint8_t> bytes() const noexcept { return stream_.bytes(); }
+  std::size_t records() const noexcept { return stream_.seq(); }
 
  private:
-  std::uint32_t stream_id_;
-  std::uint32_t seq_ = 0;
-  std::vector<std::uint8_t> stream_;
+  framing::Writer<obs::TelemetryRecordType> stream_;
 };
 
 /// Replays a ledger stream: every intact record's decoded entry, in append

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "hash/framing.h"
 #include "hash/hmac_drbg.h"
 #include "hash/sha256.h"
 #include "ibc/ibs.h"
@@ -15,22 +16,6 @@
 #include "seccloud/service/ledger.h"
 
 namespace seccloud::service {
-
-namespace {
-
-void append_u64(core::Bytes& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void sha_u64(hash::Sha256& sha, std::uint64_t v) {
-  std::array<std::uint8_t, 8> le{};
-  for (std::size_t i = 0; i < 8; ++i) le[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  sha.update(le);
-}
-
-}  // namespace
 
 AuditService::AuditService(const PairingGroup& group, IdentityKey verifier,
                            IdentityKey attestor, ServiceConfig config)
@@ -184,11 +169,11 @@ EpochReport AuditService::run_epoch() {
     const std::size_t hi = std::min(entries.size(), lo + cap);
     hash::Sha256 sha;
     sha.update(std::string_view{"seccloud.service.batch.v1"});
-    sha_u64(sha, report.epoch);
-    sha_u64(sha, i);
+    sha.update(framing::le_bytes(report.epoch));
+    sha.update(framing::le_bytes<std::uint64_t>(i));
     for (std::size_t e = lo; e < hi; ++e) {
       sha.update(group_->curve().serialize(entries[e].sig->u));
-      sha_u64(sha, entries[e].message.size());
+      sha.update(framing::le_bytes<std::uint64_t>(entries[e].message.size()));
       sha.update(entries[e].message);
     }
     const hash::Digest digest = sha.finish();
@@ -196,15 +181,15 @@ EpochReport AuditService::run_epoch() {
     msg.reserve(32 + 48);
     const std::string_view domain{"seccloud.epoch-attest.v1"};
     msg.insert(msg.end(), domain.begin(), domain.end());
-    append_u64(msg, report.epoch);
-    append_u64(msg, i);
+    framing::put_le(msg, report.epoch);
+    framing::put_le<std::uint64_t>(msg, i);
     msg.insert(msg.end(), digest.begin(), digest.end());
 
     core::Bytes drbg_seed;
     const std::string_view seed_domain{config_.attestor_seed};
     drbg_seed.insert(drbg_seed.end(), seed_domain.begin(), seed_domain.end());
-    append_u64(drbg_seed, report.epoch);
-    append_u64(drbg_seed, i);
+    framing::put_le(drbg_seed, report.epoch);
+    framing::put_le<std::uint64_t>(drbg_seed, i);
     hash::HmacDrbg drbg{std::span<const std::uint8_t>{drbg_seed}};
     const ibc::IbsSignature ibs =
         ibc::ibs_sign(*group_, attestor_q_id_, attestor_secret_, msg, drbg);

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <string>
 
-#include "hash/sha256.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
@@ -13,25 +12,6 @@
 #include "seccloud/journal.h"
 
 namespace seccloud::core {
-namespace {
-
-constexpr std::uint8_t kMagic0 = 'S';
-constexpr std::uint8_t kMagic1 = 'C';
-constexpr std::uint8_t kVersion = 1;
-constexpr std::size_t kHeaderBytes = 3 + 1 + 4 + 4 + 4;  // magic‖ver‖type‖session‖seq‖len
-constexpr std::size_t kChecksumBytes = 8;
-
-void append_u32(Bytes& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (i * 8)));
-}
-
-std::uint32_t read_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-}  // namespace
 
 const char* to_string(MessageType type) noexcept {
   switch (type) {
@@ -54,43 +34,10 @@ const char* to_string(SessionVerdict verdict) noexcept {
 
 // --- framing -------------------------------------------------------------
 
-Bytes encode_frame(MessageType type, std::uint32_t session_id, std::uint32_t seq,
-                   std::span<const std::uint8_t> payload) {
-  Bytes out;
-  out.reserve(kHeaderBytes + payload.size() + kChecksumBytes);
-  out.push_back(kMagic0);
-  out.push_back(kMagic1);
-  out.push_back(kVersion);
-  out.push_back(static_cast<std::uint8_t>(type));
-  append_u32(out, session_id);
-  append_u32(out, seq);
-  append_u32(out, static_cast<std::uint32_t>(payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
-  const hash::Digest digest = hash::Sha256::digest(std::span<const std::uint8_t>(out));
-  out.insert(out.end(), digest.begin(), digest.begin() + kChecksumBytes);
-  return out;
-}
-
 std::optional<Frame> decode_frame(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < kHeaderBytes + kChecksumBytes) return std::nullopt;
-  if (bytes[0] != kMagic0 || bytes[1] != kMagic1 || bytes[2] != kVersion) return std::nullopt;
-  const std::uint8_t type = bytes[3];
-  if (type < 1 || type > kMessageTypeCount) return std::nullopt;
-  const std::uint32_t session_id = read_u32(bytes.data() + 4);
-  const std::uint32_t seq = read_u32(bytes.data() + 8);
-  const std::uint32_t len = read_u32(bytes.data() + 12);
-  if (bytes.size() != kHeaderBytes + std::size_t{len} + kChecksumBytes) return std::nullopt;
-  const hash::Digest digest = hash::Sha256::digest(bytes.first(kHeaderBytes + len));
-  if (!std::equal(digest.begin(), digest.begin() + kChecksumBytes,
-                  bytes.end() - kChecksumBytes)) {
-    return std::nullopt;
-  }
-  Frame frame;
-  frame.type = static_cast<MessageType>(type);
-  frame.session_id = session_id;
-  frame.seq = seq;
-  frame.payload.assign(bytes.begin() + static_cast<std::ptrdiff_t>(kHeaderBytes),
-                       bytes.end() - kChecksumBytes);
+  std::size_t consumed = 0;
+  auto frame = kChannelFormat.decode(bytes, &consumed);
+  if (!frame || consumed != bytes.size()) return std::nullopt;
   return frame;
 }
 
@@ -285,7 +232,7 @@ SessionReport AuditSession::drive(AuditTransport& link, MessageType request_type
           obs::trace_instant("corrupt_frame");
           continue;
         }
-        if (decoded->type != reply_type || decoded->session_id != session_id ||
+        if (decoded->type != reply_type || decoded->stream_id != session_id ||
             decoded->seq != seq) {
           ++report.stale_replies;  // delayed/duplicated reply to an older attempt
           obs::trace_instant("stale_reply");

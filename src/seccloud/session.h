@@ -21,6 +21,7 @@
 //    channel, not audit, outcome.
 #pragma once
 
+#include "hash/framing.h"
 #include "seccloud/auditor.h"
 
 namespace seccloud::core {
@@ -47,22 +48,21 @@ constexpr std::size_t message_type_index(MessageType type) noexcept {
 
 const char* to_string(MessageType type) noexcept;
 
+/// The channel's framing (DESIGN.md §8): magic 'S','C', one MessageType per
+/// frame, the session id in the stream-id field and the attempt as seq.
+inline constexpr framing::Format<MessageType> kChannelFormat{'C', MessageType::kStorageResponse};
+
 /// A decoded session frame: header fields plus the opaque payload.
-struct Frame {
-  MessageType type = MessageType::kAuditChallenge;
-  std::uint32_t session_id = 0;
-  std::uint32_t seq = 0;  ///< the issuing attempt number
-  Bytes payload;
-};
+using Frame = framing::Frame<MessageType>;
 
-/// Frames a payload: magic ‖ version ‖ type ‖ session ‖ seq ‖ len ‖ payload
-/// ‖ checksum (first 8 bytes of SHA-256 over everything before it).
-Bytes encode_frame(MessageType type, std::uint32_t session_id, std::uint32_t seq,
-                   std::span<const std::uint8_t> payload);
+inline Bytes encode_frame(MessageType type, std::uint32_t session_id, std::uint32_t seq,
+                          std::span<const std::uint8_t> payload) {
+  return kChannelFormat.encode(type, session_id, seq, payload);
+}
 
-/// Total decoder: any truncation, bad magic/type, length mismatch, or
-/// checksum failure yields nullopt. A successful decode guarantees the
-/// payload is bit-identical to what the sender framed.
+/// Total decoder for one datagram: nullopt unless `bytes` is exactly one
+/// intact channel frame. A successful decode guarantees the payload is
+/// bit-identical to what the sender framed.
 std::optional<Frame> decode_frame(std::span<const std::uint8_t> bytes);
 
 // --- transport abstraction ----------------------------------------------

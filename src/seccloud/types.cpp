@@ -3,19 +3,15 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "hash/framing.h"
+
 namespace seccloud::core {
-namespace {
-
-void append_u64_le(Bytes& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (i * 8)));
-}
-
-}  // namespace
+using framing::put_le;
 
 DataBlock DataBlock::from_value(std::uint64_t index, std::uint64_t value) {
   DataBlock b;
   b.index = index;
-  append_u64_le(b.payload, value);
+  put_le(b.payload, value);
   return b;
 }
 
@@ -75,20 +71,20 @@ std::uint64_t evaluate(FuncKind kind, std::span<const std::uint64_t> values) {
 Bytes result_leaf_bytes(const ComputeRequest& request, std::uint64_t result) {
   Bytes out;
   out.reserve(17 + 8 * request.positions.size());
-  append_u64_le(out, result);
+  put_le(out, result);
   out.push_back(static_cast<std::uint8_t>(request.kind));
-  append_u64_le(out, request.positions.size());
-  for (const auto pos : request.positions) append_u64_le(out, pos);
+  put_le<std::uint64_t>(out, request.positions.size());
+  for (const auto pos : request.positions) put_le<std::uint64_t>(out, pos);
   return out;
 }
 
 Bytes Warrant::body_bytes() const {
   Bytes out;
   out.reserve(delegator_id.size() + delegatee_id.size() + 10);
-  append_u64_le(out, expiry_epoch);
-  append_u64_le(out, delegator_id.size());
+  put_le<std::uint64_t>(out, expiry_epoch);
+  put_le<std::uint64_t>(out, delegator_id.size());
   out.insert(out.end(), delegator_id.begin(), delegator_id.end());
-  append_u64_le(out, delegatee_id.size());
+  put_le<std::uint64_t>(out, delegatee_id.size());
   out.insert(out.end(), delegatee_id.begin(), delegatee_id.end());
   return out;
 }

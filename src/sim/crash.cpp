@@ -119,8 +119,8 @@ CrashRecoveryStats run_crash_recovery_trials(const PairingGroup& group,
     if (crash_rng.next_double() >= config.crash_probability) continue;
     const core::ReplayResult ref_records = core::replay_journal(ref_journal.bytes());
     std::vector<std::size_t> points;  // 1-based index of the record whose append dies
-    for (std::size_t j = 2; j <= ref_records.records.size(); ++j) {
-      const auto type = ref_records.records[j - 1].type;
+    for (std::size_t j = 2; j <= ref_records.frames.size(); ++j) {
+      const auto type = ref_records.frames[j - 1].type;
       const bool aligned = type == core::JournalRecordType::kAttemptStart ||
                            type == core::JournalRecordType::kSessionEnd;
       if (aligned || !config.aligned_crash_points_only) points.push_back(j);

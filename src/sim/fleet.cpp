@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "hash/framing.h"
 #include "hash/hmac_drbg.h"
 #include "ibc/dvs.h"
 #include "ibc/ibs.h"
@@ -12,12 +13,6 @@
 namespace seccloud::sim {
 
 namespace {
-
-void append_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
 
 /// Signs one block for both designated verifiers; which Σ slot the service
 /// checks depends on its configured role.
@@ -128,9 +123,9 @@ std::vector<service::AuditRequest> FleetWorkload::make_requests(
 
     std::vector<std::uint8_t> drbg_seed;
     drbg_seed.reserve(32);
-    append_u64(drbg_seed, config_.seed);
-    append_u64(drbg_seed, round_);
-    append_u64(drbg_seed, i);
+    framing::put_le<std::uint64_t>(drbg_seed, config_.seed);
+    framing::put_le<std::uint64_t>(drbg_seed, round_);
+    framing::put_le<std::uint64_t>(drbg_seed, i);
     hash::HmacDrbg drbg{std::span<const std::uint8_t>{drbg_seed}};
 
     request.blocks.reserve(config_.blocks_per_request);

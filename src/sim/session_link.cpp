@@ -84,7 +84,7 @@ std::vector<Bytes> FaultyAuditLink::exchange(core::MessageType type, const Bytes
             : core::MessageType::kStorageResponse;
     // Echo (session, seq) so the DA can match the reply to its attempt.
     const Bytes reply =
-        core::encode_frame(reply_type, decoded->session_id, decoded->seq, *payload);
+        core::encode_frame(reply_type, decoded->stream_id, decoded->seq, *payload);
     server_->traffic().send(reply.size());
     auto delivered = reverse_.transmit(reply_type, reply);
     replies.insert(replies.end(), std::make_move_iterator(delivered.begin()),

@@ -268,7 +268,7 @@ TEST(CodecPropertyTest, FrameRoundTripAndMutation) {
     const auto frame = decode_frame(wire);
     ASSERT_TRUE(frame.has_value());
     EXPECT_EQ(frame->type, type);
-    EXPECT_EQ(frame->session_id, session_id);
+    EXPECT_EQ(frame->stream_id, session_id);
     EXPECT_EQ(frame->seq, seq);
     EXPECT_EQ(frame->payload, payload);
     if (i >= 2) continue;  // byte sweep on a couple of instances

@@ -127,8 +127,7 @@ TEST(JourneyStream, MalformedPayloadIsCountedNotDropped) {
   recorder.record(sample_record());
   std::vector<std::uint8_t> bytes{recorder.stream().begin(), recorder.stream().end()};
   const std::size_t frame_size = bytes.size() / 2;
-  constexpr std::size_t kHeaderBytes = 16;
-  bytes[kHeaderBytes + 40] = 0;  // first record's verdict byte
+  bytes[framing::kHeaderBytes + 40] = 0;  // first record's verdict byte
   const auto digest = hash::Sha256::digest(
       std::span<const std::uint8_t>{bytes.data(), frame_size - 8});
   std::copy(digest.begin(), digest.begin() + 8, bytes.begin() +
@@ -147,7 +146,7 @@ TEST(JourneyStream, MagicSeparatesJourneysFromTelemetry) {
   recorder.record(sample_record());
   const TelemetryReplay as_telemetry = replay_telemetry(recorder.stream());
   EXPECT_TRUE(as_telemetry.torn_tail);
-  EXPECT_TRUE(as_telemetry.records.empty());
+  EXPECT_TRUE(as_telemetry.frames.empty());
 
   TelemetryRecord alien;
   alien.type = TelemetryRecordType::kEpochSnapshot;

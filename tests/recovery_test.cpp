@@ -30,7 +30,7 @@ using pairing::tiny_group;
 JournalRecord sample_record() {
   JournalRecord record;
   record.type = JournalRecordType::kAttemptOutcome;
-  record.session_id = 0xA1B2C3D4u;
+  record.stream_id = 0xA1B2C3D4u;
   record.seq = 7;
   core::SessionReport tallies;
   tallies.attempts = 3;
@@ -60,7 +60,7 @@ TEST(JournalCodecTest, RoundTripsEveryRecordType) {
     ASSERT_TRUE(decoded.has_value());
     EXPECT_EQ(consumed, encoded.size());
     EXPECT_EQ(decoded->type, record.type);
-    EXPECT_EQ(decoded->session_id, record.session_id);
+    EXPECT_EQ(decoded->stream_id, record.stream_id);
     EXPECT_EQ(decoded->seq, record.seq);
     EXPECT_EQ(decoded->payload, record.payload);
   }
@@ -118,7 +118,7 @@ TEST(JournalReplayTest, TruncationAtEveryByteKeepsTheIntactPrefix) {
         core::replay_journal(std::span<const std::uint8_t>{full.data(), len});
     std::size_t whole = 0;
     while (whole + 1 < boundaries.size() && boundaries[whole + 1] <= len) ++whole;
-    EXPECT_EQ(replay.records.size(), whole) << "cut at " << len;
+    EXPECT_EQ(replay.frames.size(), whole) << "cut at " << len;
     EXPECT_EQ(replay.clean_bytes, boundaries[whole]) << "cut at " << len;
     EXPECT_EQ(replay.torn_tail, len != boundaries[whole]) << "cut at " << len;
   }
@@ -131,7 +131,7 @@ TEST(JournalReplayTest, TrailingGarbageDoesNotPoisonThePrefix) {
   core::Bytes log = journal.bytes();
   for (int i = 0; i < 24; ++i) log.push_back(0xEE);
   const auto replay = core::replay_journal(log);
-  EXPECT_EQ(replay.records.size(), 1u);
+  EXPECT_EQ(replay.frames.size(), 1u);
   EXPECT_TRUE(replay.torn_tail);
   EXPECT_EQ(replay.clean_bytes, journal.bytes().size());
 }
@@ -237,11 +237,11 @@ void exhaustive_storage_crash_sweep(Rig& rig, const sim::FaultPlan& plan,
   ASSERT_GE(reference.attempts, min_expected_attempts);
   const auto ref_records = core::replay_journal(ref_journal.bytes());
   ASSERT_FALSE(ref_records.torn_tail);
-  ASSERT_GE(ref_records.records.size(), 4u);  // start, ≥1 attempt pair, end
+  ASSERT_GE(ref_records.frames.size(), 4u);  // start, ≥1 attempt pair, end
 
   std::size_t cases = 0;
-  for (std::size_t point = 2; point <= ref_records.records.size(); ++point) {
-    const auto type = ref_records.records[point - 1].type;
+  for (std::size_t point = 2; point <= ref_records.frames.size(); ++point) {
+    const auto type = ref_records.frames[point - 1].type;
     const bool aligned = type == JournalRecordType::kAttemptStart ||
                          type == JournalRecordType::kSessionEnd;
     if (aligned_only && !aligned) continue;
@@ -335,7 +335,7 @@ TEST(CrashRecoveryTest, ComputationSessionResumesBitIdentically) {
   ASSERT_EQ(reference.verdict, SessionVerdict::kAccepted);
   const auto ref_records = core::replay_journal(ref_journal.bytes());
 
-  for (std::size_t point = 2; point <= ref_records.records.size(); ++point) {
+  for (std::size_t point = 2; point <= ref_records.frames.size(); ++point) {
     sim::CrashPlan plan;
     plan.crash_after_records = point - 1;
     plan.tear_bytes = 3;

@@ -138,7 +138,7 @@ TEST(SessionFrameTest, RoundTrip) {
   const auto frame = core::decode_frame(wire);
   ASSERT_TRUE(frame.has_value());
   EXPECT_EQ(frame->type, core::MessageType::kAuditChallenge);
-  EXPECT_EQ(frame->session_id, 0xDEADBEEFu);
+  EXPECT_EQ(frame->stream_id, 0xDEADBEEFu);
   EXPECT_EQ(frame->seq, 7u);
   EXPECT_EQ(frame->payload, payload);
 }

@@ -87,11 +87,11 @@ TEST(TelemetryCodec, EveryTruncationPointIsATornTailNeverAPartialRecord) {
   for (std::size_t cut = 0; cut <= stream.size(); ++cut) {
     const TelemetryReplay replay =
         replay_telemetry(std::span{stream.data(), cut});
-    EXPECT_EQ(replay.records.size(), cut / record_size) << "cut=" << cut;
+    EXPECT_EQ(replay.frames.size(), cut / record_size) << "cut=" << cut;
     EXPECT_EQ(replay.clean_bytes, (cut / record_size) * record_size);
     EXPECT_EQ(replay.torn_tail, cut % record_size != 0) << "cut=" << cut;
-    for (std::size_t i = 0; i < replay.records.size(); ++i) {
-      EXPECT_EQ(replay.records[i].seq, i);
+    for (std::size_t i = 0; i < replay.frames.size(); ++i) {
+      EXPECT_EQ(replay.frames[i].seq, i);
     }
   }
 }
@@ -110,10 +110,10 @@ TEST(TelemetryCodec, CorruptionAnywhereKillsTheRecordNotThePrefix) {
     // Flipping a bit in record k invalidates k and everything after; the
     // records before it must survive untouched. (A flipped length field may
     // also shift framing — the replay must still never emit a bad record.)
-    EXPECT_LE(replay.records.size(), 1u) << "flip at byte " << i;
+    EXPECT_LE(replay.frames.size(), 1u) << "flip at byte " << i;
     if (i >= record_size) {
-      EXPECT_EQ(replay.records.size(), 1u) << "flip at byte " << i;
-      EXPECT_EQ(replay.records[0], sample_record(0));
+      EXPECT_EQ(replay.frames.size(), 1u) << "flip at byte " << i;
+      EXPECT_EQ(replay.frames[0], sample_record(0));
     }
     EXPECT_TRUE(replay.torn_tail);
   }
@@ -175,9 +175,9 @@ TEST(TelemetrySink, CounterDeltasMatchAHandComputedRegistryDiff) {
   // The stream holds both snapshots, replayable with the deltas intact.
   const TelemetryReplay replay = replay_telemetry(sink.stream());
   EXPECT_FALSE(replay.torn_tail);
-  ASSERT_EQ(replay.records.size(), 2u);
+  ASSERT_EQ(replay.frames.size(), 2u);
   const auto snap0 = EpochSnapshot::from_json(std::string(
-      replay.records[0].payload.begin(), replay.records[0].payload.end()));
+      replay.frames[0].payload.begin(), replay.frames[0].payload.end()));
   ASSERT_TRUE(snap0.has_value());
   EXPECT_EQ(snap0->counter_deltas, expected1);
 }
@@ -193,11 +193,11 @@ TEST(TelemetrySink, RingIsBoundedStreamIsNot) {
 
   const TelemetryReplay replay = replay_telemetry(sink.stream());
   EXPECT_FALSE(replay.torn_tail);
-  ASSERT_EQ(replay.records.size(), 10u) << "stream keeps everything";
+  ASSERT_EQ(replay.frames.size(), 10u) << "stream keeps everything";
   EXPECT_EQ(sink.records(), 10u);
-  for (std::size_t i = 0; i < replay.records.size(); ++i) {
-    EXPECT_EQ(replay.records[i].seq, i);
-    EXPECT_EQ(replay.records[i].stream_id, 9u);
+  for (std::size_t i = 0; i < replay.frames.size(); ++i) {
+    EXPECT_EQ(replay.frames[i].seq, i);
+    EXPECT_EQ(replay.frames[i].stream_id, 9u);
   }
 }
 
@@ -211,13 +211,13 @@ TEST(TelemetrySink, AlertsInterleaveWithSnapshotsInStreamOrder) {
   sink.capture(sample_snapshot(1));
 
   const TelemetryReplay replay = replay_telemetry(sink.stream());
-  ASSERT_EQ(replay.records.size(), 3u);
-  EXPECT_EQ(replay.records[0].type, TelemetryRecordType::kEpochSnapshot);
-  EXPECT_EQ(replay.records[1].type, TelemetryRecordType::kSloAlert);
-  EXPECT_EQ(replay.records[2].type, TelemetryRecordType::kEpochSnapshot);
+  ASSERT_EQ(replay.frames.size(), 3u);
+  EXPECT_EQ(replay.frames[0].type, TelemetryRecordType::kEpochSnapshot);
+  EXPECT_EQ(replay.frames[1].type, TelemetryRecordType::kSloAlert);
+  EXPECT_EQ(replay.frames[2].type, TelemetryRecordType::kEpochSnapshot);
 
   const auto decoded = SloAlert::from_json(std::string(
-      replay.records[1].payload.begin(), replay.records[1].payload.end()));
+      replay.frames[1].payload.begin(), replay.frames[1].payload.end()));
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(*decoded, alert);
 }

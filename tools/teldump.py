@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Render SecCloud telemetry streams (TEL_*.bin / LEDGER_*.bin / JOURNEY_*.bin).
 
-The audit service's TelemetrySink and VerdictLedger append checksummed,
-length-prefixed records (magic 'ST', 16-byte header, truncated-SHA-256
-trailer — the PR-4 journal framing with its own magic); the JourneyRecorder
-appends per-request lifecycle records under its own magic 'SY'. This tool
-replays a stream and renders:
+The audit service's TelemetrySink and VerdictLedger append checksummed
+frames under magic 'ST' (16-byte header, truncated-SHA-256 trailer — the
+frame format of DESIGN.md §8, src/hash/framing.h); the JourneyRecorder
+appends per-request lifecycle frames under magic 'SY'. This tool replays a
+stream and renders:
 
   * a per-epoch markdown (or CSV with --csv) timeline: throughput, rejects,
     batches, pairings/batch, bisection, queue pressure, latency;
@@ -88,6 +88,38 @@ SAMPLE_REASONS = [
     (1 << 3, "coin"),
 ]
 STAGE_SUM_QUANTUM_US = 8  # one us of truncation per stage boundary
+
+
+# Golden frames pinned byte for byte by tests/frame_test.cpp (the C++
+# writers' output): one epoch snapshot and one ledger entry on stream 7, and
+# one journey on stream 1. The self-test decodes them with this parser.
+GOLDEN_EPOCH_SNAPSHOT = bytes.fromhex(
+    "535401010700000003000000fb0100007b2265706f6368223a332c2265706f63"
+    "685f6d73223a31322e352c2274656c656d657472795f6d73223a302e32352c22"
+    "7265717565737473223a382c227374616c655f72656a6563746564223a302c22"
+    "756e6b657965645f72656a6563746564223a302c22656e7472696573223a3136"
+    "2c2262617463686573223a322c2276657269666965645f726571756573747322"
+    "3a382c226661696c65645f7265717565737473223a302c2262797a616e74696e"
+    "655f7573657273223a302c22617373656d626c795f70616972696e6773223a32"
+    "2c227665726966795f70616972696e6773223a342c2270616972696e67735f70"
+    "65725f6261746368223a322c22626973656374696f6e5f6f7261636c655f6361"
+    "6c6c73223a302c22626973656374696f6e5f6d61785f6465707468223a302c22"
+    "71756575655f64657074685f61745f647261696e223a382c2271756575655f61"
+    "646d6974746564223a382c2271756575655f72656a6563746564223a302c2272"
+    "657472795f61667465725f65706f636873223a302c22736861726473223a5b7b"
+    "227573657273223a342c226b65796564223a322c227461626c655f736c6f7473"
+    "223a36342c2270726f62655f6d6178223a312c2270726f62655f746f74616c22"
+    "3a327d5d2c22636f756e7465725f64656c746173223a7b22736572766963652e"
+    "65706f636873223a317d7d7b3fa419cc09edee")
+GOLDEN_LEDGER_ENTRY = bytes.fromhex(
+    "5354010307000000000000004000000001000000000000002a00000000000000"
+    "0700000000000000010000000300000000000000050000000203000005000000"
+    "090000000000000065000000000000009008017bb3aa1bbd")
+GOLDEN_JOURNEY = bytes.fromhex(
+    "5359010101000000000000005800000065000000000000004d04000000000000"
+    "000000000000000000000000000000000400000000000000020b0300fa000000"
+    "3c000000ac030000030000000200000005000000500000000800000002000000"
+    "4c04000000000000117d501070b42ea8")
 
 
 class Record:
@@ -571,6 +603,32 @@ def self_test() -> int:
         for seq, payload in enumerate(journey_payloads))
 
     failures = []
+
+    # The C++ writers' golden bytes decode to the values frame_test encoded.
+    errors = []
+    grecords, gtorn, _ = replay(GOLDEN_EPOCH_SNAPSHOT + GOLDEN_LEDGER_ENTRY)
+    gsnaps, _, gentries = split_records(grecords, pathlib.Path("<golden>"), errors)
+    if (gtorn or errors or len(gsnaps) != 1 or len(gentries) != 1 or
+            grecords[0].stream_id != 7 or grecords[0].seq != 3 or
+            gsnaps[0]["epoch"] != 3 or gsnaps[0]["epoch_ms"] != 12.5 or
+            gsnaps[0]["shards"][0]["table_slots"] != 64 or
+            gsnaps[0]["counter_deltas"] != {"service.epochs": 1}):
+        failures.append(f"golden 'ST' frames: torn={gtorn} errors={errors}")
+    elif (gentries[0]["user"] != 42 or gentries[0]["verdict"] != "invalid-signature" or
+          gentries[0]["isolation_depth"] != 3 or gentries[0]["isolation_path"] != 0b101 or
+          gentries[0]["journey_id"] != 101):
+        failures.append(f"golden ledger entry: {gentries[0]}")
+    grecords, gtorn, _ = replay(GOLDEN_JOURNEY, JOURNEY_MAGIC, JOURNEY_TYPE_NAMES)
+    gjourneys = split_journeys(grecords, pathlib.Path("<golden>"), errors)
+    if gtorn or errors or len(gjourneys) != 1 or grecords[0].stream_id != 1:
+        failures.append(f"golden 'SY' frame: torn={gtorn} errors={errors}")
+    elif (gjourneys[0]["request_id"] != 101 or gjourneys[0]["stage_us"][1] != 940 or
+          gjourneys[0]["end_to_end_us"] != 1100 or gjourneys[0]["bisection_depth"] != 3 or
+          gjourneys[0]["sampled_reasons"] != ["rejected", "bisected", "coin"]):
+        failures.append(f"golden journey: {gjourneys[0]}")
+    if replay(GOLDEN_JOURNEY)[0] or replay(GOLDEN_LEDGER_ENTRY, JOURNEY_MAGIC,
+                                           JOURNEY_TYPE_NAMES)[0]:
+        failures.append("golden frame replayed under the other magic")
 
     records, torn, clean = replay(stream)
     if torn or len(records) != 4 or clean != len(stream):
