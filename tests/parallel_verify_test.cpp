@@ -291,6 +291,8 @@ class ParallelAuditTest : public ::testing::Test {
     EXPECT_EQ(a.signature_failures, b.signature_failures) << what;
     EXPECT_EQ(a.computation_failures, b.computation_failures) << what;
     EXPECT_EQ(a.root_failures, b.root_failures) << what;
+    EXPECT_EQ(a.invalid_signature_entries, b.invalid_signature_entries) << what;
+    EXPECT_EQ(a.bisection, b.bisection) << what;
     EXPECT_EQ(a.ops, b.ops) << what << " (op counters diverged)";
   }
 
@@ -322,6 +324,8 @@ TEST_F(ParallelAuditTest, StorageAuditBitIdenticalAcrossThreadCounts) {
         EXPECT_EQ(parallel.accepted, serial.accepted);
         EXPECT_EQ(parallel.blocks_checked, serial.blocks_checked);
         EXPECT_EQ(parallel.signature_failures, serial.signature_failures);
+        EXPECT_EQ(parallel.invalid_signature_entries, serial.invalid_signature_entries);
+        EXPECT_EQ(parallel.bisection, serial.bisection);
         EXPECT_EQ(parallel.ops, serial.ops) << "op counters diverged at " << threads;
       }
     }
