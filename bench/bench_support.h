@@ -90,8 +90,8 @@ class Bench {
     uses_pairing_ = true;
   }
 
-  /// Full engine telemetry: group op counters, pool stats (tasks, steals,
-  /// queue depth, per-task latency) and the pair_product latency histogram.
+  /// Full engine telemetry: group op counters and pool stats (tasks, steals,
+  /// queue depth, per-task latency).
   void use_engine(const pairing::ParallelPairingEngine& engine,
                   std::string_view prefix = "engine") {
     engine.bind_metrics(obs::default_registry(), prefix);

@@ -105,7 +105,9 @@ int main() {
     }
     g.reset_counters();
     const auto par_start = std::chrono::steady_clock::now();
-    const bool par_ok = ibc::dv_batch_verify(engine, entries, csp);
+    ibc::BatchAccumulator par_batch{g};
+    par_batch.add_batch(engine, entries);
+    const bool par_ok = par_batch.verify(csp);
     const double par_ms = ms_since(par_start);
 
     // wang: one 2-pairing proof verification per user.

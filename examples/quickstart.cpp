@@ -18,6 +18,7 @@ int main() {
 
   // --- 1. System initialization -----------------------------------------
   const pairing::PairingGroup& group = pairing::default_group();
+  const pairing::ParallelPairingEngine engine{group, 1};  // one lane: the serial path
   num::Xoshiro256 rng{2010};
   const ibc::Sio sio{group, rng};
   const ibc::IdentityKey user_key = sio.extract("alice@example.com");
@@ -36,7 +37,7 @@ int main() {
   std::printf("[store] signed and outsourced %zu blocks (U_i, Sigma_i, Sigma'_i each)\n",
               stored.size());
 
-  const auto ingest = core::verify_storage_audit(group, user_key.q_id, stored, csp_key,
+  const auto ingest = core::verify_storage_audit(engine, user_key.q_id, stored, csp_key,
                                                  core::VerifierRole::kCloudServer,
                                                  core::SignatureCheckMode::kBatch);
   std::printf("[store] CSP ingest batch check: %s (1 pairing for %zu signatures)\n",
@@ -66,7 +67,7 @@ int main() {
   const core::AuditResponse response = core::respond_to_audit(
       group, execution, challenge, lookup, user_key.q_id, csp_key, /*current_epoch=*/1);
   const core::AuditReport report = core::verify_computation_audit(
-      group, user_key.q_id, csp_key.q_id, task, commitment, challenge, response, da_key,
+      engine, user_key.q_id, csp_key.q_id, task, commitment, challenge, response, da_key,
       core::SignatureCheckMode::kBatch);
 
   std::printf("[audit] DA sampled %zu/%zu sub-tasks -> %s\n", report.samples_returned,

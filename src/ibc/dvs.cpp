@@ -34,13 +34,6 @@ BatchAccumulator accumulate(const PairingGroup& group, std::span<const BatchEntr
   return acc;
 }
 
-BatchAccumulator accumulate(const ParallelPairingEngine& engine,
-                            std::span<const BatchEntry> batch) {
-  BatchAccumulator acc{engine.group()};
-  acc.add_batch(engine, batch);
-  return acc;
-}
-
 /// Pairing 1, the cloud server's epoch attestation over the batch digest,
 /// arrives as `attestation_valid`. Pairing 2 checks the mixed-signer
 /// aggregate (Eq. 8/9), any batch size, through `verifier` (an IdentityKey
@@ -105,11 +98,6 @@ bool dv_batch_verify(const PairingGroup& group, std::span<const BatchEntry> batc
   return accumulate(group, batch).verify(verifier);
 }
 
-bool dv_batch_verify(const ParallelPairingEngine& engine,
-                     std::span<const BatchEntry> batch, const IdentityKey& verifier) {
-  return accumulate(engine, batch).verify(verifier);
-}
-
 // --- batch-rejection bisection ---------------------------------------------
 
 std::vector<std::size_t> dv_batch_isolate(const PairingGroup& group,
@@ -117,13 +105,6 @@ std::vector<std::size_t> dv_batch_isolate(const PairingGroup& group,
                                           const IdentityKey& verifier,
                                           BisectionStats* stats) {
   return isolate_fresh(accumulate(group, batch), verifier, stats);
-}
-
-std::vector<std::size_t> dv_batch_isolate(const ParallelPairingEngine& engine,
-                                          std::span<const BatchEntry> batch,
-                                          const IdentityKey& verifier,
-                                          BisectionStats* stats) {
-  return isolate_fresh(accumulate(engine, batch), verifier, stats);
 }
 
 // --- cross-user shared batches ---------------------------------------------

@@ -11,9 +11,10 @@
 //   U_A = Σ_ij (U_ij + h_ij·Q_IDi)  ⇒  ê(U_A, sk_B) == Σ_A,
 // costing one pairing for any number of signatures and signers; U_A is one
 // signer-grouped multi-scalar multiplication (see BatchAccumulator).
-// Each ParallelPairingEngine overload hashes the entries across the engine's
-// pool and is otherwise its PairingGroup overload: verdicts, isolated sets,
-// aggregates and op-counter totals are bit-identical for any thread count.
+// BatchAccumulator::add_batch is the one parallel hook: it hashes the entries
+// across an engine's lanes and leaves the accumulator bit-identical to
+// sequential add() calls, so verdicts, isolated sets, aggregates and
+// op-counter totals do not depend on the lane count.
 #pragma once
 
 #include <cstdint>
@@ -92,14 +93,6 @@ std::vector<std::size_t> dv_batch_isolate(const PairingGroup& group,
                                           std::span<const BatchEntry> batch,
                                           const IdentityKey& verifier,
                                           BisectionStats* stats = nullptr);
-
-std::vector<std::size_t> dv_batch_isolate(const ParallelPairingEngine& engine,
-                                          std::span<const BatchEntry> batch,
-                                          const IdentityKey& verifier,
-                                          BisectionStats* stats = nullptr);
-
-bool dv_batch_verify(const ParallelPairingEngine& engine,
-                     std::span<const BatchEntry> batch, const IdentityKey& verifier);
 
 // --- cross-user shared batches ---------------------------------------------
 

@@ -1,56 +1,11 @@
 #include "pairing/parallel.h"
 
-#include <chrono>
 #include <string>
 
 #include "obs/metrics.h"
 #include "obs/profiler.h"
-#include "obs/trace.h"
 
 namespace seccloud::pairing {
-
-Gt ParallelPairingEngine::pair_product(
-    std::span<const std::pair<Point, Point>> pairs) const {
-  obs::ProfileSpan span = obs::profile_span("pair_product");
-  if (span) span.arg("pairs", std::to_string(pairs.size()));
-  obs::Histogram* latency = pair_product_ms_.load(std::memory_order_acquire);
-  const auto begin_time = latency != nullptr ? std::chrono::steady_clock::now()
-                                             : std::chrono::steady_clock::time_point{};
-  const auto observe = [&] {
-    if (latency == nullptr) return;
-    const std::chrono::duration<double, std::milli> elapsed =
-        std::chrono::steady_clock::now() - begin_time;
-    latency->observe(elapsed.count());
-  };
-
-  if (pool_->size() == 1 || pairs.size() < 2) {
-    const Gt out = group_->pair_product(pairs);
-    observe();
-    return out;
-  }
-  // Each Miller value lands in its own slot; the fold below then multiplies
-  // them in the serial order. Field multiplication is exact and associative,
-  // so the product equals the serial accumulation bit for bit.
-  const auto& f2 = group_->fp2();
-  std::vector<Fp2> values(pairs.size(), f2.one());
-  pool_->parallel_for(pairs.size(), [&](std::size_t begin, std::size_t end) {
-    obs::ProfileSpan chunk = obs::profile_span("miller_chunk");
-    if (chunk) {
-      chunk.arg("begin", std::to_string(begin));
-      chunk.arg("end", std::to_string(end));
-    }
-    for (std::size_t i = begin; i < end; ++i) {
-      const auto& [p, q] = pairs[i];
-      if (p.infinity || q.infinity) continue;
-      values[i] = group_->miller(p, q);
-    }
-  });
-  Fp2 acc = f2.one();
-  for (const Fp2& v : values) acc = f2.mul(acc, v);
-  const Gt out = group_->finalize(acc);
-  observe();
-  return out;
-}
 
 void ParallelPairingEngine::for_each(
     std::size_t n, const std::function<void(std::size_t)>& body) const {
@@ -67,27 +22,11 @@ void ParallelPairingEngine::for_each(
   });
 }
 
-void ParallelPairingEngine::for_chunks(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& body) const {
-  pool_->parallel_for(n, [&body](std::size_t begin, std::size_t end) {
-    obs::ProfileSpan chunk = obs::profile_span("pool_chunk");
-    if (chunk) {
-      chunk.arg("begin", std::to_string(begin));
-      chunk.arg("end", std::to_string(end));
-    }
-    body(begin, end);
-  });
-}
-
 void ParallelPairingEngine::bind_metrics(obs::MetricsRegistry& registry,
                                          std::string_view prefix) const {
   const std::string p{prefix};
   group_->publish_to(registry, p + ".ops");
   pool_->bind_metrics(registry, p + ".pool");
-  // Release-published: pair_product() on another thread may race this bind
-  // and must never see the handle before the histogram is constructed.
-  pair_product_ms_.store(&registry.histogram(p + ".pair_product_ms"),
-                         std::memory_order_release);
 }
 
 }  // namespace seccloud::pairing

@@ -1,15 +1,15 @@
 // Parallel verification engine over PairingGroup.
 //
-// Independent Miller loops are evaluated concurrently on a work-stealing
-// pool and combined under ONE shared final exponentiation (the structure
-// pair_product already exposes serially). F_p / F_{p^2} arithmetic is exact
-// and the GT/G1 monoids are commutative, so chunked partial products folded
-// in a fixed order yield *bit-identical* results to the serial path, for any
-// thread count; op counters are accumulated atomically on the group, so
-// reported totals are exact too.
+// Independent verification work (per-entry hashes, per-block signature
+// checks) runs on a work-stealing pool. Each body writes only its own slot
+// and the caller folds the slots in a fixed order; F_p / F_{p^2} arithmetic
+// is exact and the GT/G1 monoids are commutative, so results are
+// *bit-identical* for any thread count. Op counters are accumulated
+// atomically on the group, so reported totals are exact too. An engine with
+// one lane spawns no worker thread and runs the plain loop: it is the
+// serial path, not a separate implementation.
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <string_view>
@@ -18,7 +18,6 @@
 #include "util/thread_pool.h"
 
 namespace seccloud::obs {
-class Histogram;
 class MetricsRegistry;
 }  // namespace seccloud::obs
 
@@ -32,32 +31,19 @@ class ParallelPairingEngine {
       : group_(&group), pool_(std::make_unique<util::ThreadPool>(threads)) {}
 
   const PairingGroup& group() const noexcept { return *group_; }
-  util::ThreadPool& pool() const noexcept { return *pool_; }
   std::size_t threads() const noexcept { return pool_->size(); }
-
-  /// Π ê(P_i, Q_i): Miller loops run across the pool, one shared final
-  /// exponentiation. Bit-identical to PairingGroup::pair_product.
-  Gt pair_product(std::span<const std::pair<Point, Point>> pairs) const;
 
   /// Runs body(i) for every i in [0, n) across the pool (the caller helps).
   /// Bodies must write only to disjoint, pre-sized slots.
   void for_each(std::size_t n, const std::function<void(std::size_t)>& body) const;
 
-  /// Chunked variant: body(begin, end) over a partition of [0, n). Use when
-  /// each chunk keeps a local accumulator that the caller folds afterwards.
-  void for_chunks(std::size_t n,
-                  const std::function<void(std::size_t, std::size_t)>& body) const;
-
-  /// Attaches telemetry: group op counters under "<prefix>.ops.*", pool
-  /// stats under "<prefix>.pool.*" and a "<prefix>.pair_product_ms" latency
-  /// histogram. Const because engines are routinely held const; only the
-  /// telemetry sinks mutate.
+  /// Attaches telemetry: group op counters under "<prefix>.ops.*" and pool
+  /// stats under "<prefix>.pool.*".
   void bind_metrics(obs::MetricsRegistry& registry, std::string_view prefix) const;
 
  private:
   const PairingGroup* group_;
   std::unique_ptr<util::ThreadPool> pool_;
-  mutable std::atomic<obs::Histogram*> pair_product_ms_{nullptr};
 };
 
 }  // namespace seccloud::pairing

@@ -52,19 +52,12 @@ AuditChallenge make_challenge(std::uint64_t task_size, std::size_t sample_size,
                               Warrant warrant, num::RandomSource& rng);
 
 /// Algorithm 1 ("The Probabilistic Sampling Cloud Computation Auditing
-/// Protocol"), run by the DA with its own key sk_DA.
-AuditReport verify_computation_audit(const PairingGroup& group, const Point& q_user,
-                                     const Point& q_server, const ComputationTask& task,
-                                     const Commitment& commitment,
-                                     const AuditChallenge& challenge,
-                                     const AuditResponse& response,
-                                     const IdentityKey& da_key, SignatureCheckMode mode);
-
-/// Parallel variant: input-block signature checks (individual mode and the
-/// batch-rejection fallback) and the per-entry batch aggregation run across
-/// the engine's pool, with sk_DA fixed-argument precomputation. The report —
-/// verdict, failure counts, and op totals — is bit-identical to the serial
-/// overload for any thread count.
+/// Protocol"), run by the DA with its own key sk_DA. Input-block signature
+/// checks (individual mode) and the batch's message hashing run across the
+/// engine's lanes, each pairing replaying the sk_DA fixed-argument
+/// precomputation. A one-lane engine, ParallelPairingEngine{group, 1}, is
+/// the serial path; the report — verdict, failure counts, isolated entries,
+/// bisection stats and op totals — is bit-identical for any lane count.
 AuditReport verify_computation_audit(const pairing::ParallelPairingEngine& engine,
                                      const Point& q_user, const Point& q_server,
                                      const ComputationTask& task,
@@ -90,13 +83,7 @@ struct StorageAuditReport {
 
 enum class VerifierRole : std::uint8_t { kCloudServer, kDesignatedAgency };
 
-StorageAuditReport verify_storage_audit(const PairingGroup& group, const Point& q_user,
-                                        std::span<const SignedBlock> blocks,
-                                        const IdentityKey& verifier_key, VerifierRole role,
-                                        SignatureCheckMode mode);
-
-/// Parallel variant (see verify_computation_audit above): bit-identical
-/// report, signature work spread across the engine's pool.
+/// Same engine contract as verify_computation_audit above.
 StorageAuditReport verify_storage_audit(const pairing::ParallelPairingEngine& engine,
                                         const Point& q_user,
                                         std::span<const SignedBlock> blocks,

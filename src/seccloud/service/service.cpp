@@ -200,8 +200,8 @@ EpochReport AuditService::run_epoch() {
 
   // --- verify: batches in parallel, each batch serial in its own slot -----
   // Each worker carries the batch's first request id as its exemplar
-  // context, so the engine's pair_product_ms and the batch_verify_ms
-  // histogram both link their hot buckets to a concrete journey.
+  // context, so the batch_verify_ms histogram links its hot buckets to a
+  // concrete journey.
   const pairing::OpCounters ops_before_verify = group_->counters();
   std::vector<ibc::CrossUserVerdict> verdicts(batches);
   engine_.for_each(batches, [&](std::size_t i) {
@@ -591,7 +591,7 @@ void AuditService::bind_metrics(obs::MetricsRegistry& registry,
   m_byzantine_.store(&registry.counter(p + ".byzantine_users"),
                      std::memory_order_release);
   m_epochs_.store(&registry.counter(p + ".epochs"), std::memory_order_release);
-  // Exemplar-enabled: the p99 buckets of these three link back to concrete
+  // Exemplar-enabled: the p99 buckets of these two link back to concrete
   // journey records (request id + epoch) via the thread-local context the
   // epoch driver and batch workers set.
   obs::Histogram& epoch_ms = registry.histogram(p + ".epoch_ms");
@@ -600,7 +600,6 @@ void AuditService::bind_metrics(obs::MetricsRegistry& registry,
   obs::Histogram& batch_verify_ms = registry.histogram(p + ".batch_verify_ms");
   batch_verify_ms.enable_exemplars();
   m_batch_verify_ms_.store(&batch_verify_ms, std::memory_order_release);
-  registry.histogram(p + ".engine.pair_product_ms").enable_exemplars();
 }
 
 }  // namespace seccloud::service

@@ -315,9 +315,9 @@ SessionReport AuditSession::run_computation_audit(
       [&](const Bytes& payload, SessionReport& report) -> std::optional<SessionVerdict> {
         const auto response = decode_response(*group_, payload);
         if (!response) return std::nullopt;
-        report.computation = verify_computation_audit(*group_, q_user, q_server, task,
-                                                      commitment, current, *response,
-                                                      da_key, mode);
+        report.computation = verify_computation_audit(
+            pairing::ParallelPairingEngine{*group_, 1}, q_user, q_server, task, commitment,
+            current, *response, da_key, mode);
         return report.computation.accepted ? SessionVerdict::kAccepted
                                            : SessionVerdict::kRejected;
       });
@@ -340,9 +340,9 @@ SessionReport AuditSession::resume_computation_audit(
       [&](const Bytes& payload, SessionReport& report) -> std::optional<SessionVerdict> {
         const auto response = decode_response(*group_, payload);
         if (!response) return std::nullopt;
-        report.computation = verify_computation_audit(*group_, q_user, q_server, task,
-                                                      commitment, current, *response,
-                                                      da_key, mode);
+        report.computation = verify_computation_audit(
+            pairing::ParallelPairingEngine{*group_, 1}, q_user, q_server, task, commitment,
+            current, *response, da_key, mode);
         return report.computation.accepted ? SessionVerdict::kAccepted
                                            : SessionVerdict::kRejected;
       });
@@ -375,8 +375,9 @@ SessionReport AuditSession::run_storage_audit(AuditTransport& link, const Point&
         for (std::size_t i = 0; shape_ok && i < indices.size(); ++i) {
           shape_ok = (*blocks)[i].block.index == indices[i];
         }
-        report.storage = verify_storage_audit(*group_, q_user, *blocks, da_key,
-                                              VerifierRole::kDesignatedAgency, mode);
+        report.storage =
+            verify_storage_audit(pairing::ParallelPairingEngine{*group_, 1}, q_user, *blocks,
+                                 da_key, VerifierRole::kDesignatedAgency, mode);
         return shape_ok && report.storage.accepted ? SessionVerdict::kAccepted
                                                    : SessionVerdict::kRejected;
       });
@@ -408,8 +409,9 @@ SessionReport AuditSession::resume_storage_audit(AuditTransport& link,
         for (std::size_t i = 0; shape_ok && i < indices.size(); ++i) {
           shape_ok = (*blocks)[i].block.index == indices[i];
         }
-        report.storage = verify_storage_audit(*group_, q_user, *blocks, da_key,
-                                              VerifierRole::kDesignatedAgency, mode);
+        report.storage =
+            verify_storage_audit(pairing::ParallelPairingEngine{*group_, 1}, q_user, *blocks,
+                                 da_key, VerifierRole::kDesignatedAgency, mode);
         return shape_ok && report.storage.accepted ? SessionVerdict::kAccepted
                                                    : SessionVerdict::kRejected;
       });

@@ -35,8 +35,8 @@ Warrant SystemUser::delegate_audit(std::uint64_t expiry_epoch) const {
 
 bool SystemServer::store(const Point& q_user, std::vector<SignedBlock> blocks) {
   const auto screening =
-      verify_storage_audit(*system_->group_, q_user, blocks, key_,
-                           VerifierRole::kCloudServer, SignatureCheckMode::kBatch);
+      verify_storage_audit(pairing::ParallelPairingEngine{*system_->group_, 1}, q_user, blocks,
+                           key_, VerifierRole::kCloudServer, SignatureCheckMode::kBatch);
   if (!screening.accepted) return false;
   for (auto& sb : blocks) {
     const std::uint64_t index = sb.block.index;
@@ -93,9 +93,9 @@ AuditReport SystemAgency::audit(const SystemUser& user, SystemServer& server,
   const AuditChallenge audit_challenge = challenge(task.requests.size(), samples, warrant);
   const AuditResponse response =
       server.respond(user.key().q_id, task_id, audit_challenge, epoch);
-  return verify_computation_audit(*system_->group_, user.key().q_id, server.key().q_id,
-                                  task, commitment, audit_challenge, response, key_,
-                                  SignatureCheckMode::kBatch);
+  return verify_computation_audit(pairing::ParallelPairingEngine{*system_->group_, 1},
+                                  user.key().q_id, server.key().q_id, task, commitment,
+                                  audit_challenge, response, key_, SignatureCheckMode::kBatch);
 }
 
 }  // namespace seccloud::core

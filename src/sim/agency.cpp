@@ -27,8 +27,9 @@ SimAgency::ComputationAuditResult SimAgency::audit_computation(
   server.traffic().send(result.response_bytes);
   traffic_.receive(result.response_bytes);
 
-  result.report = core::verify_computation_audit(*group_, q_user, server.q_id(), task,
-                                                 commitment, challenge, response, da_key_, mode);
+  result.report = core::verify_computation_audit(pairing::ParallelPairingEngine{*group_, 1},
+                                                 q_user, server.q_id(), task, commitment,
+                                                 challenge, response, da_key_, mode);
 
   // History learning: per-sample transmission cost and the audit's pairing
   // cost (pairings dominate per Table I, so they are the compute proxy).
@@ -52,8 +53,8 @@ core::StorageAuditReport SimAgency::audit_storage(SimCloudServer& server, const 
   for (const auto& sb : blocks) bytes += wire_size_signed_block(*group_, sb);
   server.traffic().send(bytes);
   traffic_.receive(bytes);
-  return core::verify_storage_audit(*group_, q_user, blocks, da_key_,
-                                    core::VerifierRole::kDesignatedAgency, mode);
+  return core::verify_storage_audit(pairing::ParallelPairingEngine{*group_, 1}, q_user, blocks,
+                                    da_key_, core::VerifierRole::kDesignatedAgency, mode);
 }
 
 SimAgency::MultiUserReport SimAgency::audit_storage_multiuser(

@@ -81,8 +81,8 @@ core::StorageAuditReport SimCloudServer::screen_ingest(const Point& q_user,
     blocks.reserve(it->second.size());
     for (const auto& [index, sb] : it->second) blocks.push_back(sb);
   }
-  return core::verify_storage_audit(*group_, q_user, blocks, key_,
-                                    core::VerifierRole::kCloudServer,
+  return core::verify_storage_audit(pairing::ParallelPairingEngine{*group_, 1}, q_user, blocks,
+                                    key_, core::VerifierRole::kCloudServer,
                                     core::SignatureCheckMode::kBatch);
 }
 

@@ -157,8 +157,11 @@ TEST(DvBatchIsolateTest, SerialAndParallelAreBitIdentical) {
   for (const std::size_t threads : {1u, 2u, 4u}) {
     const pairing::ParallelPairingEngine engine{g, threads};
     g.reset_counters();
+    ibc::BatchAccumulator acc{g};
+    acc.add_batch(engine, batch.entries);
     ibc::BisectionStats par_stats;
-    const auto par = ibc::dv_batch_isolate(engine, batch.entries, verifier, &par_stats);
+    ++par_stats.oracle_calls;  // the root check, counted as dv_batch_isolate counts it
+    const auto par = acc.isolate(verifier, acc.check(verifier), &par_stats);
     const auto par_ops = g.counters();
     EXPECT_EQ(par, serial);
     EXPECT_EQ(par_stats, serial_stats);
@@ -495,7 +498,8 @@ TEST(AuditorBisectionTest, StorageAuditReportsPerEntryVerdicts) {
   const std::vector<std::size_t> bad = {4, 21};
   for (const std::size_t i : bad) blocks[i].block.payload[0] ^= 0x3C;
 
-  const auto serial = core::verify_storage_audit(g, user.q_id, blocks, da,
+  const auto serial = core::verify_storage_audit(pairing::ParallelPairingEngine{g, 1},
+                                                 user.q_id, blocks, da,
                                                  core::VerifierRole::kDesignatedAgency,
                                                  core::SignatureCheckMode::kBatch);
   EXPECT_FALSE(serial.accepted);
@@ -549,10 +553,9 @@ TEST(AuditorBisectionTest, ComputationAuditAttributesByzantineTampering) {
                                               warrant, rng);
   const auto response = srv.handle_audit(user.q_id, outcome.task_id, challenge, 1);
 
-  const auto report = core::verify_computation_audit(g, user.q_id, server_key.q_id, task,
-                                                     outcome.commitment, challenge,
-                                                     response, da,
-                                                     core::SignatureCheckMode::kBatch);
+  const auto report = core::verify_computation_audit(
+      pairing::ParallelPairingEngine{g, 1}, user.q_id, server_key.q_id, task,
+      outcome.commitment, challenge, response, da, core::SignatureCheckMode::kBatch);
   // The tampered payloads stayed computation-consistent: only the signature
   // check fails, and bisection attributes exactly the tampered entries.
   EXPECT_FALSE(report.accepted);
@@ -600,10 +603,9 @@ TEST(AuditorBisectionTest, ByzantineMerkleEquivocationAndStaleReplayDetected) {
     const core::Warrant warrant = client.make_warrant(da.id, 100, rng);
     const auto challenge = core::make_challenge(task.requests.size(), 3, warrant, rng);
     const auto response = srv.handle_audit(user.q_id, outcome.task_id, challenge, 1);
-    const auto report = core::verify_computation_audit(g, user.q_id, server_key.q_id,
-                                                       task, outcome.commitment, challenge,
-                                                       response, da,
-                                                       core::SignatureCheckMode::kBatch);
+    const auto report = core::verify_computation_audit(
+        pairing::ParallelPairingEngine{g, 1}, user.q_id, server_key.q_id, task,
+        outcome.commitment, challenge, response, da, core::SignatureCheckMode::kBatch);
     EXPECT_FALSE(report.accepted);
     EXPECT_GE(report.root_failures, 1u);
   }
@@ -624,10 +626,9 @@ TEST(AuditorBisectionTest, ByzantineMerkleEquivocationAndStaleReplayDetected) {
     const auto challenge =
         core::make_challenge(other.requests.size(), other.requests.size(), warrant, rng);
     const auto response = srv.handle_audit(user.q_id, second.task_id, challenge, 1);
-    const auto report = core::verify_computation_audit(g, user.q_id, server_key.q_id,
-                                                       other, second.commitment, challenge,
-                                                       response, da,
-                                                       core::SignatureCheckMode::kBatch);
+    const auto report = core::verify_computation_audit(
+        pairing::ParallelPairingEngine{g, 1}, user.q_id, server_key.q_id, other,
+        second.commitment, challenge, response, da, core::SignatureCheckMode::kBatch);
     EXPECT_FALSE(report.accepted);
   }
 }

@@ -71,7 +71,8 @@ TEST_F(CodecTest, SignedBlockSurvivesReverification) {
   const Bytes wire = encode_signed_block(g, blocks[3]);
   const auto back = decode_signed_block(g, wire);
   ASSERT_TRUE(back.has_value());
-  const auto report = verify_storage_audit(g, user_key.q_id, std::vector{*back}, da_key,
+  const auto report = verify_storage_audit(pairing::ParallelPairingEngine{g, 1}, user_key.q_id,
+                                           std::vector{*back}, da_key,
                                            VerifierRole::kDesignatedAgency,
                                            SignatureCheckMode::kIndividual);
   EXPECT_TRUE(report.accepted);
@@ -168,8 +169,9 @@ TEST_F(CodecTest, ResponseRoundTripAndAuditStillPasses) {
   ASSERT_TRUE(challenge2.has_value());
   ASSERT_TRUE(response2.has_value());
   const AuditReport report =
-      verify_computation_audit(g, user_key.q_id, server_key.q_id, task, commitment,
-                               *challenge2, *response2, da_key, SignatureCheckMode::kBatch);
+      verify_computation_audit(pairing::ParallelPairingEngine{g, 1}, user_key.q_id,
+                               server_key.q_id, task, commitment, *challenge2, *response2,
+                               da_key, SignatureCheckMode::kBatch);
   EXPECT_TRUE(report.accepted);
 }
 

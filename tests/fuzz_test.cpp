@@ -67,6 +67,7 @@ class FuzzTest : public ::testing::Test {
   }
 
   const pairing::PairingGroup& g;
+  const pairing::ParallelPairingEngine engine{g, 1};  // one lane: the serial path
   Xoshiro256 rng;
   ibc::Sio sio;
   ibc::IdentityKey user_key;
@@ -94,8 +95,8 @@ TEST_F(FuzzTest, MutatedSignedBlocksNeverVerify) {
                                    decoded->sig.sigma_da == blocks[0].sig.sigma_da;
     if (da_view_unchanged) continue;
     ++decodable;
-    const auto report = verify_storage_audit(g, user_key.q_id, std::vector{*decoded}, da_key,
-                                             VerifierRole::kDesignatedAgency,
+    const auto report = verify_storage_audit(engine, user_key.q_id, std::vector{*decoded},
+                                             da_key, VerifierRole::kDesignatedAgency,
                                              SignatureCheckMode::kIndividual);
     EXPECT_FALSE(report.accepted);
   }
@@ -192,8 +193,8 @@ class MalformedResponseTest : public FuzzTest {
     const TaskExecution exec = execute_task_honestly(task, lookup());
     const Commitment commitment =
         make_commitment(g, exec, server_key, da_key.q_id, user_key.q_id, rng);
-    return verify_computation_audit(g, user_key.q_id, server_key.q_id, task, commitment,
-                                    last_challenge_, response, da_key,
+    return verify_computation_audit(engine, user_key.q_id, server_key.q_id, task,
+                                    commitment, last_challenge_, response, da_key,
                                     SignatureCheckMode::kBatch);
   }
 

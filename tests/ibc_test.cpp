@@ -230,7 +230,9 @@ TEST_F(IbcTest, AccumulatorVerifyBeforeAnyAddAccepts) {
 
 TEST_F(IbcTest, EmptyBatchAcceptsThroughParallelEngine) {
   const ParallelPairingEngine engine{g, 2};
-  EXPECT_TRUE(dv_batch_verify(engine, {}, server));
+  BatchAccumulator acc{g};
+  acc.add_batch(engine, {});
+  EXPECT_TRUE(acc.verify(server));
 }
 
 TEST_F(IbcTest, BatchOneValidOneTamperedRejects) {
@@ -254,7 +256,9 @@ TEST_F(IbcTest, BatchOneValidOneTamperedRejects) {
   const std::vector<BatchEntry> entries{{alice.q_id, as_bytes(good_msg), &good},
                                         {alice.q_id, as_bytes(bad_msg), &bad}};
   EXPECT_FALSE(dv_batch_verify(g, entries, server));
-  EXPECT_FALSE(dv_batch_verify(engine, entries, server));
+  BatchAccumulator hashed_on_pool{g};
+  hashed_on_pool.add_batch(engine, entries);
+  EXPECT_FALSE(hashed_on_pool.verify(server));
 }
 
 }  // namespace

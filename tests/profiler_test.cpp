@@ -2,18 +2,21 @@
 // call-path aggregation math (inclusive/exclusive time and ops, saturating),
 // the collapsed-stack / JSON exports, and the two determinism guarantees —
 // identical runs produce identical traces AND profiles under the
-// deterministic clock, and the attributed op totals are thread-count
-// invariant for the parallel engine (every worker chunk accounts exactly its
-// own ops via the per-thread mirror).
+// deterministic clock, and the attributed op totals of a storage audit are
+// thread-count invariant for the parallel engine (every worker chunk
+// accounts exactly its own ops via the per-thread mirror).
 #include <gtest/gtest.h>
 
 #include <map>
 #include <string>
 #include <vector>
 
+#include "ibc/keys.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "pairing/parallel.h"
+#include "seccloud/auditor.h"
+#include "seccloud/client.h"
 
 namespace seccloud {
 namespace {
@@ -282,25 +285,37 @@ TEST(Profile, DeterministicClockRunsAreBitIdentical) {
 TEST(Profile, AttributedOpTotalsAreThreadCountInvariant) {
   const auto& g = tiny_group();
   Xoshiro256 rng{123};
-  std::vector<std::pair<pairing::Point, pairing::Point>> pairs;
-  for (int i = 0; i < 12; ++i) {
-    pairs.emplace_back(random_point(g, rng), random_point(g, rng));
-  }
+  const ibc::Sio sio{g, rng};
+  const ibc::IdentityKey user = sio.extract("user@profile-lanes");
+  const ibc::IdentityKey server = sio.extract("cs@profile-lanes");
+  const ibc::IdentityKey da = sio.extract("da@profile-lanes");
+  const core::UserClient client{g, sio.params(), user, server.q_id, da.q_id};
+  std::vector<core::DataBlock> raw;
+  for (std::uint64_t i = 0; i < 12; ++i) raw.push_back(core::DataBlock::from_value(i, i + 1));
+  std::vector<core::SignedBlock> blocks = client.sign_blocks(raw, rng);
+  blocks[7].block.payload[0] ^= 0x11;  // one bad block: reject, then isolate
 
   std::vector<OpCounters> totals;
-  pairing::Gt expected{};
+  core::StorageAuditReport expected;
   for (const std::size_t threads : {1u, 2u, 4u}) {
     obs::Tracer tracer{obs::Tracer::Clock::kDeterministic};
     const pairing::ParallelPairingEngine engine{g, threads};
-    pairing::Gt product;
+    core::StorageAuditReport report;
     {
       obs::TracerScope scope{&tracer};
-      product = engine.pair_product(pairs);
+      report = core::verify_storage_audit(engine, user.q_id, blocks, da,
+                                          core::VerifierRole::kDesignatedAgency,
+                                          core::SignatureCheckMode::kBatch);
     }
     if (totals.empty()) {
-      expected = product;
+      expected = report;
+      EXPECT_EQ(expected.invalid_signature_entries, std::vector<std::size_t>{7});
     } else {
-      EXPECT_EQ(product, expected) << threads << " threads";
+      EXPECT_EQ(report.accepted, expected.accepted) << threads << " threads";
+      EXPECT_EQ(report.invalid_signature_entries, expected.invalid_signature_entries)
+          << threads << " threads";
+      EXPECT_EQ(report.bisection, expected.bisection) << threads << " threads";
+      EXPECT_EQ(report.ops, expected.ops) << threads << " threads";
     }
     totals.push_back(Profile::from_tracer(tracer).total_ops());
   }
@@ -309,6 +324,7 @@ TEST(Profile, AttributedOpTotalsAreThreadCountInvariant) {
   ASSERT_EQ(totals.size(), 3u);
   EXPECT_EQ(totals[1], totals[0]) << "2 threads vs serial";
   EXPECT_EQ(totals[2], totals[0]) << "4 threads vs serial";
+  EXPECT_EQ(totals[0], expected.ops) << "every audit op is attributed";
   EXPECT_GT(totals[0].miller_loops, 0u);
 }
 

@@ -59,11 +59,12 @@ class ProtocolTest : public ::testing::Test {
     const AuditResponse response = respond_to_audit(g, exec, challenge, storage,
                                                     user_key.q_id, server_key,
                                                     /*current_epoch=*/10);
-    return verify_computation_audit(g, user_key.q_id, server_key.q_id, task, commitment,
-                                    challenge, response, da_key, mode);
+    return verify_computation_audit(engine, user_key.q_id, server_key.q_id, task,
+                                    commitment, challenge, response, da_key, mode);
   }
 
   const PairingGroup& g;
+  const pairing::ParallelPairingEngine engine{g, 1};  // one lane: the serial path
   Xoshiro256 rng;
   Sio sio;
   IdentityKey user_key;
@@ -76,15 +77,15 @@ class ProtocolTest : public ::testing::Test {
 
 TEST_F(ProtocolTest, StorageAuditAcceptsAuthenticBlocks) {
   for (const auto mode : {SignatureCheckMode::kIndividual, SignatureCheckMode::kBatch}) {
-    const auto report =
-        verify_storage_audit(g, user_key.q_id, stored, da_key, VerifierRole::kDesignatedAgency, mode);
+    const auto report = verify_storage_audit(engine, user_key.q_id, stored, da_key,
+                                             VerifierRole::kDesignatedAgency, mode);
     EXPECT_TRUE(report.accepted);
     EXPECT_EQ(report.signature_failures, 0u);
   }
 }
 
 TEST_F(ProtocolTest, CloudServerCanAlsoVerifyViaItsSigma) {
-  const auto report = verify_storage_audit(g, user_key.q_id, stored, server_key,
+  const auto report = verify_storage_audit(engine, user_key.q_id, stored, server_key,
                                            VerifierRole::kCloudServer,
                                            SignatureCheckMode::kIndividual);
   EXPECT_TRUE(report.accepted);
@@ -93,7 +94,7 @@ TEST_F(ProtocolTest, CloudServerCanAlsoVerifyViaItsSigma) {
 TEST_F(ProtocolTest, StorageAuditDetectsTamperedPayload) {
   auto tampered = stored;
   tampered[7].block.payload[0] ^= 0xFF;
-  const auto report = verify_storage_audit(g, user_key.q_id, tampered, da_key,
+  const auto report = verify_storage_audit(engine, user_key.q_id, tampered, da_key,
                                            VerifierRole::kDesignatedAgency,
                                            SignatureCheckMode::kIndividual);
   EXPECT_FALSE(report.accepted);
@@ -104,7 +105,7 @@ TEST_F(ProtocolTest, StorageAuditDetectsRelocatedBlock) {
   // Block content copied to a different position: index binding must fail.
   auto tampered = stored;
   tampered[3].block.index = 5;
-  const auto report = verify_storage_audit(g, user_key.q_id, tampered, da_key,
+  const auto report = verify_storage_audit(engine, user_key.q_id, tampered, da_key,
                                            VerifierRole::kDesignatedAgency,
                                            SignatureCheckMode::kIndividual);
   EXPECT_FALSE(report.accepted);
@@ -114,7 +115,7 @@ TEST_F(ProtocolTest, BatchStorageAuditDetectsAndLocatesFailures) {
   auto tampered = stored;
   tampered[1].block.payload[0] ^= 1;
   tampered[9].block.payload[0] ^= 1;
-  const auto report = verify_storage_audit(g, user_key.q_id, tampered, da_key,
+  const auto report = verify_storage_audit(engine, user_key.q_id, tampered, da_key,
                                            VerifierRole::kDesignatedAgency,
                                            SignatureCheckMode::kBatch);
   EXPECT_FALSE(report.accepted);
@@ -123,11 +124,12 @@ TEST_F(ProtocolTest, BatchStorageAuditDetectsAndLocatesFailures) {
 
 TEST_F(ProtocolTest, BatchUsesOnePairingIndividualUsesMany) {
   g.reset_counters();
-  (void)verify_storage_audit(g, user_key.q_id, stored, da_key,
+  (void)verify_storage_audit(engine, user_key.q_id, stored, da_key,
                              VerifierRole::kDesignatedAgency, SignatureCheckMode::kBatch);
   const auto batch_ops = g.counters();
-  (void)verify_storage_audit(g, user_key.q_id, stored, da_key,
-                             VerifierRole::kDesignatedAgency, SignatureCheckMode::kIndividual);
+  (void)verify_storage_audit(engine, user_key.q_id, stored, da_key,
+                             VerifierRole::kDesignatedAgency,
+                             SignatureCheckMode::kIndividual);
   const auto individual_ops = g.counters();
   EXPECT_EQ(batch_ops.pairings, 1u);
   EXPECT_EQ(individual_ops.pairings, stored.size());
@@ -183,7 +185,7 @@ TEST_F(ProtocolTest, ResultSwapAfterCommitmentDetectedByRoot) {
   const AuditResponse response = respond_to_audit(g, reported, challenge, lookup(),
                                                   user_key.q_id, server_key, 10);
   const AuditReport report =
-      verify_computation_audit(g, user_key.q_id, server_key.q_id, task, commitment,
+      verify_computation_audit(engine, user_key.q_id, server_key.q_id, task, commitment,
                                challenge, response, da_key, SignatureCheckMode::kBatch);
   EXPECT_FALSE(report.accepted);
   EXPECT_GT(report.root_failures, 0u);
@@ -233,7 +235,7 @@ TEST_F(ProtocolTest, ExpiredWarrantRejectedByServer) {
   const Commitment commitment =
       make_commitment(g, exec, server_key, da_key.q_id, user_key.q_id, rng);
   const AuditReport report =
-      verify_computation_audit(g, user_key.q_id, server_key.q_id, task, commitment,
+      verify_computation_audit(engine, user_key.q_id, server_key.q_id, task, commitment,
                                challenge, response, da_key, SignatureCheckMode::kBatch);
   EXPECT_FALSE(report.accepted);
   EXPECT_TRUE(report.warrant_rejected);
@@ -258,7 +260,7 @@ TEST_F(ProtocolTest, DroppedSamplesCountAsFailures) {
       respond_to_audit(g, exec, challenge, lookup(), user_key.q_id, server_key, 10);
   response.items.pop_back();  // server silently drops one sample
   const AuditReport report =
-      verify_computation_audit(g, user_key.q_id, server_key.q_id, task, commitment,
+      verify_computation_audit(engine, user_key.q_id, server_key.q_id, task, commitment,
                                challenge, response, da_key, SignatureCheckMode::kBatch);
   EXPECT_FALSE(report.accepted);
   EXPECT_GT(report.root_failures, 0u);
