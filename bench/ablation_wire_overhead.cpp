@@ -31,7 +31,7 @@ int main() {
               field_bytes, 64 / field_bytes);
 
   // --- per-element sizes ---------------------------------------------------
-  const auto one_block = client.sign_block(core::DataBlock::from_value(0, 42), rng);
+  const auto one_block = client.sign_blocks({core::DataBlock::from_value(0, 42)}, rng).at(0);
   const std::size_t signed_block_bytes = core::encode_signed_block(g, one_block).size();
   bench.value("signed_block_bytes", static_cast<double>(signed_block_bytes));
   bench.value("field_bytes", static_cast<double>(field_bytes));
@@ -41,8 +41,7 @@ int main() {
 
   // --- response size vs sample size t ------------------------------------
   const sim::Workload w = sim::make_random_workload({256, 64, 4, true, 3});
-  std::vector<core::SignedBlock> stored;
-  for (const auto& b : w.blocks) stored.push_back(client.sign_block(b, rng));
+  const std::vector<core::SignedBlock> stored = client.sign_blocks(w.blocks, rng);
   const core::BlockLookup lookup = [&stored](std::uint64_t index) -> const core::SignedBlock* {
     return index < stored.size() ? &stored[index] : nullptr;
   };
@@ -71,8 +70,7 @@ int main() {
     spec.positions_per_request = 2;
     spec.seed = n;
     const sim::Workload big = sim::make_random_workload(spec);
-    std::vector<core::SignedBlock> small_store;
-    for (const auto& b : big.blocks) small_store.push_back(client.sign_block(b, rng));
+    const std::vector<core::SignedBlock> small_store = client.sign_blocks(big.blocks, rng);
     const core::BlockLookup small_lookup =
         [&small_store](std::uint64_t index) -> const core::SignedBlock* {
       return index < small_store.size() ? &small_store[index] : nullptr;

@@ -7,6 +7,9 @@
 // The emitted values.cross_user_pairings_per_batch is pinned to 2 in
 // bench/baselines/thresholds.json: a regression to per-user verification
 // (pairings scaling with entries instead of batches) fails the CI gate.
+// values.attestation_pairings_per_batch (assembly pairings ÷ batches) is
+// gated at exactly 0: the epoch attestations are signed through the
+// service's DvSigner, as a GT power with no pairing.
 //
 // The largest (sustained) scale also runs the full telemetry pipeline:
 // a TelemetrySink snapshotting every epoch, a VerdictLedger recording every
@@ -55,6 +58,7 @@ struct SweepPoint {
   std::size_t batches = 0;
   std::size_t entries = 0;
   std::uint64_t verify_pairings = 0;
+  std::uint64_t assembly_pairings = 0;
   std::size_t backpressure_rejected = 0;
   double epoch_ms_total = 0.0;
   double telemetry_ms_total = 0.0;
@@ -134,6 +138,7 @@ SweepPoint run_scale(const pairing::PairingGroup& g, const ibc::Sio& sio,
     point.batches += report.batches;
     point.entries += report.entries;
     point.verify_pairings += report.verify_ops.pairings;
+    point.assembly_pairings += report.assembly_ops.pairings;
     point.epoch_ms_total += report.epoch_ms;
     point.telemetry_ms_total += report.telemetry_ms;
     if (report.attribution.p99_end_to_end_us >
@@ -223,6 +228,7 @@ int main() {
            .windows = {{.epochs = 1, .max_burn = 1.0}}});
 
   std::uint64_t total_pairings = 0;
+  std::uint64_t total_assembly_pairings = 0;
   std::size_t total_batches = 0;
   double bind_epoch_ms = 0.0;
   double bind_telemetry_ms = 0.0;
@@ -242,6 +248,7 @@ int main() {
       tail = p.worst_attribution;
     }
     total_pairings += p.verify_pairings;
+    total_assembly_pairings += p.assembly_pairings;
     total_batches += p.batches;
     const double per_batch =
         static_cast<double>(p.verify_pairings) / static_cast<double>(p.batches);
@@ -305,6 +312,8 @@ int main() {
   }
 
   bench.value("cross_user_pairings_per_batch", pairings_per_batch);
+  bench.value("attestation_pairings_per_batch", static_cast<double>(total_assembly_pairings) /
+                                                    static_cast<double>(total_batches));
   bench.value("users_peak", static_cast<double>(scales.back()));
   bench.value("tel_records", static_cast<double>(sink.records()));
   bench.value("ledger_records", static_cast<double>(ledger.records()));

@@ -71,8 +71,20 @@ DvSignature dv_transform(const PairingGroup& group, const IbsSignature& sig,
   return {sig.u, group.pair(sig.v, q_verifier)};
 }
 
-DvSignature dv_transform(const pairing::FixedPairing& q_verifier, const IbsSignature& sig) {
-  return {sig.u, q_verifier.pair_with(sig.v)};
+DvSigner::DvSigner(const PairingGroup& group, const IdentityKey& signer,
+                   std::span<const Point> verifier_q_ids)
+    : group_(&group), q_id_(signer.q_id) {
+  g_.reserve(verifier_q_ids.size());
+  for (const Point& q : verifier_q_ids) g_.push_back(group.pair(signer.secret, q));
+}
+
+DvSignatures DvSigner::sign(std::span<const std::uint8_t> message,
+                            num::RandomSource& rng) const {
+  IbsNonce nonce = ibs_nonce(*group_, q_id_, message, rng);
+  DvSignatures out{std::move(nonce.u), {}};
+  out.sigma.reserve(g_.size());
+  for (const Gt& g : g_) out.sigma.push_back(group_->gt_pow(g, nonce.exponent));
+  return out;
 }
 
 bool dv_verify(const PairingGroup& group, const Point& signer_q_id,

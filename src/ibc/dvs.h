@@ -4,6 +4,10 @@
 // pairing values Σ = ê(V, Q_B) for each designated verifier B (the cloud
 // server CS and the designated agency DA) and ships only (U, Σ, Σ').
 // Verification (Eq. 5/7):    Σ == ê(U + H2(U‖m)·Q_ID, sk_B).
+// Signing without pairings: V = e·sk_ID with e = (r + H2(U‖m)) mod q, so by
+// bilinearity Σ = ê(V, Q_B) = g_B^e with g_B = ê(sk_ID, Q_B) fixed per
+// signer and verifier. DvSigner prepares each g_B once; every signature then
+// costs one scalar mult (U) and one GT exponentiation per verifier.
 // Privacy: only a party holding sk_B can check the equation, and that party
 // can *simulate* transcripts (dv_simulate), so Σ convinces nobody else —
 // this is the paper's privacy-cheating discouragement.
@@ -43,9 +47,39 @@ struct DvSignature {
 DvSignature dv_transform(const PairingGroup& group, const IbsSignature& sig,
                          const Point& q_verifier);
 
-/// The same transform through the fixed-argument precomputation on Q_B:
-/// ê(Q_B, V) = ê(V, Q_B) by symmetry, so the result is bit-identical.
-DvSignature dv_transform(const pairing::FixedPairing& q_verifier, const IbsSignature& sig);
+/// One designated-verifier signature for several verifiers: the shared U
+/// and one Σ per verifier, in the order the signer was built with.
+struct DvSignatures {
+  Point u;
+  std::vector<Gt> sigma;
+
+  DvSignature for_verifier(std::size_t j) const { return {u, sigma.at(j)}; }
+
+  bool operator==(const DvSignatures&) const = default;
+};
+
+/// A signer prepared for a fixed list of designated verifiers: construction
+/// evaluates g_j = ê(sk_ID, Q_j) with one pairing per verifier, and sign()
+/// computes U = r·Q_ID and Σ_j = g_j^e with no pairing at all. For the same
+/// RNG draws the output is bit-identical to ibs_sign followed by
+/// dv_transform(·, Q_j). Each g_j is as secret as sk_ID for signatures
+/// designated to verifier j: whoever holds it can produce Σ_j for any U.
+/// sign() is const and safe to call from several threads at once.
+class DvSigner {
+ public:
+  DvSigner(const PairingGroup& group, const IdentityKey& signer,
+           std::span<const Point> verifier_q_ids);
+
+  const Point& q_id() const noexcept { return q_id_; }
+
+  /// One point_mul and one gt_exp per verifier.
+  DvSignatures sign(std::span<const std::uint8_t> message, num::RandomSource& rng) const;
+
+ private:
+  const PairingGroup* group_;
+  Point q_id_;
+  std::vector<Gt> g_;  ///< g_j = ê(sk_ID, Q_j)
+};
 
 /// Eq. (5)/(7): verifier-side check using the verifier's own secret key.
 bool dv_verify(const PairingGroup& group, const Point& signer_q_id,

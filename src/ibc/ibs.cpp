@@ -11,38 +11,20 @@ BigUint tag_hash(const PairingGroup& group, const Point& u,
   return hash::hash_to_nonzero("seccloud.v1.tag", buf, group.order());
 }
 
-namespace {
-
-/// The one signing body; `mul_q_id(k)` is k·Q_ID and `mul_secret(k)` k·sk_ID.
-template <typename MulQId, typename MulSecret>
-IbsSignature sign_with(const PairingGroup& group, const MulQId& mul_q_id,
-                       const MulSecret& mul_secret, std::span<const std::uint8_t> message,
-                       num::RandomSource& rng) {
+IbsNonce ibs_nonce(const PairingGroup& group, const Point& signer_q_id,
+                   std::span<const std::uint8_t> message, num::RandomSource& rng) {
   const BigUint r = group.random_scalar(rng);
-  IbsSignature sig;
-  sig.u = mul_q_id(r);
-  const BigUint h = tag_hash(group, sig.u, message);
-  BigUint exponent = r + h;
-  if (exponent >= group.order()) exponent -= group.order();
-  sig.v = mul_secret(exponent);
-  return sig;
+  IbsNonce nonce;
+  nonce.u = group.mul(r, signer_q_id);
+  nonce.exponent = r + tag_hash(group, nonce.u, message);
+  if (nonce.exponent >= group.order()) nonce.exponent -= group.order();
+  return nonce;
 }
-
-}  // namespace
 
 IbsSignature ibs_sign(const PairingGroup& group, const IdentityKey& signer,
                       std::span<const std::uint8_t> message, num::RandomSource& rng) {
-  return sign_with(
-      group, [&](const BigUint& k) { return group.mul(k, signer.q_id); },
-      [&](const BigUint& k) { return group.mul(k, signer.secret); }, message, rng);
-}
-
-IbsSignature ibs_sign(const PairingGroup& group, const ec::FixedBaseTable& q_id,
-                      const ec::FixedBaseTable& secret,
-                      std::span<const std::uint8_t> message, num::RandomSource& rng) {
-  return sign_with(
-      group, [&](const BigUint& k) { return group.mul(q_id, k); },
-      [&](const BigUint& k) { return group.mul(secret, k); }, message, rng);
+  IbsNonce nonce = ibs_nonce(group, signer.q_id, message, rng);
+  return {std::move(nonce.u), group.mul(nonce.exponent, signer.secret)};
 }
 
 bool ibs_verify(const PairingGroup& group, const PublicParams& params,

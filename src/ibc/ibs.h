@@ -24,14 +24,18 @@ struct IbsSignature {
 BigUint tag_hash(const PairingGroup& group, const Point& u,
                  std::span<const std::uint8_t> message);
 
-IbsSignature ibs_sign(const PairingGroup& group, const IdentityKey& signer,
-                      std::span<const std::uint8_t> message, num::RandomSource& rng);
+/// The message-dependent half of a signature: r ← Zq* (one draw from `rng`),
+/// U = r·Q_ID and the exponent e = (r + H2(U ‖ m)) mod q that V = e·sk_ID
+/// and every Σ_B = ê(sk_ID, Q_B)^e carry. ibs_sign and DvSigner::sign both
+/// start here, so they consume the same RNG draws.
+struct IbsNonce {
+  Point u;
+  BigUint exponent;
+};
+IbsNonce ibs_nonce(const PairingGroup& group, const Point& signer_q_id,
+                   std::span<const std::uint8_t> message, num::RandomSource& rng);
 
-/// The same signature from fixed-base tables on the signer's Q_ID and sk_ID
-/// (for a long-lived signer): bit-identical to the overload above for the
-/// same RNG draws. The sk_ID table is as secret as sk_ID.
-IbsSignature ibs_sign(const PairingGroup& group, const ec::FixedBaseTable& q_id,
-                      const ec::FixedBaseTable& secret,
+IbsSignature ibs_sign(const PairingGroup& group, const IdentityKey& signer,
                       std::span<const std::uint8_t> message, num::RandomSource& rng);
 
 bool ibs_verify(const PairingGroup& group, const PublicParams& params,

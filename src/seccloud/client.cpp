@@ -1,7 +1,6 @@
 #include "seccloud/client.h"
 
 #include "hash/framing.h"
-#include "ibc/ibs.h"
 
 namespace seccloud::core {
 
@@ -13,6 +12,19 @@ Bytes block_message_bytes(const DataBlock& block) {
   return out;
 }
 
+ibc::DvSigner block_signer(const PairingGroup& group, const IdentityKey& key,
+                           const Point& q_cs, const Point& q_da) {
+  const Point verifiers[] = {q_cs, q_da};
+  return ibc::DvSigner{group, key, verifiers};
+}
+
+BlockSignature sign_block_message(const ibc::DvSigner& signer,
+                                  std::span<const std::uint8_t> message,
+                                  num::RandomSource& rng) {
+  ibc::DvSignatures sig = signer.sign(message, rng);
+  return {std::move(sig.u), std::move(sig.sigma.at(0)), std::move(sig.sigma.at(1))};
+}
+
 UserClient::UserClient(const PairingGroup& group, PublicParams params, IdentityKey user_key,
                        Point q_cs, Point q_da)
     : group_(&group),
@@ -21,21 +33,16 @@ UserClient::UserClient(const PairingGroup& group, PublicParams params, IdentityK
       q_cs_(std::move(q_cs)),
       q_da_(std::move(q_da)) {}
 
-SignedBlock UserClient::sign_block(DataBlock block, num::RandomSource& rng) const {
-  const Bytes message = block_message_bytes(block);
-  const ibc::IbsSignature ibs = ibc::ibs_sign(*group_, user_key_, message, rng);
-  BlockSignature sig;
-  sig.u = ibs.u;
-  sig.sigma_cs = ibc::dv_transform(*group_, ibs, q_cs_).sigma;
-  sig.sigma_da = ibc::dv_transform(*group_, ibs, q_da_).sigma;
-  return {std::move(block), std::move(sig)};
-}
-
 std::vector<SignedBlock> UserClient::sign_blocks(std::vector<DataBlock> blocks,
                                                  num::RandomSource& rng) const {
   std::vector<SignedBlock> out;
+  if (blocks.empty()) return out;
+  const ibc::DvSigner signer = block_signer(*group_, user_key_, q_cs_, q_da_);
   out.reserve(blocks.size());
-  for (auto& block : blocks) out.push_back(sign_block(std::move(block), rng));
+  for (auto& block : blocks) {
+    BlockSignature sig = sign_block_message(signer, block_message_bytes(block), rng);
+    out.push_back({std::move(block), std::move(sig)});
+  }
   return out;
 }
 
@@ -46,8 +53,8 @@ Warrant UserClient::make_warrant(std::string_view da_id, std::uint64_t expiry_ep
   warrant.delegatee_id = std::string{da_id};
   warrant.expiry_epoch = expiry_epoch;
   const Bytes body = warrant.body_bytes();
-  const ibc::IbsSignature ibs = ibc::ibs_sign(*group_, user_key_, body, rng);
-  warrant.authorization = ibc::dv_transform(*group_, ibs, q_cs_);
+  const ibc::DvSigner signer{*group_, user_key_, std::span{&q_cs_, 1}};
+  warrant.authorization = signer.sign(body, rng).for_verifier(0);
   return warrant;
 }
 

@@ -16,6 +16,18 @@ using pairing::PairingGroup;
 /// server substituting data from another position fails Eq. (5)/(7).
 Bytes block_message_bytes(const DataBlock& block);
 
+/// A signer designating the cloud server and the agency, in the (Σ, Σ')
+/// order of BlockSignature: two pairings, paid once per signer.
+ibc::DvSigner block_signer(const PairingGroup& group, const IdentityKey& key,
+                           const Point& q_cs, const Point& q_da);
+
+/// "Data Signing" (Section V-B-1) of one message through a block_signer:
+/// U = r·Q_ID, Σ = ê(V, Q_CS), Σ' = ê(V, Q_DA) with V = (r+h)·sk_ID, each Σ
+/// computed as a GT power; V itself never exists.
+BlockSignature sign_block_message(const ibc::DvSigner& signer,
+                                  std::span<const std::uint8_t> message,
+                                  num::RandomSource& rng);
+
 class UserClient {
  public:
   /// `q_cs` / `q_da` are the identity points of the designated verifiers
@@ -27,9 +39,8 @@ class UserClient {
   const Point& q_cs() const noexcept { return q_cs_; }
   const Point& q_da() const noexcept { return q_da_; }
 
-  /// "Data Signing" (Section V-B-1): U = r·Q_ID, V = (r+h)·sk_ID, then
-  /// Σ = ê(V, Q_CS), Σ' = ê(V, Q_DA); V itself is discarded.
-  SignedBlock sign_block(DataBlock block, num::RandomSource& rng) const;
+  /// "Data Signing" (Section V-B-1) of each block, in order, through one
+  /// block_signer built for this call.
   std::vector<SignedBlock> sign_blocks(std::vector<DataBlock> blocks,
                                        num::RandomSource& rng) const;
 

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "hash/framing.h"
-#include "ibc/ibs.h"
 
 namespace seccloud::core {
 using framing::put_le;
@@ -24,21 +23,14 @@ Bytes tombstone_message(std::uint64_t index, std::uint64_t version) {
 }
 
 DynamicClient::DynamicClient(const PairingGroup& group, ibc::PublicParams params,
-                             ibc::IdentityKey user_key, Point q_cs, Point q_da)
-    : group_(&group),
-      params_(std::move(params)),
+                             ibc::IdentityKey user_key, const Point& q_cs, const Point& q_da)
+    : params_(std::move(params)),
       user_key_(std::move(user_key)),
-      q_cs_(std::move(q_cs)),
-      q_da_(std::move(q_da)) {}
+      signer_(block_signer(group, user_key_, q_cs, q_da)) {}
 
 BlockSignature DynamicClient::sign_message(std::span<const std::uint8_t> message,
                                            num::RandomSource& rng) const {
-  const ibc::IbsSignature ibs = ibc::ibs_sign(*group_, user_key_, message, rng);
-  BlockSignature sig;
-  sig.u = ibs.u;
-  sig.sigma_cs = ibc::dv_transform(*group_, ibs, q_cs_).sigma;
-  sig.sigma_da = ibc::dv_transform(*group_, ibs, q_da_).sigma;
-  return sig;
+  return sign_block_message(signer_, message, rng);
 }
 
 StorageOp DynamicClient::insert(DataBlock block, num::RandomSource& rng) {

@@ -42,8 +42,10 @@ struct StorageOp {
 /// (the only per-file state the user retains after deleting local data).
 class DynamicClient {
  public:
+  /// Prepares the client's block_signer (two pairings) once; every
+  /// operation afterwards signs without a pairing.
   DynamicClient(const PairingGroup& group, ibc::PublicParams params,
-                ibc::IdentityKey user_key, Point q_cs, Point q_da);
+                ibc::IdentityKey user_key, const Point& q_cs, const Point& q_da);
 
   const ibc::IdentityKey& key() const noexcept { return user_key_; }
 
@@ -66,11 +68,9 @@ class DynamicClient {
   BlockSignature sign_message(std::span<const std::uint8_t> message,
                               num::RandomSource& rng) const;
 
-  const PairingGroup* group_;
   ibc::PublicParams params_;
   ibc::IdentityKey user_key_;
-  Point q_cs_;
-  Point q_da_;
+  ibc::DvSigner signer_;  ///< designates {Q_CS, Q_DA}
   std::map<std::uint64_t, std::uint64_t> versions_;       ///< live positions
   std::map<std::uint64_t, std::uint64_t> last_versions_;  ///< incl. deleted
 };

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "ibc/ibs.h"
 #include "seccloud/client.h"
 
 namespace seccloud::core {
@@ -54,9 +53,11 @@ Commitment make_commitment(const PairingGroup& group, const TaskExecution& execu
   commitment.results = execution.results();
   commitment.root = execution.tree().root();
   const std::span<const std::uint8_t> root_bytes(commitment.root.data(), commitment.root.size());
-  const ibc::IbsSignature root_sig = ibc::ibs_sign(group, server_key, root_bytes, rng);
-  commitment.root_sig_da = ibc::dv_transform(group, root_sig, q_da);
-  commitment.root_sig_user = ibc::dv_transform(group, root_sig, q_user);
+  const Point verifiers[] = {q_da, q_user};
+  const ibc::DvSignatures root_sig =
+      ibc::DvSigner{group, server_key, verifiers}.sign(root_bytes, rng);
+  commitment.root_sig_da = root_sig.for_verifier(0);
+  commitment.root_sig_user = root_sig.for_verifier(1);
   return commitment;
 }
 

@@ -8,7 +8,6 @@
 #include "hash/framing.h"
 #include "hash/hmac_drbg.h"
 #include "hash/sha256.h"
-#include "ibc/ibs.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
@@ -25,11 +24,9 @@ AuditService::AuditService(const PairingGroup& group, IdentityKey verifier,
         config.registry.key_width = group.curve().serialize(group.generator()).size();
         return config;
       }()),
-      attestor_(std::move(attestor)),
+      attestor_(group, attestor, std::span{&verifier.q_id, 1}),
       verifier_(group, verifier),
-      verifier_q_id_(group, verifier.q_id),
-      attestor_q_id_(group.curve(), attestor_.q_id),
-      attestor_secret_(group.curve(), attestor_.secret),
+      attestor_q_id_(group.curve(), attestor.q_id),
       registry_(config_.registry),
       queue_(config_.epoch),
       engine_(group, config_.threads) {}
@@ -157,8 +154,9 @@ EpochReport AuditService::run_epoch() {
   // --- assembly: batch digests + deterministic epoch attestations ---------
   // The attestation over the batch digest is the service analogue of the
   // paper's Sig_CS(R): its verification is the second pairing of every
-  // batch. Signing costs (one dv_transform pairing per batch) are attributed
-  // to assembly_ops, not the verify window the bench gate pins. Batches sign
+  // batch. Signing costs (one point_mul and one gt_exp per batch, no
+  // pairing) are attributed to assembly_ops, not the verify window the bench
+  // gate pins. Batches sign
   // on the engine's lanes: each has its own DRBG seed and output slot, so the
   // attestations do not depend on the thread count.
   const pairing::OpCounters ops_before_assembly = group_->counters();
@@ -191,9 +189,7 @@ EpochReport AuditService::run_epoch() {
     framing::put_le(drbg_seed, report.epoch);
     framing::put_le<std::uint64_t>(drbg_seed, i);
     hash::HmacDrbg drbg{std::span<const std::uint8_t>{drbg_seed}};
-    const ibc::IbsSignature ibs =
-        ibc::ibs_sign(*group_, attestor_q_id_, attestor_secret_, msg, drbg);
-    attestations[i] = ibc::dv_transform(verifier_q_id_, ibs);
+    attestations[i] = attestor_.sign(msg, drbg).for_verifier(0);
   });
   report.assembly_ops = group_->counters() - ops_before_assembly;
   const auto t_attest = std::chrono::steady_clock::now();

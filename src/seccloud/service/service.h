@@ -22,11 +22,14 @@
 // batch) HMAC-DRBG, and op counters accumulate atomically — verdicts,
 // isolated sets, and op totals are bit-identical for any thread count.
 //
-// Fixed-key precomputation: the keys every epoch uses — sk_B, Q_B, Q_CS and
-// sk_CS — are prepared once at construction (Miller lines for the two
-// pairing arguments, fixed-base tables for the attestor's two scalar
-// multiplications) and shared read-only by every lane. Attestations, verdicts
-// and op counters are bit-identical to the unprepared IdentityKey paths.
+// Fixed-key precomputation: the keys every epoch uses are prepared once at
+// construction and shared read-only by every lane: the Miller lines of sk_B
+// for every check, a fixed-base table on Q_CS for the attestation check's
+// h·Q_CS, and the attestor's DvSigner, g = ê(sk_CS, Q_B), so an attestation
+// costs one scalar mult and one GT exponentiation. Attestations and verdicts
+// are bit-identical to the unprepared IdentityKey paths (ibs_sign +
+// dv_transform, dv_cross_user_verify on keys), and the verify window's op
+// counters are too.
 #pragma once
 
 #include <atomic>
@@ -139,7 +142,7 @@ class AuditService {
   /// Identity points clients designate their signatures to: the service's
   /// own verifying identity and the attesting cloud server.
   const Point& verifier_q_id() const noexcept { return verifier_.key().q_id; }
-  const Point& attestor_q_id() const noexcept { return attestor_.q_id; }
+  const Point& attestor_q_id() const noexcept { return attestor_.q_id(); }
 
   /// Registers an identity record only (cheap; no key material).
   UserHandle register_user(std::string_view id);
@@ -184,11 +187,9 @@ class AuditService {
  private:
   const PairingGroup* group_;
   ServiceConfig config_;
-  IdentityKey attestor_;
-  ibc::DesignatedVerifier verifier_;     ///< sk_B lines: aggregate, attestation, bisection
-  pairing::FixedPairing verifier_q_id_;  ///< Q_B lines: the attestation's Σ = ê(V, Q_B)
-  ec::FixedBaseTable attestor_q_id_;     ///< Q_CS: r·Q_CS when signing, h·Q_CS when checking
-  ec::FixedBaseTable attestor_secret_;   ///< sk_CS: (r + h)·sk_CS; as secret as sk_CS
+  ibc::DvSigner attestor_;             ///< CS → B: g = ê(sk_CS, Q_B); as secret as sk_CS
+  ibc::DesignatedVerifier verifier_;   ///< sk_B lines: aggregate, attestation, bisection
+  ec::FixedBaseTable attestor_q_id_;   ///< Q_CS: h·Q_CS when checking the attestation
   ShardedRegistry registry_;
   AdmissionQueue queue_;
   ParallelPairingEngine engine_;

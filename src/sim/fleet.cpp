@@ -5,32 +5,10 @@
 
 #include "hash/framing.h"
 #include "hash/hmac_drbg.h"
-#include "ibc/dvs.h"
-#include "ibc/ibs.h"
 #include "obs/metrics.h"
 #include "seccloud/client.h"
 
 namespace seccloud::sim {
-
-namespace {
-
-/// Signs one block for both designated verifiers; which Σ slot the service
-/// checks depends on its configured role.
-core::SignedBlock sign_block(const pairing::PairingGroup& group,
-                             const ibc::IdentityKey& signer, core::DataBlock block,
-                             const pairing::Point& q_cs, const pairing::Point& q_da,
-                             num::RandomSource& rng) {
-  const core::Bytes msg = core::block_message_bytes(block);
-  const ibc::IbsSignature ibs = ibc::ibs_sign(group, signer, msg, rng);
-  core::SignedBlock out;
-  out.block = std::move(block);
-  out.sig.u = ibs.u;
-  out.sig.sigma_cs = ibc::dv_transform(group, ibs, q_cs).sigma;
-  out.sig.sigma_da = ibc::dv_transform(group, ibs, q_da).sigma;
-  return out;
-}
-
-}  // namespace
 
 FleetWorkload::FleetWorkload(const ibc::Sio& sio, FleetConfig config)
     : sio_(&sio), config_(config) {
@@ -44,15 +22,22 @@ std::string FleetWorkload::user_id(std::size_t i) const {
 }
 
 void FleetWorkload::populate(service::AuditService& svc) {
+  // Clients designate Σ/Σ' to whichever identities serve as CS and DA: the
+  // service's attestor is the CS; the service itself verifies as the DA
+  // unless configured as the CS.
+  const bool verifier_is_cs = svc.config().role == service::VerifierRole::kCloudServer;
+  const pairing::Point& q_cs = verifier_is_cs ? svc.verifier_q_id() : svc.attestor_q_id();
+  const pairing::Point& q_da = verifier_is_cs ? svc.attestor_q_id() : svc.verifier_q_id();
   handles_.clear();
-  active_keys_.clear();
+  signers_.clear();
   handles_.reserve(config_.active_users);
-  active_keys_.reserve(config_.active_users);
-  // Active prefix: extract real identity keys and bind their Q_ID.
+  signers_.reserve(config_.active_users);
+  // Active prefix: extract real identity keys, bind their Q_ID and prepare
+  // each user's block signer against this service's CS and DA.
   for (std::size_t i = 0; i < config_.active_users; ++i) {
-    ibc::IdentityKey key = sio_->extract(user_id(i));
+    const ibc::IdentityKey key = sio_->extract(user_id(i));
     handles_.push_back(svc.register_user(user_id(i), key.q_id));
-    active_keys_.push_back(std::move(key));
+    signers_.push_back(core::block_signer(svc.group(), key, q_cs, q_da));
   }
   // The long tail: registry records only — no key extraction, no heap churn
   // beyond the shard arenas.
@@ -75,19 +60,9 @@ void FleetWorkload::populate(service::AuditService& svc) {
 }
 
 std::vector<service::AuditRequest> FleetWorkload::make_requests(
-    const service::AuditService& svc,
+    const service::AuditService& /*svc*/,
     const std::function<FleetBehavior(std::size_t)>& behavior) {
   if (handles_.empty()) throw std::logic_error("FleetWorkload: populate() first");
-  const pairing::PairingGroup& group = svc.group();
-  // Clients designate Σ/Σ' to whichever identities serve as CS and DA: the
-  // service's attestor is the CS; the service itself verifies as the DA
-  // unless configured as the CS.
-  const pairing::Point& q_verifier = svc.verifier_q_id();
-  const pairing::Point& q_attestor = svc.attestor_q_id();
-  const bool verifier_is_cs =
-      svc.config().role == service::VerifierRole::kCloudServer;
-  const pairing::Point& q_cs = verifier_is_cs ? q_verifier : q_attestor;
-  const pairing::Point& q_da = verifier_is_cs ? q_attestor : q_verifier;
 
   // Workload counters: one lookup per round (not per request), so the epoch
   // snapshot's counter deltas attribute the traffic mix the fleet generated.
@@ -132,8 +107,9 @@ std::vector<service::AuditRequest> FleetWorkload::make_requests(
     for (std::size_t j = 0; j < config_.blocks_per_request; ++j) {
       const std::uint64_t index = round_ * config_.blocks_per_request + j;
       core::DataBlock block = core::DataBlock::from_value(index, drbg.next_u64());
-      request.blocks.push_back(
-          sign_block(group, active_keys_[i], std::move(block), q_cs, q_da, drbg));
+      core::BlockSignature sig =
+          core::sign_block_message(signers_[i], core::block_message_bytes(block), drbg);
+      request.blocks.push_back({std::move(block), std::move(sig)});
     }
     if (b == FleetBehavior::kBadSignature) {
       // Flip one payload byte after signing: the signature itself is well

@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "ibc/keys.h"
+#include "ibc/dvs.h"
 #include "seccloud/service/service.h"
 
 namespace seccloud::sim {
@@ -66,7 +66,8 @@ class FleetWorkload {
   /// One request per active user for the next round. `behavior(i)` selects
   /// the i-th active user's behavior (all honest when empty). Honest and
   /// bad-signature users advance their freshness version; stale-replay
-  /// users resubmit the last one.
+  /// users resubmit the last one. `svc` is the service populate() ran
+  /// against: the handles and the users' signers (CS and DA) are bound to it.
   std::vector<service::AuditRequest> make_requests(
       const service::AuditService& svc,
       const std::function<FleetBehavior(std::size_t)>& behavior = {});
@@ -74,7 +75,7 @@ class FleetWorkload {
  private:
   const ibc::Sio* sio_;
   FleetConfig config_;
-  std::vector<ibc::IdentityKey> active_keys_;
+  std::vector<ibc::DvSigner> signers_;  ///< per active user, for the populated service
   std::vector<service::UserHandle> handles_;
   std::vector<std::uint64_t> versions_;  ///< per-active-user last version issued
   service::UserHandle probe_handle_ = service::kInvalidUser;

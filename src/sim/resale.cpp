@@ -1,6 +1,6 @@
 #include "sim/resale.h"
 
-#include "ibc/ibs.h"
+#include "ibc/dvs.h"
 #include "seccloud/client.h"
 
 namespace seccloud::sim {
@@ -34,8 +34,9 @@ TranscriptPair make_transcript_pair(const PairingGroup& group,
                                     std::span<const std::uint8_t> message,
                                     num::RandomSource& rng) {
   TranscriptPair pair;
-  const ibc::IbsSignature real = ibc::ibs_sign(group, signer, message, rng);
-  pair.genuine = ibc::dv_transform(group, real, verifier.q_id);
+  pair.genuine = ibc::DvSigner{group, signer, std::span{&verifier.q_id, 1}}
+                     .sign(message, rng)
+                     .for_verifier(0);
   pair.simulated = ibc::dv_simulate(group, signer.q_id, message, verifier, rng);
   pair.both_verify =
       ibc::dv_verify(group, signer.q_id, message, pair.genuine, verifier) &&

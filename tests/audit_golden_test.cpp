@@ -60,9 +60,11 @@ class AuditGoldenTest : public ::testing::Test {
         server_key(sio.extract("cs@golden")),
         da_key(sio.extract("da@golden")),
         client(g, sio.params(), user_key, server_key.q_id, da_key.q_id) {
+    std::vector<core::DataBlock> raw;
     for (std::uint64_t i = 0; i < kBlocks; ++i) {
-      blocks.push_back(client.sign_block(core::DataBlock::from_value(i, 11 * i + 3), rng));
+      raw.push_back(core::DataBlock::from_value(i, 11 * i + 3));
     }
+    blocks = client.sign_blocks(std::move(raw), rng);
     // Four two-input requests cover all eight blocks, so a full challenge
     // puts eight input signatures in front of the auditor.
     for (std::uint64_t i = 0; i < kBlocks / 2; ++i) {

@@ -29,9 +29,9 @@ class CodecTest : public ::testing::Test {
         server_key(sio.extract("server")),
         da_key(sio.extract("da")),
         client(g, sio.params(), user_key, server_key.q_id, da_key.q_id) {
-    for (std::uint64_t i = 0; i < 12; ++i) {
-      blocks.push_back(client.sign_block(DataBlock::from_value(i, 31 * i), rng));
-    }
+    std::vector<DataBlock> raw;
+    for (std::uint64_t i = 0; i < 12; ++i) raw.push_back(DataBlock::from_value(i, 31 * i));
+    blocks = client.sign_blocks(std::move(raw), rng);
     for (std::uint64_t i = 0; i < 4; ++i) {
       ComputeRequest req;
       req.kind = static_cast<FuncKind>(i % 6);

@@ -1,7 +1,11 @@
 // Identity-based crypto tests: SIO key extraction, Cha–Cheon IBS,
-// designated-verifier transform (Eq. 5/7), transcript simulation (privacy),
-// and batch verification (Eq. 8/9) across users.
+// designated-verifier transform (Eq. 5/7), the pairing-free DvSigner,
+// transcript simulation (privacy), and batch verification (Eq. 8/9) across
+// users.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "hash/hash_to.h"
 #include "ibc/dvs.h"
@@ -82,29 +86,121 @@ TEST_F(IbcTest, SignaturesAreRandomized) {
   EXPECT_NE(s1.u, s2.u);  // fresh r each time
 }
 
-TEST_F(IbcTest, PrecomputedSigningAndTransformAreBitIdentical) {
-  // Fixed-base tables on Q_ID and sk_ID, and the Q_B Miller lines, give the
-  // same signature and Σ as the plain path for the same RNG draws, with the
-  // same op counts (one point_mul per scalar multiplication).
-  const ec::FixedBaseTable q_id{g.curve(), alice.q_id};
-  const ec::FixedBaseTable secret{g.curve(), alice.secret};
-  const pairing::FixedPairing q_server{g, server.q_id};
-  for (const std::string_view text : {"", "payload", "another block"}) {
-    const auto msg = as_bytes(text);
-    Xoshiro256 plain_rng(77);
-    Xoshiro256 table_rng(77);
+/// ibs_sign followed by dv_transform for each verifier: the textbook
+/// reference a DvSigner must reproduce bit for bit.
+DvSignatures sign_then_transform(const pairing::PairingGroup& group, const IdentityKey& signer,
+                                 std::span<const pairing::Point> verifiers,
+                                 std::span<const std::uint8_t> message,
+                                 num::RandomSource& rng) {
+  const IbsSignature ibs = ibs_sign(group, signer, message, rng);
+  DvSignatures out{ibs.u, {}};
+  for (const auto& q : verifiers) out.sigma.push_back(dv_transform(group, ibs, q).sigma);
+  return out;
+}
+
+/// Σ_j = ê(sk_ID, Q_j)^((r+h) mod q) equals ê((r+h)·sk_ID, Q_j) for 1, 2 and
+/// 3 verifiers, and both paths leave the RNG at the same draw.
+void expect_signer_matches_reference(const pairing::PairingGroup& group) {
+  Xoshiro256 key_rng(99);
+  const Sio sio(group, key_rng);
+  const IdentityKey signer = sio.extract("alice");
+  const std::vector<pairing::Point> all_verifiers = {
+      sio.extract("cloud-server").q_id, sio.extract("agency").q_id, sio.extract("alice").q_id};
+  for (std::size_t k = 1; k <= all_verifiers.size(); ++k) {
+    const std::span<const pairing::Point> verifiers{all_verifiers.data(), k};
+    const DvSigner dv_signer(group, signer, verifiers);
+    EXPECT_EQ(dv_signer.q_id(), signer.q_id);
+    Xoshiro256 signer_rng(77 + k);
+    Xoshiro256 reference_rng(77 + k);
+    for (const std::string_view text : {"", "payload", "another block", "payload"}) {
+      const auto msg = as_bytes(text);
+      const DvSignatures signed_once = dv_signer.sign(msg, signer_rng);
+      ASSERT_EQ(signed_once.sigma.size(), k);
+      EXPECT_EQ(signed_once, sign_then_transform(group, signer, verifiers, msg, reference_rng))
+          << k << " verifiers, message \"" << text << "\"";
+    }
+    EXPECT_EQ(signer_rng.next_u64(), reference_rng.next_u64());
+  }
+}
+
+TEST(DvSignerTest, BitIdenticalToSignThenTransformOnTinyGroup) {
+  expect_signer_matches_reference(tiny_group());
+}
+
+TEST(DvSignerTest, BitIdenticalToSignThenTransformOnDefaultGroup) {
+  expect_signer_matches_reference(pairing::default_group());
+}
+
+TEST_F(IbcTest, DvSignerSigmasVerifyForTheirVerifierOnly) {
+  const std::vector<IdentityKey> keys = {server, agency};
+  const std::vector<pairing::Point> verifiers = {server.q_id, agency.q_id};
+  const DvSigner signer(g, alice, verifiers);
+  const auto msg = as_bytes(std::string_view{"payload"});
+  const DvSignatures sig = signer.sign(msg, rng);
+  for (std::size_t j = 0; j < keys.size(); ++j) {
+    const DesignatedVerifier prepared(g, keys[j]);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      const bool designated = i == j;
+      EXPECT_EQ(dv_verify(g, alice.q_id, msg, sig.for_verifier(i), keys[j]), designated)
+          << "sigma " << i << " checked by verifier " << j;
+      EXPECT_EQ(prepared.verify(alice.q_id, msg, sig.for_verifier(i)), designated)
+          << "sigma " << i << " checked by verifier " << j;
+    }
+    EXPECT_FALSE(dv_verify(g, alice.q_id, as_bytes(std::string_view{"other"}),
+                           sig.for_verifier(j), keys[j]));
+  }
+}
+
+TEST_F(IbcTest, DvSignerCostsPairingsOnlyAtConstruction) {
+  const std::vector<pairing::Point> verifiers = {server.q_id, agency.q_id, alice.q_id};
+  for (std::size_t k = 1; k <= verifiers.size(); ++k) {
     g.reset_counters();
-    const IbsSignature plain = ibs_sign(g, alice, msg, plain_rng);
-    const DvSignature plain_dv = dv_transform(g, plain, server.q_id);
-    const auto plain_ops = g.counters();
-    g.reset_counters();
-    const IbsSignature tabled = ibs_sign(g, q_id, secret, msg, table_rng);
-    const DvSignature tabled_dv = dv_transform(q_server, tabled);
-    const auto tabled_ops = g.counters();
-    EXPECT_EQ(tabled, plain);
-    EXPECT_EQ(tabled_dv, plain_dv);
-    EXPECT_EQ(tabled_ops, plain_ops);
-    EXPECT_TRUE(DesignatedVerifier(g, server).verify(q_id, msg, tabled_dv));
+    const DvSigner signer(g, alice, std::span{verifiers.data(), k});
+    EXPECT_EQ(g.counters(),
+              (pairing::OpCounters{.pairings = k, .miller_loops = k, .final_exps = k}))
+        << k << " verifiers";
+    for (int round = 0; round < 3; ++round) {
+      g.reset_counters();
+      (void)signer.sign(as_bytes(std::string_view{"block"}), rng);
+      EXPECT_EQ(g.counters(), (pairing::OpCounters{.point_muls = 1, .gt_exps = k}))
+          << k << " verifiers";
+    }
+  }
+}
+
+TEST_F(IbcTest, ZeroSigningExponentGivesTheIdentityOnBothPaths) {
+  // r + h ≡ 0 (mod q): V = 0·sk_ID is the point at infinity, whose pairing
+  // is 1, and g^0 is 1, so the two paths still agree.
+  const pairing::Gt g_server = g.pair(alice.secret, server.q_id);
+  const num::BigUint zero;
+  EXPECT_TRUE(g.gt_is_one(g.pair(g.mul(zero, alice.secret), server.q_id)));
+  EXPECT_TRUE(g.gt_is_one(g.gt_pow(g_server, zero)));
+}
+
+TEST_F(IbcTest, DvSignerSharedAcrossLanesIsLaneCountIndependent) {
+  // One signer, read-only, signing from every lane of the engine: each task
+  // draws from its own seeded RNG and writes its own slot, so the output is
+  // the same at one lane and at two.
+  const std::vector<pairing::Point> verifiers = {server.q_id, agency.q_id};
+  const DvSigner signer(g, alice, verifiers);
+  constexpr std::size_t kTasks = 16;
+  const auto sign_all = [&](std::size_t lanes) {
+    std::vector<DvSignatures> out(kTasks);
+    const ParallelPairingEngine engine{g, lanes};
+    engine.for_each(kTasks, [&](std::size_t i) {
+      Xoshiro256 task_rng(1000 + i);
+      const std::string msg = "block " + std::to_string(i);
+      out[i] = signer.sign(as_bytes(std::string_view{msg}), task_rng);
+    });
+    return out;
+  };
+  const std::vector<DvSignatures> one_lane = sign_all(1);
+  const std::vector<DvSignatures> two_lanes = sign_all(2);
+  for (std::size_t i = 0; i < kTasks; ++i) {
+    EXPECT_EQ(two_lanes[i], one_lane[i]) << "task " << i;
+    const std::string msg = "block " + std::to_string(i);
+    EXPECT_TRUE(dv_verify(g, alice.q_id, as_bytes(std::string_view{msg}),
+                          one_lane[i].for_verifier(1), agency));
   }
 }
 

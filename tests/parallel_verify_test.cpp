@@ -252,9 +252,9 @@ class ParallelAuditTest : public ::testing::Test {
         server_key(sio.extract("server")),
         da_key(sio.extract("da")),
         client(g, sio.params(), user_key, server_key.q_id, da_key.q_id) {
-    for (std::uint64_t i = 0; i < 10; ++i) {
-      blocks.push_back(client.sign_block(core::DataBlock::from_value(i, 7 * i), rng));
-    }
+    std::vector<core::DataBlock> raw;
+    for (std::uint64_t i = 0; i < 10; ++i) raw.push_back(core::DataBlock::from_value(i, 7 * i));
+    blocks = client.sign_blocks(std::move(raw), rng);
     for (std::uint64_t i = 0; i < 5; ++i) {
       core::ComputeRequest req;
       req.kind = core::FuncKind::kSum;

@@ -258,21 +258,22 @@ TEST_F(ServiceFixture, HonestEpochVerifiesAtTwoPairingsPerBatch) {
 
 TEST_F(ServiceFixture, PrecomputedKeysKeepAttestationsAndCountersBitIdentical) {
   // The service signs and checks through keys prepared once at construction
-  // (sk_B and Q_B Miller lines, Q_CS and sk_CS fixed-base tables), shared by
-  // two lanes over two epochs. Every attestation must equal the plain
-  // ibs_sign + dv_transform from the same per-(seed, epoch, batch) DRBG, and
-  // each epoch's op counters must equal the values the unprepared
-  // IdentityKey path spends on the same traffic.
+  // (the attestor's DvSigner, sk_B Miller lines, a Q_CS fixed-base table),
+  // shared by two lanes over two epochs. Every attestation must equal the
+  // plain ibs_sign + dv_transform from the same per-(seed, epoch, batch)
+  // DRBG, and each epoch's verify counters must equal the values the
+  // unprepared IdentityKey path spends on the same traffic.
   AuditService svc = make_service(/*threads=*/2, /*batch_capacity=*/8);
   FleetWorkload fleet{sio, {.users = 32, .active_users = 6, .blocks_per_request = 3, .seed = 29}};
   fleet.populate(svc);
-  // Per batch: signing is 2 point_muls + the dv_transform pairing; the check
-  // is the attestation's point_mul and pairing plus the aggregate's pairing
+  // Per batch: signing is U = r·Q_CS (1 point_mul) and Σ = g^(r+h) (1
+  // gt_exp), where the textbook path pays 2 point_muls and the dv_transform
+  // pairing; the check is the attestation's point_mul and pairing plus the
+  // aggregate's pairing
   // and one msm_term per signer; epoch 0's two bad entries, one in each of
   // two 8-entry batches, add 6 oracle pairings (one left-half range per level
   // below the reused aggregate) and their range MSMs.
-  const pairing::OpCounters assembly_unprepared{
-      .pairings = 3, .miller_loops = 3, .final_exps = 3, .point_muls = 6};
+  const pairing::OpCounters assembly_signed{.point_muls = 3, .gt_exps = 3};
   const std::vector<pairing::OpCounters> verify_unprepared{
       {.pairings = 12, .miller_loops = 12, .final_exps = 12, .point_muls = 3, .msm_terms = 16},
       {.pairings = 6, .miller_loops = 6, .final_exps = 6, .point_muls = 3, .msm_terms = 8}};
@@ -300,7 +301,7 @@ TEST_F(ServiceFixture, PrecomputedKeysKeepAttestationsAndCountersBitIdentical) {
                                   da.q_id))
           << "epoch " << epoch << " batch " << i;
     }
-    EXPECT_EQ(report.assembly_ops, assembly_unprepared) << "epoch " << epoch;
+    EXPECT_EQ(report.assembly_ops, assembly_signed) << "epoch " << epoch;
     EXPECT_EQ(report.verify_ops, verify_unprepared[epoch]) << "epoch " << epoch;
     EXPECT_EQ(report.verify_ops.pairings, 2 * report.batches + report.bisection.oracle_calls);
   }

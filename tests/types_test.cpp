@@ -129,7 +129,7 @@ TEST(Transport, SizesMatchRealEncodings) {
   const auto da = sio.extract("d");
   const UserClient client{g, sio.params(), user, server.q_id, da.q_id};
 
-  const SignedBlock sb = client.sign_block(DataBlock::from_value(0, 9), rng);
+  const SignedBlock sb = client.sign_blocks({DataBlock::from_value(0, 9)}, rng).at(0);
   EXPECT_EQ(sim::wire_size_signed_block(g, sb), encode_signed_block(g, sb).size());
 
   const Warrant warrant = client.make_warrant(da.id, 9, rng);

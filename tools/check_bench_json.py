@@ -97,12 +97,20 @@ def check_service_bench(doc: dict, errors: list) -> None:
     the service.* metrics tree, and — the pinned paper invariant — exactly
     2 pairings per clean cross-user batch (epoch attestation + mixed-signer
     aggregate). A drift here means the service regressed to per-user
-    verification and the headline batching result is gone."""
+    verification and the headline batching result is gone. Signing the
+    epoch attestations costs no pairing at all (the attestor's DvSigner
+    raises a prepared GT value), so attestation_pairings_per_batch must be
+    exactly 0."""
     values = doc.get("values", {})
     if values.get("cross_user_pairings_per_batch") != 2:
         errors.append(
             "service bench: values.cross_user_pairings_per_batch is "
             f"{values.get('cross_user_pairings_per_batch')!r}, must be exactly 2"
+        )
+    if values.get("attestation_pairings_per_batch") != 0:
+        errors.append(
+            "service bench: values.attestation_pairings_per_batch is "
+            f"{values.get('attestation_pairings_per_batch')!r}, must be exactly 0"
         )
     if not isinstance(values.get("users_peak"), (int, float)) or values.get(
             "users_peak", 0) <= 0:
