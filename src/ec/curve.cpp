@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <stdexcept>
 
+#include "bigint/wnaf.h"
+
 namespace seccloud::ec {
 namespace {
 
@@ -123,36 +125,6 @@ void append_odd_multiples(const MontCtx& m, const Fe& a_mont, const MontAffine& 
   out.push_back(fe_jac_add_mixed(m, a_mont, fe_jac_dbl(m, a_mont, t3), p));  // 7P = 6P + P
 }
 
-/// Width-4 signed-window recoding of k, least-significant digit first:
-/// odd digits in [−7, 7], at most one nonzero in any 4 consecutive
-/// positions. Reads the limbs directly instead of shifting a BigUint copy.
-std::vector<std::int8_t> wnaf4_digits(const BigUint& k) {
-  constexpr std::size_t kWidth = 4;
-  const std::size_t len = k.bit_length() + 1;  // the top position absorbs the last carry
-  const auto bits_at = [&k](std::size_t pos, std::size_t count) {
-    const std::size_t limb = pos / 64;
-    const std::size_t shift = pos % 64;
-    std::uint64_t word = k.limb(limb) >> shift;
-    if (shift + count > 64) word |= k.limb(limb + 1) << (64 - shift);
-    return static_cast<int>(word & ((std::uint64_t{1} << count) - 1));
-  };
-  std::vector<std::int8_t> digits(len, 0);
-  int carry = 0;
-  for (std::size_t pos = 0; pos < len;) {
-    if (bits_at(pos, 1) == carry) {  // bit + carry is even: a zero digit
-      ++pos;
-      continue;
-    }
-    const std::size_t count = std::min(kWidth, len - pos);
-    int word = bits_at(pos, count) + carry;
-    carry = (word >> (kWidth - 1)) & 1;
-    word -= carry << kWidth;
-    digits[pos] = static_cast<std::int8_t>(word);
-    pos += count;
-  }
-  return digits;
-}
-
 /// The Straus kernel: Σ k_i·B_i over prepared odd-multiple tables, one
 /// shared doubling chain, Jacobian result.
 FeJac straus(const MontCtx& m, const Fe& a_mont, std::span<const MontAffine> odd,
@@ -161,7 +133,7 @@ FeJac straus(const MontCtx& m, const Fe& a_mont, std::span<const MontAffine> odd
   std::size_t len = 0;
   for (std::size_t j = 0; j < scalars.size(); ++j) {
     if (scalars[j].is_zero()) continue;
-    digits[j] = wnaf4_digits(scalars[j]);
+    digits[j] = num::wnaf4_digits(scalars[j]);
     len = std::max(len, digits[j].size());
   }
   FeJac acc = fe_jac_infinity(m);

@@ -1,22 +1,18 @@
 #include "ibc/dvs.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace seccloud::ibc {
 namespace {
 
-/// U + H2(U‖m)·Q_ID: the point Eq. (5)/(7) pairs with sk_B, where
-/// `mul_q_id(h)` is h·Q_ID.
-template <typename MulQId>
-Point dv_target_with(const PairingGroup& group, const MulQId& mul_q_id,
-                     std::span<const std::uint8_t> message, const Point& u) {
-  return group.add(u, mul_q_id(tag_hash(group, u, message)));
-}
+/// signer_of_ tag: the entry's signer is an index into keys_, not signers_.
+constexpr std::uint32_t kByKey = std::uint32_t{1} << 31;
 
+/// U + H2(U‖m)·Q_ID: the point Eq. (5)/(7) pairs with sk_B.
 Point dv_target(const PairingGroup& group, const Point& signer_q_id,
                 std::span<const std::uint8_t> message, const Point& u) {
-  return dv_target_with(
-      group, [&](const BigUint& h) { return group.mul(h, signer_q_id); }, message, u);
+  return group.add(u, group.mul(tag_hash(group, u, message), signer_q_id));
 }
 
 /// ê(sk_B, ·) with the Miller loop on sk_B, the argument every check fixes.
@@ -30,7 +26,7 @@ auto pair_sk(const DesignatedVerifier& verifier) {
 
 BatchAccumulator accumulate(const PairingGroup& group, std::span<const BatchEntry> batch) {
   BatchAccumulator acc{group};
-  for (const auto& entry : batch) acc.add(entry.signer_q_id, entry.message, *entry.sig);
+  for (const auto& entry : batch) acc.add(entry);
   return acc;
 }
 
@@ -90,7 +86,11 @@ DvSignatures DvSigner::sign(std::span<const std::uint8_t> message,
 bool dv_verify(const PairingGroup& group, const Point& signer_q_id,
                std::span<const std::uint8_t> message, const DvSignature& sig,
                const IdentityKey& verifier) {
-  return group.pair(dv_target(group, signer_q_id, message, sig.u), verifier.secret) ==
+  // ê(sk_B, target) with the Miller loop on sk_B ∈ G1: the Tate pairing for
+  // every on-curve target, like DesignatedVerifier and the batch checks. The
+  // swapped form pair(target, sk_B) equals it only for a target inside G1;
+  // for one tainted by 3-torsion (a hostile bound Q_ID) it is not a pairing.
+  return group.pair(verifier.secret, dv_target(group, signer_q_id, message, sig.u)) ==
          sig.sigma;
 }
 
@@ -101,7 +101,7 @@ DvSignature dv_simulate(const PairingGroup& group, const Point& signer_q_id,
   // verification equation for Σ using the verifier's secret key.
   DvSignature sig;
   sig.u = group.mul(group.random_scalar(rng), signer_q_id);
-  sig.sigma = group.pair(dv_target(group, signer_q_id, message, sig.u), verifier.secret);
+  sig.sigma = group.pair(verifier.secret, dv_target(group, signer_q_id, message, sig.u));
   return sig;
 }
 
@@ -136,13 +136,14 @@ CrossUserVerdict dv_cross_user_verify(const PairingGroup& group,
 
 CrossUserVerdict dv_cross_user_verify(const DesignatedVerifier& verifier,
                                       std::span<const BatchEntry> entries,
-                                      const ec::FixedBaseTable& attestor_q_id,
+                                      const Gt& attestor_pairwise_key,
                                       std::span<const std::uint8_t> attestation_message,
                                       const DvSignature& attestation,
                                       bool isolate_on_reject) {
-  return cross_user_verdict(accumulate(verifier.group(), entries), verifier,
-                            verifier.verify(attestor_q_id, attestation_message, attestation),
-                            isolate_on_reject);
+  return cross_user_verdict(
+      accumulate(verifier.group(), entries), verifier,
+      verifier.verify(attestor_pairwise_key, attestation_message, attestation),
+      isolate_on_reject);
 }
 
 DesignatedVerifier::DesignatedVerifier(const PairingGroup& group,
@@ -156,12 +157,15 @@ bool DesignatedVerifier::verify(const Point& signer_q_id,
   return fixed_.pair_with(dv_target(*group_, signer_q_id, message, sig.u)) == sig.sigma;
 }
 
-bool DesignatedVerifier::verify(const ec::FixedBaseTable& signer_q_id,
+bool DesignatedVerifier::verify(const Gt& signer_pairwise_key,
                                 std::span<const std::uint8_t> message,
                                 const DvSignature& sig) const {
-  const Point target = dv_target_with(
-      *group_, [&](const BigUint& h) { return group_->mul(signer_q_id, h); }, message, sig.u);
-  return fixed_.pair_with(target) == sig.sigma;
+  // ê(U + h·Q_ID, sk_B) = ê(U, sk_B)·v^h: the same GT element dv_verify
+  // compares, with the h·Q_ID scalar mult and the affine add moved into GT.
+  const BigUint h = tag_hash(*group_, sig.u, message);
+  const Gt v_h = group_->gt_multi_pow(pairing::GtPowTable{*group_, {&signer_pairwise_key, 1}},
+                                      {&h, 1});
+  return group_->gt_mul(fixed_.pair_with(sig.u), v_h) == sig.sigma;
 }
 
 BatchAccumulator::BatchAccumulator(const PairingGroup& group)
@@ -169,7 +173,11 @@ BatchAccumulator::BatchAccumulator(const PairingGroup& group)
 
 void BatchAccumulator::add(const Point& signer_q_id, std::span<const std::uint8_t> message,
                            const DvSignature& sig) {
-  file(signer_q_id, tag_hash(*group_, sig.u, message), sig);
+  file(signer_slot(signer_q_id), tag_hash(*group_, sig.u, message), sig);
+}
+
+void BatchAccumulator::add(const BatchEntry& entry) {
+  file(entry, tag_hash(*group_, entry.sig->u, entry.message));
 }
 
 void BatchAccumulator::add_batch(const ParallelPairingEngine& engine,
@@ -178,30 +186,61 @@ void BatchAccumulator::add_batch(const ParallelPairingEngine& engine,
   engine.for_each(entries.size(), [&](std::size_t i) {
     hashes[i] = tag_hash(*group_, entries[i].sig->u, entries[i].message);
   });
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    file(entries[i].signer_q_id, std::move(hashes[i]), *entries[i].sig);
-  }
+  for (std::size_t i = 0; i < entries.size(); ++i) file(entries[i], std::move(hashes[i]));
 }
 
-void BatchAccumulator::file(const Point& signer_q_id, BigUint h, const DvSignature& sig) {
+std::uint32_t BatchAccumulator::signer_slot(const Point& signer_q_id) {
   auto known = std::find(signers_.begin(), signers_.end(), signer_q_id);
   if (known == signers_.end()) known = signers_.insert(known, signer_q_id);
-  signer_of_.push_back(static_cast<std::uint32_t>(known - signers_.begin()));
+  return static_cast<std::uint32_t>(known - signers_.begin());
+}
+
+std::uint32_t BatchAccumulator::key_slot(const Gt& pairwise_key) {
+  auto known = std::find(keys_.begin(), keys_.end(), pairwise_key);
+  if (known == keys_.end()) known = keys_.insert(known, pairwise_key);
+  return static_cast<std::uint32_t>(known - keys_.begin()) | kByKey;
+}
+
+void BatchAccumulator::file(const BatchEntry& entry, BigUint h) {
+  file(entry.pairwise_key != nullptr ? key_slot(*entry.pairwise_key)
+                                     : signer_slot(entry.signer_q_id),
+       std::move(h), *entry.sig);
+}
+
+void BatchAccumulator::file(std::uint32_t slot, BigUint h, const DvSignature& sig) {
+  signer_of_.push_back(slot);
   h_.push_back(std::move(h));
   u_.push_back(sig.u);
   sigma_.push_back(sig.sigma);
   sigma_aggregate_ = group_->gt_mul(sigma_aggregate_, sig.sigma);
 }
 
-Point BatchAccumulator::aggregate(const ec::MsmTable& tables, std::size_t lo,
-                                  std::size_t hi) const {
-  std::vector<BigUint> sums(signers_.size());
-  for (std::size_t i = lo; i < hi; ++i) sums[signer_of_[i]] += h_[i];
-  return group_->multi_mul(tables, sums, std::span<const Point>{u_}.subspan(lo, hi - lo));
+BatchAccumulator::SignerSums BatchAccumulator::signer_sums(std::size_t lo,
+                                                           std::size_t hi) const {
+  SignerSums sums{std::vector<BigUint>(signers_.size()), std::vector<BigUint>(keys_.size())};
+  for (std::size_t i = lo; i < hi; ++i) {
+    const std::uint32_t s = signer_of_[i];
+    ((s & kByKey) != 0 ? sums.by_key[s & ~kByKey] : sums.by_q_id[s]) += h_[i];
+  }
+  return sums;
+}
+
+template <typename PairSk>
+Gt BatchAccumulator::aggregate(const PairSk& pair_sk, const Check& root, std::size_t lo,
+                               std::size_t hi) const {
+  const SignerSums sums = signer_sums(lo, hi);
+  const Gt paired = pair_sk(group_->multi_mul(
+      root.tables, sums.by_q_id, std::span<const Point>{u_}.subspan(lo, hi - lo)));
+  if (keys_.empty()) return paired;
+  return group_->gt_mul(paired, group_->gt_multi_pow(root.keys, sums.by_key));
 }
 
 Point BatchAccumulator::u_aggregate() const {
-  return aggregate(ec::MsmTable{group_->curve(), signers_}, 0, size());
+  if (!keys_.empty()) {
+    throw std::logic_error("BatchAccumulator::u_aggregate: signers filed by pairwise key");
+  }
+  return group_->multi_mul(ec::MsmTable{group_->curve(), signers_},
+                           signer_sums(0, size()).by_q_id, u_);
 }
 
 Gt BatchAccumulator::sigma_product(std::size_t lo, std::size_t hi) const {
@@ -212,8 +251,9 @@ Gt BatchAccumulator::sigma_product(std::size_t lo, std::size_t hi) const {
 
 template <typename PairSk>
 BatchAccumulator::Check BatchAccumulator::check_with(const PairSk& pair_sk) const {
-  Check root{ec::MsmTable{group_->curve(), signers_}, {}, false};
-  root.paired = pair_sk(aggregate(root.tables, 0, size()));
+  Check root{ec::MsmTable{group_->curve(), signers_}, pairing::GtPowTable{*group_, keys_}, {},
+             false};
+  root.paired = aggregate(pair_sk, root, 0, size());
   root.valid = root.paired == sigma_aggregate_;
   return root;
 }
@@ -233,16 +273,16 @@ std::vector<std::size_t> BatchAccumulator::isolate_with(const PairSk& pair_sk,
   BisectionStats local;
   std::vector<std::size_t> invalid;
   if (!root.valid) {
-    descend(pair_sk, root.tables, 0, size(), root.paired, 0, invalid,
+    descend(pair_sk, root, 0, size(), root.paired, 0, invalid,
             stats != nullptr ? *stats : local);
   }
   return invalid;
 }
 
 template <typename PairSk>
-void BatchAccumulator::descend(const PairSk& pair_sk, const ec::MsmTable& tables,
-                               std::size_t lo, std::size_t hi, const Gt& paired,
-                               std::size_t depth, std::vector<std::size_t>& invalid,
+void BatchAccumulator::descend(const PairSk& pair_sk, const Check& root, std::size_t lo,
+                               std::size_t hi, const Gt& paired, std::size_t depth,
+                               std::vector<std::size_t>& invalid,
                                BisectionStats& stats) const {
   if (hi - lo == 1) {
     invalid.push_back(lo);
@@ -251,17 +291,18 @@ void BatchAccumulator::descend(const PairSk& pair_sk, const ec::MsmTable& tables
   const std::size_t mid = lo + (hi - lo) / 2;
   stats.max_depth = std::max(stats.max_depth, depth + 1);
   ++stats.oracle_calls;
-  const Gt left = pair_sk(aggregate(tables, lo, mid));
+  const Gt left = aggregate(pair_sk, root, lo, mid);
   // ê(sk_B, ·) is a homomorphism in its evaluation argument and its values
-  // are unitary, so the right half's pairing is the parent's times the
-  // conjugate of the left's. The Σ side is never derived this way: an
-  // attacker's Σ need not be unitary, or even invertible.
+  // are unitary (so are the pairwise keys, which are pairing values), so the
+  // right half's A is the parent's times the conjugate of the left's. The Σ
+  // side is never derived this way: an attacker's Σ need not be unitary, or
+  // even invertible.
   const Gt right = group_->gt_mul(paired, group_->gt_inv(left));
   if (left != sigma_product(lo, mid)) {
-    descend(pair_sk, tables, lo, mid, left, depth + 1, invalid, stats);
+    descend(pair_sk, root, lo, mid, left, depth + 1, invalid, stats);
   }
   if (right != sigma_product(mid, hi)) {
-    descend(pair_sk, tables, mid, hi, right, depth + 1, invalid, stats);
+    descend(pair_sk, root, mid, hi, right, depth + 1, invalid, stats);
   }
 }
 

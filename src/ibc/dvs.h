@@ -15,6 +15,11 @@
 //   U_A = Σ_ij (U_ij + h_ij·Q_IDi)  ⇒  ê(U_A, sk_B) == Σ_A,
 // costing one pairing for any number of signatures and signers; U_A is one
 // signer-grouped multi-scalar multiplication (see BatchAccumulator).
+// Pairwise keys: ê(·, sk_B) is a homomorphism in its evaluation argument, so
+// ê(s·Q_ID, sk_B) = v^s with v = ê(Q_ID, sk_B), the Sakai–Ohgishi–Kasahara
+// key the signer's DvSigner also holds as g_B. A verifier that prepares v once
+// per signer raises v to the signer's h-sum in GT instead of multiplying Q_ID
+// in G1; every value compared is bit-identical either way.
 // BatchAccumulator::add_batch is the one parallel hook: it hashes the entries
 // across an engine's lanes and leaves the accumulator bit-identical to
 // sequential add() calls, so verdicts, isolated sets, aggregates and
@@ -94,11 +99,14 @@ DvSignature dv_simulate(const PairingGroup& group, const Point& signer_q_id,
                         const IdentityKey& verifier, num::RandomSource& rng);
 
 /// One verified item of a batch: a signer identity point, the message it
-/// signed, and its DV signature.
+/// signed, and its DV signature. With `pairwise_key` set (v = ê(Q_ID, sk_B)
+/// from DesignatedVerifier::pairwise_key of the checking verifier) the entry
+/// is filed under that key and `signer_q_id` is not read.
 struct BatchEntry {
   Point signer_q_id;
   std::span<const std::uint8_t> message;
   const DvSignature* sig = nullptr;
+  const Gt* pairwise_key = nullptr;
 };
 
 /// Eq. (8)/(9): verifies an arbitrary mixed-signer batch with ONE pairing
@@ -159,12 +167,14 @@ CrossUserVerdict dv_cross_user_verify(const PairingGroup& group,
 
 /// The same verdict for a long-lived verifier: the attestation check, the
 /// aggregate and every bisection oracle call replay the precomputed sk_B
-/// lines, and the attestation's h·Q_CS runs on a fixed-base table. Verdicts,
-/// isolated sets, bisection stats and op counters are bit-identical to the
-/// IdentityKey forms.
+/// lines, the attestation is checked through the attestor's pairwise key
+/// ê(Q_CS, sk_B), and entries that carry a pairwise key raise it in GT.
+/// Verdicts, isolated sets and bisection stats are bit-identical to the
+/// IdentityKey form; the op counters trade point_muls and msm_terms for
+/// gt_msm_terms.
 CrossUserVerdict dv_cross_user_verify(const DesignatedVerifier& verifier,
                                       std::span<const BatchEntry> entries,
-                                      const ec::FixedBaseTable& attestor_q_id,
+                                      const Gt& attestor_pairwise_key,
                                       std::span<const std::uint8_t> attestation_message,
                                       const DvSignature& attestation,
                                       bool isolate_on_reject = true);
@@ -183,9 +193,15 @@ class DesignatedVerifier {
   /// Eq. (5)/(7) with the precomputed sk_B pairing.
   bool verify(const Point& signer_q_id, std::span<const std::uint8_t> message,
               const DvSignature& sig) const;
-  /// The same check with h·Q_ID on a fixed-base table of the signer's Q_ID.
-  bool verify(const ec::FixedBaseTable& signer_q_id, std::span<const std::uint8_t> message,
+  /// The same check through the signer's pairwise key:
+  /// ê(U, sk_B)·v^h == Σ, with no G1 scalar mult.
+  bool verify(const Gt& signer_pairwise_key, std::span<const std::uint8_t> message,
               const DvSignature& sig) const;
+
+  /// The signer's pairwise key v = ê(Q_ID, sk_B): one replayed pairing. v is
+  /// the GT value the signer's DvSigner prepares for this verifier, so it is
+  /// as secret as sk_B for that signer's signatures; never export it.
+  Gt pairwise_key(const Point& signer_q_id) const { return fixed_.pair_with(signer_q_id); }
 
   /// The precomputed ê(sk_B, ·).
   const pairing::FixedPairing& fixed() const noexcept { return fixed_; }
@@ -198,16 +214,24 @@ class DesignatedVerifier {
 
 /// Incremental batch accumulator ("the signature combination can be
 /// performed incrementally", Section VI). add() only hashes the entry and
-/// files it under its signer; the checks evaluate
-///   U_A = Σ_i U_i + Σ_j (Σ_{i signed by j} h_i)·Q_j
-/// as one multi-scalar multiplication with one term per distinct signer. The
-/// h_i are summed as integers, not mod q, so U_A is exact for every Q_j.
+/// files it under its signer: by Q_ID, or by a pairwise key
+/// v_j = ê(Q_j, sk_B) prepared by the verifier that will check the batch.
+/// With s_j = Σ_{i signed by j} h_i, the checks evaluate
+///   A = ê(Σ_i U_i + Σ_{j by Q_ID} s_j·Q_j, sk_B) · Π_{j by key} v_j^{s_j}
+/// as one G1 multi-scalar multiplication, one pairing and one GT
+/// multi-exponentiation, each with one term per distinct signer. A equals
+/// ê(U_A, sk_B) bit for bit whichever way each signer is filed. The h_i are
+/// summed as integers, not mod q, so A is exact for every Q_j.
 class BatchAccumulator {
  public:
   explicit BatchAccumulator(const PairingGroup& group);
 
   void add(const Point& signer_q_id, std::span<const std::uint8_t> message,
            const DvSignature& sig);
+  /// Files `entry` under its pairwise key when it carries one (then only the
+  /// verifier whose pairwise_key produced it may check this accumulator),
+  /// else under its Q_ID.
+  void add(const BatchEntry& entry);
 
   /// Bulk add with the hashes on the engine's pool; the state afterwards is
   /// bit-identical to calling add() for each entry in order.
@@ -216,14 +240,17 @@ class BatchAccumulator {
 
   std::size_t size() const noexcept { return h_.size(); }
   /// U_A = Σ (U + h·Q_ID), as one grouped multi-scalar multiplication.
+  /// Throws std::logic_error when a signer was filed by pairwise key, whose
+  /// Q_ID the accumulator does not hold.
   Point u_aggregate() const;
   const Gt& sigma_aggregate() const noexcept { return sigma_aggregate_; }
 
-  /// One evaluated aggregate check: ê(sk_B, U_A), with the Miller loop on
-  /// sk_B, and the signer tables its MSM ran on. Isolating a rejected batch
-  /// starts from both, so it pays no second root MSM, pairing or table build.
+  /// One evaluated aggregate check: A = ê(sk_B, U_A), with the Miller loop on
+  /// sk_B, and the signer tables it ran on. Isolating a rejected batch starts
+  /// from all three, so it pays no second root evaluation or table build.
   struct Check {
-    ec::MsmTable tables;
+    ec::MsmTable tables;         ///< the signers filed by Q_ID
+    pairing::GtPowTable keys;    ///< the signers filed by pairwise key
     Gt paired;   ///< ê(sk_B, U_A)
     bool valid;  ///< paired == Σ_A
   };
@@ -255,18 +282,34 @@ class BatchAccumulator {
                                         BisectionStats* stats) const;
   /// Descends into [lo, hi), a failing range whose pairing is `paired`.
   template <typename PairSk>
-  void descend(const PairSk& pair_sk, const ec::MsmTable& tables, std::size_t lo,
-               std::size_t hi, const Gt& paired, std::size_t depth,
-               std::vector<std::size_t>& invalid, BisectionStats& stats) const;
+  void descend(const PairSk& pair_sk, const Check& root, std::size_t lo, std::size_t hi,
+               const Gt& paired, std::size_t depth, std::vector<std::size_t>& invalid,
+               BisectionStats& stats) const;
   /// Π_{i∈[lo,hi)} Σ_i.
   Gt sigma_product(std::size_t lo, std::size_t hi) const;
-  void file(const Point& signer_q_id, BigUint h, const DvSignature& sig);
-  /// Σ_{i∈[lo,hi)} (U_i + h_i·Q_i) as one grouped MSM over the signers' tables.
-  Point aggregate(const ec::MsmTable& tables, std::size_t lo, std::size_t hi) const;
+  void file(const BatchEntry& entry, BigUint h);
+  /// Files (h, sig) under `slot`, a signer_of_ value.
+  void file(std::uint32_t slot, BigUint h, const DvSignature& sig);
+  /// The signer_of_ value of a Q_ID or a pairwise key, filing a new signer.
+  std::uint32_t signer_slot(const Point& signer_q_id);
+  std::uint32_t key_slot(const Gt& pairwise_key);
+  /// s_j = Σ_{i∈[lo,hi) signed by j} h_i for every signer, by kind.
+  struct SignerSums {
+    std::vector<BigUint> by_q_id;  ///< parallel to signers_
+    std::vector<BigUint> by_key;   ///< parallel to keys_
+  };
+  SignerSums signer_sums(std::size_t lo, std::size_t hi) const;
+  /// A over [lo, hi): ê(sk_B, Σ U_i + Σ s_j·Q_j) · Π v_j^{s_j}, over the
+  /// signer tables of `root`.
+  template <typename PairSk>
+  Gt aggregate(const PairSk& pair_sk, const Check& root, std::size_t lo,
+               std::size_t hi) const;
 
   const PairingGroup* group_;
   std::vector<Point> signers_;  ///< distinct Q_ID, first-appearance order
-  std::vector<std::uint32_t> signer_of_;  ///< per entry: index into signers_
+  std::vector<Gt> keys_;        ///< distinct pairwise keys, first-appearance order
+  /// Per entry: index into signers_, or into keys_ when the top bit is set.
+  std::vector<std::uint32_t> signer_of_;
   std::vector<BigUint> h_;                ///< per entry: H2(U ‖ m)
   std::vector<Point> u_;                  ///< per entry: U
   std::vector<Gt> sigma_;                 ///< per entry: Σ

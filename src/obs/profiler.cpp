@@ -16,7 +16,7 @@ using pairing::OpCounters;
 constexpr std::uint64_t OpCounters::* kOpFields[] = {
     &OpCounters::pairings,   &OpCounters::miller_loops,   &OpCounters::final_exps,
     &OpCounters::point_muls, &OpCounters::gt_exps,        &OpCounters::hash_to_points,
-    &OpCounters::msm_terms};
+    &OpCounters::msm_terms,  &OpCounters::gt_msm_terms};
 static_assert(std::size(kOpFields) == kOpArgNames.size());
 
 /// Reads the "ops.*" args back off a recorded event; absent keys are zero.

@@ -38,9 +38,9 @@ namespace seccloud::obs {
 /// Span arg keys under which ProfileSpan records its op-count delta (only
 /// nonzero fields are attached; absent means zero). Order matches
 /// profiler_op_fields().
-inline constexpr std::array<std::string_view, 7> kOpArgNames = {
+inline constexpr std::array<std::string_view, 8> kOpArgNames = {
     "ops.pairings",   "ops.miller_loops",   "ops.final_exps", "ops.point_muls",
-    "ops.gt_exps",    "ops.hash_to_points", "ops.msm_terms"};
+    "ops.gt_exps",    "ops.hash_to_points", "ops.msm_terms",  "ops.gt_msm_terms"};
 
 /// Member pointers into OpCounters, parallel to kOpArgNames.
 std::span<std::uint64_t pairing::OpCounters::* const> profiler_op_fields() noexcept;

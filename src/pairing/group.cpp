@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "bigint/wnaf.h"
 #include "hash/hash_to.h"
 #include "obs/metrics.h"
 #include "pairing/miller_schedule.h"
@@ -168,7 +169,64 @@ void PairingGroup::publish_to(obs::MetricsRegistry& registry, std::string prefix
         snap.counters[prefix + ".gt_exps"] = ops.gt_exps;
         snap.counters[prefix + ".hash_to_points"] = ops.hash_to_points;
         snap.counters[prefix + ".msm_terms"] = ops.msm_terms;
+        snap.counters[prefix + ".gt_msm_terms"] = ops.gt_msm_terms;
       });
+}
+
+GtPowTable::GtPowTable(const PairingGroup& group, std::span<const Gt> bases) {
+  const field::Fp2Field& f2 = group.fp2();
+  odd_.reserve(kEntries * bases.size());
+  for (const Gt& base : bases) {
+    const field::Fe2 g = f2.fe2_import(base);
+    const field::Fe2 g2 = f2.fe2_sqr(g);
+    odd_.push_back(g);
+    for (std::size_t k = 1; k < kEntries; ++k) odd_.push_back(f2.fe2_mul(odd_.back(), g2));
+  }
+}
+
+Gt PairingGroup::gt_multi_pow(const GtPowTable& bases,
+                              std::span<const BigUint> exponents) const {
+  if (exponents.size() != bases.size()) {
+    throw std::invalid_argument("PairingGroup::gt_multi_pow: size mismatch");
+  }
+  static_assert(GtPowTable::kEntries == std::size_t{1} << (num::kWnafWidth - 2),
+                "one table entry per odd digit magnitude");
+  std::vector<std::vector<std::int8_t>> digits(exponents.size());
+  std::size_t len = 0;
+  std::uint64_t terms = 0;
+  for (std::size_t j = 0; j < exponents.size(); ++j) {
+    if (exponents[j].is_zero()) continue;
+    ++terms;
+    digits[j] = num::wnaf4_digits(exponents[j]);
+    len = std::max(len, digits[j].size());
+  }
+  counters_.gt_msm_terms.fetch_add(terms, std::memory_order_relaxed);
+  tls_op_counters().gt_msm_terms += terms;
+
+  const auto& m = fp_->mont();
+  const auto& f2 = *fp2_;
+  field::Fe2 acc = f2.fe2_one();
+  for (std::size_t i = len; i-- > 0;) {
+    acc = f2.fe2_sqr(acc);
+    for (std::size_t j = 0; j < digits.size(); ++j) {
+      if (i >= digits[j].size() || digits[j][i] == 0) continue;
+      const int digit = digits[j][i];
+      const field::Fe2& entry =
+          bases.odd_[j * GtPowTable::kEntries +
+                     static_cast<std::size_t>(digit > 0 ? digit : -digit) / 2];
+      // Unitary: g^(−k) is the conjugate of g^k.
+      acc = f2.fe2_mul(acc, digit > 0 ? entry : field::Fe2{entry.a, m.neg(entry.b)});
+    }
+  }
+  return f2.fe2_export(acc);
+}
+
+std::optional<Gt> PairingGroup::gt_deserialize(std::span<const std::uint8_t> bytes) const {
+  const std::size_t width = (params_.p.bit_length() + 7) / 8;
+  if (bytes.size() != 2 * width) return std::nullopt;
+  Gt x{BigUint::from_bytes(bytes.first(width)), BigUint::from_bytes(bytes.subspan(width))};
+  if (x.a >= params_.p || x.b >= params_.p) return std::nullopt;
+  return x;
 }
 
 std::vector<std::uint8_t> PairingGroup::gt_serialize(const Gt& x) const {

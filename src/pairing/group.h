@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -31,6 +32,26 @@ using num::BigUint;
 
 /// GT element (unitary norm-1 element of F_{p^2} of order dividing q).
 using Gt = Fp2;
+
+class PairingGroup;
+
+/// Unitary GT bases prepared for PairingGroup::gt_multi_pow: each base's odd
+/// powers g, g³, g⁵, g⁷ in Montgomery form (one squaring and three
+/// multiplications per base). Every base must be unitary (a pairing value or
+/// a product of them): the multi-exponentiation takes the conjugate as the
+/// inverse. Prepare a set of bases once, then run any number of
+/// multi-exponentiations over it.
+class GtPowTable {
+ public:
+  static constexpr std::size_t kEntries = 4;  ///< g, g³, g⁵, g⁷ per base
+
+  GtPowTable(const PairingGroup& group, std::span<const Gt> bases);
+  std::size_t size() const noexcept { return odd_.size() / kEntries; }
+
+ private:
+  friend class PairingGroup;
+  std::vector<field::Fe2> odd_;
+};
 
 class PairingGroup {
  public:
@@ -106,8 +127,16 @@ class PairingGroup {
     ++tls_op_counters().gt_exps;
     return fp2_->pow(x, e);
   }
+  /// Π g_j^(e_j) over prepared unitary bases: one shared squaring chain with
+  /// width-4 signed digits, a negative digit taking the conjugate. Exact for
+  /// any exponent, including those ≥ q. exponents.size() must equal
+  /// bases.size(). Counts one gt_msm_term per nonzero exponent.
+  Gt gt_multi_pow(const GtPowTable& bases, std::span<const BigUint> exponents) const;
   /// Fixed-width serialization (2 field elements, big-endian).
   std::vector<std::uint8_t> gt_serialize(const Gt& x) const;
+  /// Inverse of gt_serialize(); std::nullopt on a wrong width or a
+  /// coordinate ≥ p. Does not check membership in GT.
+  std::optional<Gt> gt_deserialize(std::span<const std::uint8_t> bytes) const;
 
   /// Operation accounting. Counters are accumulated with relaxed atomics, so
   /// concurrent workers contribute exact totals; reset before a measured

@@ -23,7 +23,8 @@ struct OpCountersT {
   T point_muls{};     ///< standalone scalar multiplications (mul)
   T gt_exps{};
   T hash_to_points{}; ///< hash-to-G1 evaluations (H1 in the paper)
-  T msm_terms{};      ///< nonzero-scalar terms of multi-scalar multiplications
+  T msm_terms{};      ///< nonzero-scalar terms of G1 multi-scalar multiplications
+  T gt_msm_terms{};   ///< nonzero-exponent terms of GT multi-exponentiations
 
   bool operator==(const OpCountersT&) const = default;
 };
@@ -41,6 +42,7 @@ inline OpCounters snapshot(const AtomicOpCounters& a) noexcept {
   out.gt_exps = a.gt_exps.load(std::memory_order_relaxed);
   out.hash_to_points = a.hash_to_points.load(std::memory_order_relaxed);
   out.msm_terms = a.msm_terms.load(std::memory_order_relaxed);
+  out.gt_msm_terms = a.gt_msm_terms.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -53,6 +55,7 @@ inline void accumulate(AtomicOpCounters& a, const OpCounters& d) noexcept {
   a.gt_exps.fetch_add(d.gt_exps, std::memory_order_relaxed);
   a.hash_to_points.fetch_add(d.hash_to_points, std::memory_order_relaxed);
   a.msm_terms.fetch_add(d.msm_terms, std::memory_order_relaxed);
+  a.gt_msm_terms.fetch_add(d.gt_msm_terms, std::memory_order_relaxed);
 }
 
 /// Relaxed store of a value into an atomic accumulator.
@@ -64,6 +67,7 @@ inline void store(AtomicOpCounters& a, const OpCounters& v) noexcept {
   a.gt_exps.store(v.gt_exps, std::memory_order_relaxed);
   a.hash_to_points.store(v.hash_to_points, std::memory_order_relaxed);
   a.msm_terms.store(v.msm_terms, std::memory_order_relaxed);
+  a.gt_msm_terms.store(v.gt_msm_terms, std::memory_order_relaxed);
 }
 
 inline OpCounters& operator+=(OpCounters& a, const OpCounters& b) noexcept {
@@ -74,6 +78,7 @@ inline OpCounters& operator+=(OpCounters& a, const OpCounters& b) noexcept {
   a.gt_exps += b.gt_exps;
   a.hash_to_points += b.hash_to_points;
   a.msm_terms += b.msm_terms;
+  a.gt_msm_terms += b.gt_msm_terms;
   return a;
 }
 
@@ -90,6 +95,7 @@ inline OpCounters operator-(OpCounters a, const OpCounters& b) noexcept {
   a.gt_exps -= b.gt_exps;
   a.hash_to_points -= b.hash_to_points;
   a.msm_terms -= b.msm_terms;
+  a.gt_msm_terms -= b.gt_msm_terms;
   return a;
 }
 

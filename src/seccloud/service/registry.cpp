@@ -168,7 +168,10 @@ UserHandle ShardedRegistry::register_user(std::string_view id) {
   // Copy the identity into the byte arena (bump pointer; new chunk if the
   // tail cannot hold it).
   if (shard.id_chunks.empty() || shard.id_tail + id.size() > config_.id_arena_chunk_bytes) {
-    shard.id_chunks.push_back(std::make_unique<std::uint8_t[]>(config_.id_arena_chunk_bytes));
+    // Not zero-filled: only the bytes written below are ever read, so the
+    // untouched rest of the chunk never costs a resident page.
+    shard.id_chunks.push_back(
+        std::make_unique_for_overwrite<std::uint8_t[]>(config_.id_arena_chunk_bytes));
     shard.id_tail = 0;
   }
   std::memcpy(shard.id_chunks.back().get() + shard.id_tail, id.data(), id.size());
@@ -232,12 +235,16 @@ UserView ShardedRegistry::view(UserHandle handle) const {
   return out;
 }
 
-bool ShardedRegistry::bind_key(UserHandle handle, std::span<const std::uint8_t> blob) {
+bool ShardedRegistry::bind_key(UserHandle handle, std::span<const std::uint8_t> blob,
+                               std::span<const std::uint8_t> prepared) {
   if (config_.key_width == 0) {
     throw std::invalid_argument("ShardedRegistry: key arena disabled (key_width == 0)");
   }
   if (blob.size() != config_.key_width) {
     throw std::invalid_argument("ShardedRegistry: key blob width mismatch");
+  }
+  if (prepared.size() != config_.prepared_width) {
+    throw std::invalid_argument("ShardedRegistry: prepared key width mismatch");
   }
   auto [shard, idx] = resolve(handle);
   std::lock_guard<std::mutex> lock(shard->m);
@@ -248,30 +255,44 @@ bool ShardedRegistry::bind_key(UserHandle handle, std::span<const std::uint8_t> 
   const std::size_t slot = shard->keyed;
   const std::size_t per_chunk = config_.records_per_chunk;
   if (slot % per_chunk == 0) {
+    // Not zero-filled: a chunk holds per_chunk slots, and a fleet that keys a
+    // few users per shard must not make every slot of the chunk resident.
     shard->key_chunks.push_back(
-        std::make_unique<std::uint8_t[]>(per_chunk * config_.key_width));
+        std::make_unique_for_overwrite<std::uint8_t[]>(per_chunk * slot_width()));
   }
-  std::memcpy(shard->key_chunks[slot / per_chunk].get() +
-                  (slot % per_chunk) * config_.key_width,
-              blob.data(), blob.size());
+  std::uint8_t* out =
+      shard->key_chunks[slot / per_chunk].get() + (slot % per_chunk) * slot_width();
+  std::memcpy(out, blob.data(), blob.size());
+  if (!prepared.empty()) std::memcpy(out + blob.size(), prepared.data(), prepared.size());
   rec.key_slot = static_cast<std::uint32_t>(slot);
   ++shard->keyed;
   return true;
 }
 
-std::span<const std::uint8_t> ShardedRegistry::key(UserHandle handle) const {
+const std::uint8_t* ShardedRegistry::key_slot(UserHandle handle) const {
   auto [shard, idx] = resolve(handle);
   std::lock_guard<std::mutex> lock(shard->m);
   if (idx >= shard->count) throw std::out_of_range("ShardedRegistry: bad handle (index)");
   const Record& rec =
       shard->record_chunks[idx / config_.records_per_chunk][idx % config_.records_per_chunk];
-  if (rec.key_slot == kNoKey) return {};
+  if (rec.key_slot == kNoKey) return nullptr;
   const std::size_t per_chunk = config_.records_per_chunk;
-  const std::uint8_t* base = shard->key_chunks[rec.key_slot / per_chunk].get() +
-                             (rec.key_slot % per_chunk) * config_.key_width;
-  // Arena chunks never move and the blob was fully written before key_slot
-  // was published under this same mutex, so the span outlives the lock.
-  return {base, config_.key_width};
+  // Arena chunks never move and the slot was fully written before key_slot
+  // was published under this same mutex, so the bytes outlive the lock.
+  return shard->key_chunks[rec.key_slot / per_chunk].get() +
+         (rec.key_slot % per_chunk) * slot_width();
+}
+
+std::span<const std::uint8_t> ShardedRegistry::key(UserHandle handle) const {
+  const std::uint8_t* slot = key_slot(handle);
+  if (slot == nullptr) return {};
+  return {slot, config_.key_width};
+}
+
+std::span<const std::uint8_t> ShardedRegistry::prepared_key(UserHandle handle) const {
+  const std::uint8_t* slot = key_slot(handle);
+  if (slot == nullptr) return {};
+  return {slot + config_.key_width, config_.prepared_width};
 }
 
 std::uint64_t ShardedRegistry::audited_version(UserHandle handle) const {
@@ -303,8 +324,7 @@ RegistryStats ShardedRegistry::stats() const {
     out.keyed_users += shard->keyed;
     out.record_bytes += shard->record_chunks.size() * config_.records_per_chunk * sizeof(Record);
     out.id_bytes += shard->id_chunks.size() * config_.id_arena_chunk_bytes;
-    out.key_bytes +=
-        shard->key_chunks.size() * config_.records_per_chunk * config_.key_width;
+    out.key_bytes += shard->key_chunks.size() * config_.records_per_chunk * slot_width();
     out.table_bytes += shard->table.size() * sizeof(std::uint32_t);
   }
   return out;

@@ -9,10 +9,10 @@
 //     UserHandle resolves to a stable record in O(1) without rehashing);
 //   * a byte arena for identity strings (append-only, so id storage costs
 //     one bump-pointer copy instead of a std::string per user);
-//   * a fixed-width key arena for bound identity-point material (serialized
-//     Q_ID blobs, written once at activation and then readable without the
-//     shard lock because arena memory is stable and publication happens
-//     under the lock);
+//   * a fixed-width key arena for bound identity-point material (a serialized
+//     Q_ID blob followed by its fixed-width prepared form, written once at
+//     activation and then readable without the shard lock because arena
+//     memory is stable and publication happens under the lock);
 //   * an open-addressing hash table (id hash, linear probing, ×2 growth)
 //     mapping identity → record in amortized O(1).
 //
@@ -50,6 +50,10 @@ struct RegistryConfig {
   /// Fixed width of one bound key blob (serialized Q_ID). 0 disables the
   /// key arena — bind_key then rejects everything.
   std::size_t key_width = 0;
+  /// Fixed width of the prepared form stored after each key blob (the
+  /// service's pairwise key ê(Q_ID, sk_B)). A key slot is
+  /// key_width + prepared_width bytes.
+  std::size_t prepared_width = 0;
 };
 
 /// Read-only view of one registered user.
@@ -80,7 +84,7 @@ struct RegistryStats {
   std::size_t shards = 0;
   std::size_t record_bytes = 0;  ///< arena-reserved record storage
   std::size_t id_bytes = 0;      ///< arena-reserved identity bytes
-  std::size_t key_bytes = 0;     ///< arena-reserved key-blob storage
+  std::size_t key_bytes = 0;     ///< arena-reserved key-slot storage
   std::size_t table_bytes = 0;   ///< open-addressing tables
 
   std::size_t total_bytes() const noexcept {
@@ -113,16 +117,21 @@ class ShardedRegistry {
   /// that was never issued.
   UserView view(UserHandle handle) const;
 
-  /// Binds fixed-width key material (a serialized identity point) to the
-  /// user. Write-once: returns false if the user is already keyed. Throws
-  /// std::invalid_argument if blob.size() != key_width() or keys are
-  /// disabled.
-  bool bind_key(UserHandle handle, std::span<const std::uint8_t> blob);
+  /// Binds fixed-width key material (a serialized identity point) and its
+  /// prepared form to the user. Write-once: returns false if the user is
+  /// already keyed. Throws std::invalid_argument if blob.size() !=
+  /// key_width(), prepared.size() != the configured prepared_width, or keys
+  /// are disabled.
+  bool bind_key(UserHandle handle, std::span<const std::uint8_t> blob,
+                std::span<const std::uint8_t> prepared = {});
 
   /// The bound key blob (empty span if none). The returned memory is stable
   /// for the registry's lifetime; publication happened under the shard lock
   /// taken by this call, so the bytes are safe to read afterwards.
   std::span<const std::uint8_t> key(UserHandle handle) const;
+  /// The prepared form bound with the key (empty span if none, or if
+  /// prepared_width is 0). Same lifetime and publication rules as key().
+  std::span<const std::uint8_t> prepared_key(UserHandle handle) const;
 
   /// Freshness counter of the last *verified* audit (0 = never audited).
   std::uint64_t audited_version(UserHandle handle) const;
@@ -144,6 +153,11 @@ class ShardedRegistry {
   Shard& shard_for(std::uint64_t hash) const noexcept;
   /// Decodes a handle; throws std::out_of_range if out of bounds.
   std::pair<Shard*, std::size_t> resolve(UserHandle handle) const;
+  /// The user's key slot (nullptr if unkeyed), validating the handle.
+  const std::uint8_t* key_slot(UserHandle handle) const;
+  std::size_t slot_width() const noexcept {
+    return config_.key_width + config_.prepared_width;
+  }
 
   RegistryConfig config_;
   std::size_t shard_bits_ = 0;

@@ -20,13 +20,15 @@ AuditService::AuditService(const PairingGroup& group, IdentityKey verifier,
                            IdentityKey attestor, ServiceConfig config)
     : group_(&group),
       config_([&] {
-        // Every bound key is a serialized G1 point: fixed width 0x04‖X‖Y.
+        // Every bound key is a serialized G1 point, fixed width 0x04‖X‖Y,
+        // followed by its serialized pairwise key, two field elements.
         config.registry.key_width = group.curve().serialize(group.generator()).size();
+        config.registry.prepared_width = group.gt_serialize(group.gt_one()).size();
         return config;
       }()),
       attestor_(group, attestor, std::span{&verifier.q_id, 1}),
       verifier_(group, verifier),
-      attestor_q_id_(group.curve(), attestor.q_id),
+      attestor_key_(verifier_.pairwise_key(attestor.q_id)),
       registry_(config_.registry),
       queue_(config_.epoch),
       engine_(group, config_.threads) {}
@@ -37,12 +39,13 @@ UserHandle AuditService::register_user(std::string_view id) {
 
 UserHandle AuditService::register_user(std::string_view id, const Point& q_id) {
   const UserHandle handle = registry_.register_user(id);
-  registry_.bind_key(handle, group_->curve().serialize(q_id));
+  activate(handle, q_id);
   return handle;
 }
 
 bool AuditService::activate(UserHandle user, const Point& q_id) {
-  return registry_.bind_key(user, group_->curve().serialize(q_id));
+  return registry_.bind_key(user, group_->curve().serialize(q_id),
+                            group_->gt_serialize(verifier_.pairwise_key(q_id)));
 }
 
 std::optional<Point> AuditService::user_q_id(UserHandle user) const {
@@ -72,7 +75,7 @@ EpochReport AuditService::run_epoch() {
   // --- admission filter: stale replays and unkeyed users cost 0 pairings ---
   struct Admitted {
     std::size_t request_index;
-    Point q_id;
+    pairing::Gt pairwise_key;  ///< ê(Q_ID, sk_B), bound with the user's key
   };
   std::vector<Admitted> admitted;
   admitted.reserve(requests.size());
@@ -89,7 +92,7 @@ EpochReport AuditService::run_epoch() {
   std::size_t total_entries = 0;
   for (std::size_t r = 0; r < requests.size(); ++r) {
     const AuditRequest& request = requests[r];
-    const auto key = registry_.key(request.user);  // validates the handle
+    const auto key = registry_.prepared_key(request.user);  // validates the handle
     if (key.empty()) {
       ++report.unkeyed_rejected;
       failed[r] = 1;
@@ -107,14 +110,14 @@ EpochReport AuditService::run_epoch() {
       if (auto* c = m_stale_.load(std::memory_order_acquire)) c->inc();
       continue;
     }
-    auto q_id = group_->curve().deserialize(key);
-    if (!q_id || request.blocks.empty()) {
+    auto pairwise_key = group_->gt_deserialize(key);
+    if (!pairwise_key || request.blocks.empty()) {
       ++report.unkeyed_rejected;
       failed[r] = 1;
       filter_reason[r] = kReasonUnkeyed;
       continue;
     }
-    admitted.push_back({r, *q_id});
+    admitted.push_back({r, std::move(*pairwise_key)});
     admitted_version[request.user] = request.version;
     total_entries += request.blocks.size();
   }
@@ -141,7 +144,7 @@ EpochReport AuditService::run_epoch() {
       messages.push_back(core::block_message_bytes(sb.block));
       sigs.push_back(config_.role == VerifierRole::kCloudServer ? sb.sig.for_cs()
                                                                 : sb.sig.for_da());
-      entries.push_back({a.q_id, messages.back(), &sigs.back()});
+      entries.push_back({{}, messages.back(), &sigs.back(), &a.pairwise_key});
       refs.push_back({a.request_index, b});
     }
   }
@@ -209,7 +212,7 @@ EpochReport AuditService::run_epoch() {
     obs::ExemplarScope exemplar{first_request_id, report.epoch};
     verdicts[i] = ibc::dv_cross_user_verify(
         verifier_, std::span<const ibc::BatchEntry>{entries}.subspan(lo, hi - lo),
-        attestor_q_id_, attest_messages[i], attestations[i]);
+        attestor_key_, attest_messages[i], attestations[i]);
     if (auto* h = m_batch_verify_ms_.load(std::memory_order_acquire)) {
       h->observe(std::chrono::duration<double, std::milli>(
                      std::chrono::steady_clock::now() - bt0)

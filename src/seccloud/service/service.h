@@ -4,7 +4,8 @@
 // paper's third-party auditor shape, or the CS checking incoming uploads)
 // operating at fleet scale:
 //   * users live in the ShardedRegistry; active users bind their serialized
-//     Q_ID once and are afterwards resolved in O(1) per request;
+//     Q_ID once, together with their pairwise key v = ê(Q_ID, sk_B), and are
+//     afterwards resolved in O(1) per request;
 //   * audit requests are admitted into fixed epochs through the bounded
 //     AdmissionQueue (backpressure instead of unbounded memory);
 //   * run_epoch() drains the queue, filters stale replays against each
@@ -22,14 +23,15 @@
 // batch) HMAC-DRBG, and op counters accumulate atomically — verdicts,
 // isolated sets, and op totals are bit-identical for any thread count.
 //
-// Fixed-key precomputation: the keys every epoch uses are prepared once at
-// construction and shared read-only by every lane: the Miller lines of sk_B
-// for every check, a fixed-base table on Q_CS for the attestation check's
-// h·Q_CS, and the attestor's DvSigner, g = ê(sk_CS, Q_B), so an attestation
-// costs one scalar mult and one GT exponentiation. Attestations and verdicts
-// are bit-identical to the unprepared IdentityKey paths (ibs_sign +
-// dv_transform, dv_cross_user_verify on keys), and the verify window's op
-// counters are too.
+// Fixed-key precomputation: the keys every epoch uses are prepared once and
+// shared read-only by every lane: the Miller lines of sk_B for every check,
+// the attestor's pairwise key ê(Q_CS, sk_B) for the attestation check, the
+// attestor's DvSigner, g = ê(sk_CS, Q_B), so an attestation costs one scalar
+// mult and one GT exponentiation, and each bound user's pairwise key, so a
+// batch raises its signers' h-sums in GT instead of multiplying their Q_IDs
+// in G1. Attestations, verdicts, isolated sets and bisection stats are
+// bit-identical to the unprepared IdentityKey paths (ibs_sign + dv_transform,
+// dv_cross_user_verify on keys).
 #pragma once
 
 #include <atomic>
@@ -68,7 +70,7 @@ using pairing::Point;
 enum class VerifierRole : std::uint8_t { kCloudServer, kAgency };
 
 struct ServiceConfig {
-  RegistryConfig registry;  ///< key_width is filled in from the group
+  RegistryConfig registry;  ///< key_width and prepared_width are filled in from the group
   EpochConfig epoch;
   std::size_t threads = 0;  ///< engine pool size (0 = hardware concurrency)
   VerifierRole role = VerifierRole::kAgency;
@@ -146,9 +148,11 @@ class AuditService {
 
   /// Registers an identity record only (cheap; no key material).
   UserHandle register_user(std::string_view id);
-  /// Registers and immediately binds the serialized Q_ID (an "active" user).
+  /// Registers and immediately binds the serialized Q_ID (an "active" user)
+  /// with its pairwise key (one replayed pairing).
   UserHandle register_user(std::string_view id, const Point& q_id);
-  /// Late activation: binds Q_ID to an already-registered user. Write-once.
+  /// Late activation: binds Q_ID and its pairwise key to an
+  /// already-registered user. Write-once.
   bool activate(UserHandle user, const Point& q_id);
   /// The bound identity point, deserialized; nullopt for unkeyed users.
   std::optional<Point> user_q_id(UserHandle user) const;
@@ -189,7 +193,7 @@ class AuditService {
   ServiceConfig config_;
   ibc::DvSigner attestor_;             ///< CS → B: g = ê(sk_CS, Q_B); as secret as sk_CS
   ibc::DesignatedVerifier verifier_;   ///< sk_B lines: aggregate, attestation, bisection
-  ec::FixedBaseTable attestor_q_id_;   ///< Q_CS: h·Q_CS when checking the attestation
+  pairing::Gt attestor_key_;           ///< ê(Q_CS, sk_B): the attestation check's Q_CS term
   ShardedRegistry registry_;
   AdmissionQueue queue_;
   ParallelPairingEngine engine_;

@@ -66,6 +66,7 @@ void write_op_counters(obs::JsonWriter& w, const pairing::OpCounters& ops) {
   w.key("gt_exps").value(ops.gt_exps);
   w.key("hash_to_points").value(ops.hash_to_points);
   w.key("msm_terms").value(ops.msm_terms);
+  w.key("gt_msm_terms").value(ops.gt_msm_terms);
   w.end_object();
 }
 

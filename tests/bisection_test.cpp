@@ -245,8 +245,8 @@ TEST(DvBatchIsolateTest, PrecomputedVerifierIsolatesBitIdentically) {
 }
 
 TEST(DvBatchIsolateTest, PrecomputedCrossUserVerdictIsBitIdentical) {
-  // The service's form — sk_B lines plus a fixed-base table on the
-  // attestor's Q_ID — against the IdentityKey form, on an honest batch, a
+  // The service's form — sk_B lines plus the attestor's pairwise key
+  // ê(Q_CS, sk_B) — against the IdentityKey form, on an honest batch, a
   // batch with bad members, and a forged attestation.
   Xoshiro256 rng{807};
   const auto& g = tiny_group();
@@ -255,7 +255,7 @@ TEST(DvBatchIsolateTest, PrecomputedCrossUserVerdictIsBitIdentical) {
   const auto verifier = sio.extract("da@xu");
   const auto attestor = sio.extract("cs@xu");
   const ibc::DesignatedVerifier dv{g, verifier};
-  const ec::FixedBaseTable attestor_q_id{g.curve(), attestor.q_id};
+  const pairing::Gt attestor_key = dv.pairwise_key(attestor.q_id);
   const core::Bytes statement{'e', 'p', 'o', 'c', 'h'};
   const ibc::DvSignature attestation = ibc::dv_transform(
       g, ibc::ibs_sign(g, attestor, statement, rng), verifier.q_id);
@@ -273,7 +273,7 @@ TEST(DvBatchIsolateTest, PrecomputedCrossUserVerdictIsBitIdentical) {
       const auto key_ops = g.counters();
       g.reset_counters();
       const ibc::CrossUserVerdict by_dv =
-          ibc::dv_cross_user_verify(dv, batch.entries, attestor_q_id, statement, att);
+          ibc::dv_cross_user_verify(dv, batch.entries, attestor_key, statement, att);
       const auto dv_ops = g.counters();
 
       EXPECT_EQ(by_key.attestation_valid, genuine);
@@ -283,7 +283,11 @@ TEST(DvBatchIsolateTest, PrecomputedCrossUserVerdictIsBitIdentical) {
       EXPECT_EQ(by_dv.aggregate_valid, by_key.aggregate_valid);
       EXPECT_EQ(by_dv.invalid_entries, by_key.invalid_entries);
       EXPECT_EQ(by_dv.bisection, by_key.bisection);
-      EXPECT_EQ(dv_ops, key_ops);
+      // The attestation's h·Q_CS moved into GT: one GT term for one point_mul.
+      pairing::OpCounters expected_ops = key_ops;
+      --expected_ops.point_muls;
+      ++expected_ops.gt_msm_terms;
+      EXPECT_EQ(dv_ops, expected_ops);
     }
   }
 }
@@ -478,6 +482,165 @@ TEST_F(DerivedIsolationTest, SigmaOutsideGtIsNeverDerived) {
     DvBatch batch = copy_of(pristine, 16);
     for (std::size_t j = 0; j < row.at.size(); ++j) batch.sigs[row.at[j]].sigma = row.sigma[j];
     EXPECT_EQ(expect_matches_reference(g, batch, verifier, dv).invalid, row.at);
+  }
+}
+
+// --- pairwise keys: the same walk with signer terms raised in GT ------------
+
+/// Everything a checked and isolated batch reports.
+struct Outcome {
+  pairing::Gt paired;
+  bool valid = false;
+  std::vector<std::size_t> invalid;
+  ibc::BisectionStats stats;
+
+  bool operator==(const Outcome&) const = default;
+};
+
+enum class Filing { kQId, kKey, kMixed };
+
+/// Files `batch` into an accumulator: every signer by Q_ID, every signer by
+/// dv's pairwise key, or alternate signers (in first-appearance order) by key.
+ibc::BatchAccumulator file_batch(const pairing::PairingGroup& g, const DvBatch& batch,
+                                 const ibc::DesignatedVerifier& dv, Filing filing) {
+  ibc::BatchAccumulator acc{g};
+  std::vector<pairing::Point> seen;
+  for (const ibc::BatchEntry& e : batch.entries) {
+    auto it = std::find(seen.begin(), seen.end(), e.signer_q_id);
+    if (it == seen.end()) it = seen.insert(seen.end(), e.signer_q_id);
+    const bool by_key =
+        filing == Filing::kKey || (filing == Filing::kMixed && (it - seen.begin()) % 2 == 1);
+    const pairing::Gt key = dv.pairwise_key(e.signer_q_id);
+    acc.add(ibc::BatchEntry{e.signer_q_id, e.message, e.sig, by_key ? &key : nullptr});
+  }
+  return acc;
+}
+
+template <typename Verifier>
+Outcome outcome_of(const ibc::BatchAccumulator& acc, const Verifier& v) {
+  const ibc::BatchAccumulator::Check root = acc.check(v);
+  Outcome out{root.paired, root.valid, {}, {}};
+  out.invalid = acc.isolate(v, root, &out.stats);
+  return out;
+}
+
+/// The Q_ID filing checked through the IdentityKey is the reference; every
+/// filing checked through either verifier form must reproduce its paired
+/// value, verdict, isolated set and stats bit for bit.
+Outcome expect_filings_agree(const pairing::PairingGroup& g, const DvBatch& batch,
+                             const ibc::IdentityKey& verifier,
+                             const ibc::DesignatedVerifier& dv) {
+  const Outcome reference = outcome_of(file_batch(g, batch, dv, Filing::kQId), verifier);
+  for (const Filing filing : {Filing::kQId, Filing::kKey, Filing::kMixed}) {
+    const ibc::BatchAccumulator acc = file_batch(g, batch, dv, filing);
+    EXPECT_EQ(outcome_of(acc, verifier), reference) << "filing " << static_cast<int>(filing);
+    EXPECT_EQ(outcome_of(acc, dv), reference) << "filing " << static_cast<int>(filing);
+  }
+  return reference;
+}
+
+TEST_F(DerivedIsolationTest, PairwiseKeysGiveBitIdenticalOutcomes) {
+  const std::vector<ibc::IdentityKey> three{signers[0], signers[1], sio.extract("hal@walk")};
+  const DvBatch pristine = make_batch(g, three, verifier, 24, {}, rng);
+  for (const std::vector<std::size_t>& bad : std::vector<std::vector<std::size_t>>{
+           {}, {0}, {4, 5}, {1, 9, 10, 22}, {23}}) {
+    SCOPED_TRACE(std::to_string(bad.size()) + " faults");
+    DvBatch batch = copy_of(pristine, 24);
+    for (const std::size_t i : bad) {
+      batch.sigs[i].sigma = g.gt_mul(batch.sigs[i].sigma, batch.sigs[i].sigma);
+    }
+    const Outcome outcome = expect_filings_agree(g, batch, verifier, dv);
+    EXPECT_EQ(outcome.valid, bad.empty());
+    EXPECT_EQ(outcome.invalid, bad);
+  }
+}
+
+TEST_F(DerivedIsolationTest, PairwiseKeysOfTorsionKeysAndIdentityU) {
+  // Bound keys of order 2 and 3 have the pairwise key 1 (ê(·, sk_B) maps
+  // them to the identity), and U = O contributes nothing to either side:
+  // entries whose Σ matches their target stay valid whichever way the
+  // signer is filed, and the others are isolated identically.
+  const pairing::Point two_torsion = pairing::Point::affine(num::BigUint{}, num::BigUint{});
+  const num::BigUint cofactor = (g.params().p + num::BigUint{1}) / num::BigUint{3};
+  pairing::Point three_torsion = pairing::Point::at_infinity();
+  while (three_torsion.infinity) {
+    three_torsion = g.curve().mul(cofactor, g.curve().random_point(rng));
+  }
+  EXPECT_TRUE(g.gt_is_one(dv.pairwise_key(two_torsion)));
+  EXPECT_TRUE(g.gt_is_one(dv.pairwise_key(three_torsion)));
+
+  DvBatch batch = make_batch(g, signers, verifier, 16, {}, rng);
+  const auto rebind = [&](std::size_t i, const pairing::Point& key, bool consistent) {
+    batch.entries[i].signer_q_id = key;
+    if (consistent) make_consistent(batch, i);
+  };
+  rebind(2, two_torsion, true);
+  rebind(3, two_torsion, false);
+  rebind(7, three_torsion, true);
+  rebind(8, three_torsion, false);
+  rebind(12, two_torsion, true);
+  batch.sigs[5].u = pairing::Point::at_infinity();
+  make_consistent(batch, 5);
+  batch.sigs[10].u = pairing::Point::at_infinity();
+  const Outcome outcome = expect_filings_agree(g, batch, verifier, dv);
+  EXPECT_EQ(outcome.invalid, (std::vector<std::size_t>{3, 8, 10}));
+  for (std::size_t i = 0; i < batch.entries.size(); ++i) {
+    const ibc::BatchEntry& e = batch.entries[i];
+    const bool isolated =
+        std::find(outcome.invalid.begin(), outcome.invalid.end(), i) != outcome.invalid.end();
+    EXPECT_EQ(dv.verify(dv.pairwise_key(e.signer_q_id), e.message, *e.sig), !isolated) << i;
+    EXPECT_EQ(ibc::dv_verify(g, e.signer_q_id, e.message, *e.sig, verifier), !isolated) << i;
+  }
+}
+
+TEST(PairwiseKeyTest, CrossUserVerdictAndParallelFilingMatchOnBothGroups) {
+  // Entries that carry pairwise keys through dv_cross_user_verify and
+  // add_batch: verdicts, isolated sets and stats equal the IdentityKey form
+  // on Q_IDs, for all and for alternate entries keyed, on the tiny and the
+  // 512-bit group.
+  for (const pairing::PairingGroup* group : {&tiny_group(), &pairing::default_group()}) {
+    const pairing::PairingGroup& g = *group;
+    Xoshiro256 rng{809};
+    const ibc::Sio sio{g, rng};
+    const std::vector<ibc::IdentityKey> signers{sio.extract("ida@pk"), sio.extract("jon@pk")};
+    const auto verifier = sio.extract("da@pk");
+    const auto attestor = sio.extract("cs@pk");
+    const ibc::DesignatedVerifier dv{g, verifier};
+    const pairing::Gt attestor_key = dv.pairwise_key(attestor.q_id);
+    const std::vector<pairing::Gt> keys{dv.pairwise_key(signers[0].q_id),
+                                        dv.pairwise_key(signers[1].q_id)};
+    const core::Bytes statement{'e', 'p', 'o', 'c', 'h'};
+    const ibc::DvSignature attestation = ibc::dv_transform(
+        g, ibc::ibs_sign(g, attestor, statement, rng), verifier.q_id);
+    const pairing::ParallelPairingEngine engine{g, 2};
+    for (const std::vector<std::size_t>& bad :
+         std::vector<std::vector<std::size_t>>{{}, {2}, {0, 5}}) {
+      const DvBatch batch = make_batch(g, signers, verifier, 6, bad, rng);
+      const ibc::CrossUserVerdict reference = ibc::dv_cross_user_verify(
+          g, batch.entries, verifier, attestor.q_id, statement, attestation);
+      EXPECT_EQ(reference.invalid_entries, bad);
+      for (const std::size_t stride : {1u, 2u}) {
+        std::vector<ibc::BatchEntry> keyed = batch.entries;
+        for (std::size_t i = 0; i < keyed.size(); i += stride) {
+          keyed[i].pairwise_key = &keys[i % signers.size()];
+          keyed[i].signer_q_id = pairing::Point::at_infinity();  // not read
+        }
+        const ibc::CrossUserVerdict by_key =
+            ibc::dv_cross_user_verify(dv, keyed, attestor_key, statement, attestation);
+        EXPECT_EQ(by_key.accepted, reference.accepted);
+        EXPECT_EQ(by_key.attestation_valid, reference.attestation_valid);
+        EXPECT_EQ(by_key.aggregate_valid, reference.aggregate_valid);
+        EXPECT_EQ(by_key.invalid_entries, reference.invalid_entries);
+        EXPECT_EQ(by_key.bisection, reference.bisection);
+
+        ibc::BatchAccumulator serial{g};
+        for (const ibc::BatchEntry& e : keyed) serial.add(e);
+        ibc::BatchAccumulator parallel{g};
+        parallel.add_batch(engine, keyed);
+        EXPECT_EQ(outcome_of(parallel, dv), outcome_of(serial, dv));
+        EXPECT_THROW(parallel.u_aggregate(), std::logic_error);
+      }
+    }
   }
 }
 

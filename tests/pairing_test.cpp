@@ -148,6 +148,79 @@ TEST_F(PairingTest, DefaultGroupPairingBilinear) {
 }
 
 
+// --- GT multi-exponentiation -------------------------------------------------
+
+/// gt_multi_pow over unitary bases — two pairing values, the identity and a
+/// repeat of the first — equals the product of plain gt_pow results for zero
+/// exponents, 1, q − 1, q, 161-bit sums of two q-sized values and random
+/// mixes, and counts one gt_msm_term per nonzero exponent.
+void expect_multi_pow_matches_product(const PairingGroup& group, std::uint64_t seed) {
+  Xoshiro256 rng{seed};
+  const Point p = group.generator();
+  const Gt v = group.pair(p, group.mul(group.random_scalar(rng), p));
+  const Gt w = group.pair(group.mul(group.random_scalar(rng), p), p);
+  const std::vector<Gt> bases{v, w, group.gt_one(), v};
+  const GtPowTable table{group, bases};
+  ASSERT_EQ(table.size(), bases.size());
+
+  const BigUint q = group.order();
+  const BigUint zero;
+  const BigUint one{1};
+  const BigUint wide = (q - one) + (q - BigUint{2});  // two h-sized terms summed
+  ASSERT_EQ(wide.bit_length(), q.bit_length() + 1);
+  std::vector<std::vector<BigUint>> cases = {
+      {zero, zero, zero, zero},
+      {one, zero, zero, zero},
+      {one, one, one, one},
+      {q - one, q, zero, one},
+      {q, q - one, q, q - one},
+      {wide, wide, wide, zero},
+      {zero, wide, one, q - one},
+  };
+  for (int draw = 0; draw < 3; ++draw) {
+    std::vector<BigUint> mix;
+    for (std::size_t j = 0; j < bases.size(); ++j) {
+      mix.push_back(group.random_scalar(rng) + group.random_scalar(rng));
+    }
+    cases.push_back(std::move(mix));
+  }
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const std::vector<BigUint>& exps = cases[c];
+    Gt expected = group.gt_one();
+    std::uint64_t nonzero = 0;
+    for (std::size_t j = 0; j < bases.size(); ++j) {
+      expected = group.gt_mul(expected, group.gt_pow(bases[j], exps[j]));
+      if (!exps[j].is_zero()) ++nonzero;
+    }
+    const OpCounters before = group.counters();
+    EXPECT_EQ(group.gt_multi_pow(table, exps), expected) << "case " << c;
+    EXPECT_EQ(group.counters() - before, OpCounters{.gt_msm_terms = nonzero}) << "case " << c;
+  }
+  // One base, alone: the attestation check's shape.
+  const GtPowTable single{group, {&w, 1}};
+  EXPECT_EQ(group.gt_multi_pow(single, {&wide, 1}), group.gt_pow(w, wide));
+  EXPECT_THROW(group.gt_multi_pow(single, cases.front()), std::invalid_argument);
+  EXPECT_TRUE(group.gt_is_one(group.gt_multi_pow(GtPowTable{group, {}}, {})));
+}
+
+TEST(GtMultiPowTest, MatchesProductOfPowersOnTinyGroup) {
+  expect_multi_pow_matches_product(tiny_group(), 21);
+}
+
+TEST(GtMultiPowTest, MatchesProductOfPowersOnDefaultGroup) {
+  expect_multi_pow_matches_product(default_group(), 22);
+}
+
+TEST(GtSerializeTest, RoundTripsAndRejectsMalformedBytes) {
+  const PairingGroup& g = tiny_group();
+  const Gt e = g.pair(g.generator(), g.generator());
+  const std::vector<std::uint8_t> bytes = g.gt_serialize(e);
+  ASSERT_EQ(g.gt_deserialize(bytes), e);
+  EXPECT_FALSE(g.gt_deserialize(std::span{bytes}.first(bytes.size() - 1)).has_value());
+  std::vector<std::uint8_t> too_big(bytes.size(), 0xff);  // both coordinates ≥ p
+  EXPECT_FALSE(g.gt_deserialize(too_big).has_value());
+}
+
 // --- property sweep over freshly generated parameter sizes -----------------
 
 class GeneratedParams : public ::testing::TestWithParam<std::pair<std::size_t, std::size_t>> {};

@@ -128,6 +128,52 @@ TEST(ShardedRegistryTest, StatsAccountForArenas) {
             stats.record_bytes + stats.id_bytes + stats.key_bytes + stats.table_bytes);
 }
 
+TEST(ShardedRegistryTest, KeySlotsRoundTripAtTheServiceWidth) {
+  // The service's slot: a 129-byte serialized Q_ID followed by its 128-byte
+  // pairwise key. 40 keyed users over 2 shards of 16-slot chunks span several
+  // key chunks; every blob must read back byte for byte, and an unbound
+  // handle must still read back empty on both sides of the slot.
+  constexpr std::size_t kKeyWidth = 129;
+  constexpr std::size_t kPreparedWidth = 128;
+  ShardedRegistry reg{{.shards = 2,
+                       .records_per_chunk = 16,
+                       .key_width = kKeyWidth,
+                       .prepared_width = kPreparedWidth}};
+  const auto blob = [](std::size_t user, std::size_t width, std::uint8_t salt) {
+    std::vector<std::uint8_t> out(width);
+    for (std::size_t b = 0; b < width; ++b) {
+      out[b] = static_cast<std::uint8_t>(user * 31 + b * 7 + salt);
+    }
+    return out;
+  };
+  std::vector<UserHandle> keyed;
+  for (std::size_t i = 0; i < 40; ++i) {
+    keyed.push_back(reg.register_user("keyed-" + std::to_string(i)));
+    ASSERT_TRUE(reg.bind_key(keyed.back(), blob(i, kKeyWidth, 1), blob(i, kPreparedWidth, 2)));
+  }
+  const UserHandle bare = reg.register_user("bare");
+  for (std::size_t i = 0; i < keyed.size(); ++i) {
+    const auto key = reg.key(keyed[i]);
+    const auto prepared = reg.prepared_key(keyed[i]);
+    EXPECT_EQ(std::vector<std::uint8_t>(key.begin(), key.end()), blob(i, kKeyWidth, 1)) << i;
+    EXPECT_EQ(std::vector<std::uint8_t>(prepared.begin(), prepared.end()),
+              blob(i, kPreparedWidth, 2))
+        << i;
+  }
+  EXPECT_TRUE(reg.key(bare).empty());
+  EXPECT_TRUE(reg.prepared_key(bare).empty());
+  EXPECT_FALSE(reg.view(bare).has_key);
+  EXPECT_THROW(reg.bind_key(bare, blob(0, kKeyWidth, 1)), std::invalid_argument)
+      << "the prepared form is required when the slot has room for one";
+  EXPECT_THROW(reg.bind_key(bare, blob(0, kKeyWidth, 1), blob(0, kKeyWidth, 2)),
+               std::invalid_argument);
+  EXPECT_TRUE(reg.key(bare).empty()) << "a rejected bind leaves the user unkeyed";
+  const auto stats = reg.stats();
+  EXPECT_EQ(stats.keyed_users, 40u);
+  EXPECT_EQ(stats.key_bytes % (16 * (kKeyWidth + kPreparedWidth)), 0u);
+  EXPECT_GE(stats.key_bytes, 40 * (kKeyWidth + kPreparedWidth));
+}
+
 TEST(ShardedRegistryConcurrentTest, ParallelRegisterAndFind) {
   ShardedRegistry reg{{.shards = 8, .records_per_chunk = 32}};
   constexpr std::size_t kThreads = 8;
@@ -257,26 +303,38 @@ TEST_F(ServiceFixture, HonestEpochVerifiesAtTwoPairingsPerBatch) {
 }
 
 TEST_F(ServiceFixture, PrecomputedKeysKeepAttestationsAndCountersBitIdentical) {
-  // The service signs and checks through keys prepared once at construction
-  // (the attestor's DvSigner, sk_B Miller lines, a Q_CS fixed-base table),
-  // shared by two lanes over two epochs. Every attestation must equal the
-  // plain ibs_sign + dv_transform from the same per-(seed, epoch, batch)
-  // DRBG, and each epoch's verify counters must equal the values the
-  // unprepared IdentityKey path spends on the same traffic.
+  // The service signs and checks through keys prepared once (the attestor's
+  // DvSigner, sk_B Miller lines, the pairwise keys of the attestor and of
+  // every bound user), shared by two lanes over two epochs. Every attestation
+  // must equal the plain ibs_sign + dv_transform from the same per-(seed,
+  // epoch, batch) DRBG, and each epoch's verify counters must equal the
+  // values the unprepared IdentityKey path spends on the same traffic with
+  // every G1 term moved into GT.
   AuditService svc = make_service(/*threads=*/2, /*batch_capacity=*/8);
   FleetWorkload fleet{sio, {.users = 32, .active_users = 6, .blocks_per_request = 3, .seed = 29}};
   fleet.populate(svc);
   // Per batch: signing is U = r·Q_CS (1 point_mul) and Σ = g^(r+h) (1
   // gt_exp), where the textbook path pays 2 point_muls and the dv_transform
-  // pairing; the check is the attestation's point_mul and pairing plus the
-  // aggregate's pairing
-  // and one msm_term per signer; epoch 0's two bad entries, one in each of
-  // two 8-entry batches, add 6 oracle pairings (one left-half range per level
-  // below the reused aggregate) and their range MSMs.
+  // pairing. The unprepared check is the attestation's point_mul and pairing
+  // plus the aggregate's pairing and one msm_term per signer; epoch 0's two
+  // bad entries, one in each of two 8-entry batches, add 6 oracle pairings
+  // (one left-half range per level below the reused aggregate) and their
+  // range MSMs. The service raises pairwise keys instead: the attestation's
+  // h·Q_CS and each signer's s_j·Q_j become one gt_msm_term each.
   const pairing::OpCounters assembly_signed{.point_muls = 3, .gt_exps = 3};
   const std::vector<pairing::OpCounters> verify_unprepared{
       {.pairings = 12, .miller_loops = 12, .final_exps = 12, .point_muls = 3, .msm_terms = 16},
       {.pairings = 6, .miller_loops = 6, .final_exps = 6, .point_muls = 3, .msm_terms = 8}};
+  const std::vector<pairing::OpCounters> verify_prepared{
+      {.pairings = 12, .miller_loops = 12, .final_exps = 12, .gt_msm_terms = 19},
+      {.pairings = 6, .miller_loops = 6, .final_exps = 6, .gt_msm_terms = 11}};
+  for (std::size_t epoch = 0; epoch < 2; ++epoch) {
+    pairing::OpCounters moved = verify_unprepared[epoch];
+    moved.gt_msm_terms = moved.point_muls + moved.msm_terms;
+    moved.point_muls = 0;
+    moved.msm_terms = 0;
+    EXPECT_EQ(moved, verify_prepared[epoch]) << "epoch " << epoch;
+  }
   for (std::uint64_t epoch = 0; epoch < 2; ++epoch) {
     auto behaviors = [epoch](std::size_t i) {
       return epoch == 0 && (i == 1 || i == 4) ? FleetBehavior::kBadSignature
@@ -302,8 +360,47 @@ TEST_F(ServiceFixture, PrecomputedKeysKeepAttestationsAndCountersBitIdentical) {
           << "epoch " << epoch << " batch " << i;
     }
     EXPECT_EQ(report.assembly_ops, assembly_signed) << "epoch " << epoch;
-    EXPECT_EQ(report.verify_ops, verify_unprepared[epoch]) << "epoch " << epoch;
+    EXPECT_EQ(report.verify_ops, verify_prepared[epoch]) << "epoch " << epoch;
     EXPECT_EQ(report.verify_ops.pairings, 2 * report.batches + report.bisection.oracle_calls);
+  }
+}
+
+TEST_F(ServiceFixture, TwoLanesReadPairwiseKeysWhileUsersActivate) {
+  // Two lanes verify batches filed by pairwise keys while another thread
+  // registers and activates users, whose keys the registry publishes under
+  // its shard locks. Every epoch must verify all of its traffic, with one GT
+  // term per distinct signer and per attestation and no G1 term at all.
+  AuditService svc = make_service(/*threads=*/2, /*batch_capacity=*/4);
+  FleetWorkload fleet{sio, {.users = 16, .active_users = 8, .blocks_per_request = 2, .seed = 37}};
+  fleet.populate(svc);
+  std::vector<pairing::Point> late_keys;
+  for (std::size_t i = 0; i < 12; ++i) {
+    late_keys.push_back(sio.extract("late-" + std::to_string(i)).q_id);
+  }
+  // jthread: a failed ASSERT below still joins before svc goes away.
+  std::jthread activator([&] {
+    for (std::size_t i = 0; i < late_keys.size(); ++i) {
+      svc.register_user("late-" + std::to_string(i), late_keys[i]);
+    }
+  });
+  for (std::size_t epoch = 0; epoch < 3; ++epoch) {
+    for (auto& r : fleet.make_requests(svc)) ASSERT_TRUE(svc.submit(std::move(r)).accepted);
+    const EpochReport report = svc.run_epoch();
+    EXPECT_EQ(report.verified_requests, 8u) << "epoch " << epoch;
+    EXPECT_EQ(report.batches, 4u);
+    // 8 users × 2 blocks in batches of 4: each batch holds 2 signers. The
+    // activations' pairings land in the same global counter window, so only
+    // the terms no activation spends are exact here.
+    EXPECT_EQ(report.verify_ops.gt_msm_terms, 4u * 2 + 4) << "epoch " << epoch;
+    EXPECT_EQ(report.verify_ops.msm_terms, 0u);
+    EXPECT_EQ(report.verify_ops.point_muls, 0u);
+    EXPECT_GE(report.verify_ops.pairings, 2 * report.batches);
+  }
+  activator.join();
+  for (std::size_t i = 0; i < late_keys.size(); ++i) {
+    const auto handle = svc.registry().find("late-" + std::to_string(i));
+    ASSERT_TRUE(handle.has_value());
+    EXPECT_EQ(svc.user_q_id(*handle), late_keys[i]);
   }
 }
 
@@ -383,26 +480,34 @@ TEST_F(ServiceFixture, ByzantineSignerIsolatedWithoutPoisoningTheBatch) {
 
 TEST_F(ServiceFixture, SmallOrderBoundKeyGetsThePerEntryVerdict) {
   // Binding only checks that a key is on the curve, so a hostile user can
-  // bind a point of order 2 or 3 (outside G1): its MSM table then holds O
-  // (2P or 3P). run_epoch must not throw; each such user's outcome must be
-  // what per-entry dv_verify says about its blocks, and the honest users
+  // bind a point of order 2 or 3 (outside G1). ê(·, sk_B) maps it to the
+  // identity, so its bound pairwise key is 1 and its blocks are checked as
+  // ê(U, sk_B) == Σ'. run_epoch must not throw; each such user's outcome must
+  // be what per-entry dv_verify says about its blocks, and the honest users
   // sharing the batch still verify.
   AuditService svc = make_service(/*threads=*/2, /*batch_capacity=*/16);
   FleetWorkload fleet{sio, {.users = 16, .active_users = 3, .blocks_per_request = 2, .seed = 19}};
   fleet.populate(svc);
   for (auto& r : fleet.make_requests(svc)) ASSERT_TRUE(svc.submit(std::move(r)).accepted);
 
-  // Σ' = ê(U + h·Q, sk_DA) passes dv_verify under key Q; an unrelated Σ' fails.
+  // Σ' = ê(sk_DA, U + h·Q) passes dv_verify under key Q; an unrelated Σ'
+  // fails. U is drawn until h·Q ≠ O, so every block's target carries the
+  // torsion and the check cannot pass by h ≡ 0 mod the key's order.
   const auto make_block = [&](const pairing::Point& q, std::uint64_t index, bool consistent) {
     core::SignedBlock sb;
     sb.block = core::DataBlock::from_value(index, 77 + index);
-    sb.sig.u = g.mul(g.random_scalar(rng), g.generator());
-    const num::BigUint h = ibc::tag_hash(g, sb.sig.u, core::block_message_bytes(sb.block));
-    sb.sig.sigma_da = consistent ? g.pair(g.add(sb.sig.u, g.mul(h, q)), da.secret)
+    num::BigUint h;
+    do {
+      sb.sig.u = g.mul(g.random_scalar(rng), g.generator());
+      h = ibc::tag_hash(g, sb.sig.u, core::block_message_bytes(sb.block));
+    } while (g.curve().mul(h, q).infinity);
+    sb.sig.sigma_da = consistent ? g.pair(da.secret, g.add(sb.sig.u, g.mul(h, q)))
                                  : g.pair(g.generator(), sb.sig.u);
     sb.sig.sigma_cs = sb.sig.sigma_da;
     return sb;
   };
+  const ibc::DesignatedVerifier dv{g, da};
+  const std::vector<std::uint8_t> identity_key = g.gt_serialize(g.gt_one());
   struct Hostile {
     UserHandle user;
     bool per_entry_valid;
@@ -416,12 +521,19 @@ TEST_F(ServiceFixture, SmallOrderBoundKeyGetsThePerEntryVerdict) {
       AuditRequest r;
       r.user = svc.register_user(
           "torsion-" + std::to_string(order) + (consistent ? "-consistent" : "-forged"), key);
+      const auto bound = svc.registry().prepared_key(r.user);
+      EXPECT_TRUE(std::equal(bound.begin(), bound.end(), identity_key.begin(),
+                             identity_key.end()))
+          << "order " << order << ": the pairwise key of a torsion point is 1";
       r.version = 1;
       r.blocks = {make_block(key, 0, true), make_block(key, 1, consistent)};
       bool valid = true;
       for (const core::SignedBlock& sb : r.blocks) {
-        valid = valid && ibc::dv_verify(g, key, core::block_message_bytes(sb.block),
-                                        sb.sig.for_da(), da);
+        const auto message = core::block_message_bytes(sb.block);
+        const bool entry_valid = ibc::dv_verify(g, key, message, sb.sig.for_da(), da);
+        EXPECT_EQ(dv.verify(key, message, sb.sig.for_da()), entry_valid);
+        EXPECT_EQ(dv.verify(dv.pairwise_key(key), message, sb.sig.for_da()), entry_valid);
+        valid = valid && entry_valid;
       }
       hostile.push_back({r.user, valid});
       ASSERT_TRUE(svc.submit(std::move(r)).accepted);
