@@ -55,10 +55,31 @@ T scaled(T normal, T smoke) {
   return smoke_mode() ? smoke : normal;
 }
 
+/// Console reporter that also keeps each benchmark's mean wall time per
+/// iteration, in milliseconds, by benchmark name.
+class WallTimeReporter : public benchmark::ConsoleReporter {
+ public:
+  explicit WallTimeReporter(std::map<std::string, double>& out) : out_(&out) {}
+  void ReportRuns(const std::vector<Run>& runs) override {
+    for (const Run& run : runs) {
+      if (run.run_type != Run::RT_Iteration || run.error_occurred || run.iterations == 0) {
+        continue;
+      }
+      (*out_)[run.benchmark_name()] =
+          run.real_accumulated_time * 1e3 / static_cast<double>(run.iterations);
+    }
+    ConsoleReporter::ReportRuns(runs);
+  }
+
+ private:
+  std::map<std::string, double>* out_;
+};
+
 /// Google Benchmark entry point with the smoke scaling applied: appends
 /// --benchmark_min_time=0.01 (1.7-era plain-seconds syntax) in smoke mode
-/// unless the caller already passed one.
-inline void run_gbench(int argc, char** argv) {
+/// unless the caller already passed one. With `wall_ms`, also returns each
+/// benchmark's mean wall time per iteration (console output only).
+inline void run_gbench(int argc, char** argv, std::map<std::string, double>* wall_ms = nullptr) {
   std::vector<char*> args(argv, argv + argc);
   static char min_time[] = "--benchmark_min_time=0.01";
   bool has_min_time = false;
@@ -70,7 +91,12 @@ inline void run_gbench(int argc, char** argv) {
   if (smoke_mode() && !has_min_time) args.push_back(min_time);
   int n = static_cast<int>(args.size());
   benchmark::Initialize(&n, args.data());
-  benchmark::RunSpecifiedBenchmarks();
+  if (wall_ms != nullptr) {
+    WallTimeReporter reporter{*wall_ms};
+    benchmark::RunSpecifiedBenchmarks(&reporter);
+  } else {
+    benchmark::RunSpecifiedBenchmarks();
+  }
   benchmark::Shutdown();
 }
 

@@ -31,4 +31,17 @@ std::vector<std::int8_t> wnaf4_digits(const BigUint& k) {
   return digits;
 }
 
+std::vector<std::vector<std::int8_t>> wnaf4_rows(const BigUint& k, std::size_t row_bits,
+                                                 std::size_t rows) {
+  const std::vector<std::int8_t> digits = wnaf4_digits(k);
+  std::vector<std::vector<std::int8_t>> out(rows);
+  for (std::size_t j = 0; j < rows && j * row_bits < digits.size(); ++j) {
+    const std::size_t end = j + 1 == rows ? digits.size()
+                                          : std::min(digits.size(), (j + 1) * row_bits);
+    out[j].assign(digits.begin() + static_cast<std::ptrdiff_t>(j * row_bits),
+                  digits.begin() + static_cast<std::ptrdiff_t>(end));
+  }
+  return out;
+}
+
 }  // namespace seccloud::num

@@ -20,4 +20,12 @@ inline constexpr std::size_t kWnafWidth = 4;
 /// Reads the limbs directly instead of shifting a BigUint copy.
 std::vector<std::int8_t> wnaf4_digits(const BigUint& k);
 
+/// k's wnaf4_digits dealt into `rows` rows of `row_bits` positions, for the
+/// fixed-base tables: digit i goes to row i / row_bits at position
+/// i % row_bits, and the last row also keeps the digits above it, so
+/// k = Σ_j 2^(row_bits·j)·Σ_i row_j[i]·2^i. For k < 2^(row_bits·rows) the
+/// last row holds at most row_bits + 1 digits (the top one the last carry).
+std::vector<std::vector<std::int8_t>> wnaf4_rows(const BigUint& k, std::size_t row_bits,
+                                                 std::size_t rows);
+
 }  // namespace seccloud::num

@@ -125,17 +125,13 @@ void append_odd_multiples(const MontCtx& m, const Fe& a_mont, const MontAffine& 
   out.push_back(fe_jac_add_mixed(m, a_mont, fe_jac_dbl(m, a_mont, t3), p));  // 7P = 6P + P
 }
 
-/// The Straus kernel: Σ k_i·B_i over prepared odd-multiple tables, one
+/// The Straus kernel: Σ_j (Σ_i digits[j][i]·2^i)·B_j over prepared
+/// odd-multiple tables and wNAF digit rows (least-significant first), one
 /// shared doubling chain, Jacobian result.
 FeJac straus(const MontCtx& m, const Fe& a_mont, std::span<const MontAffine> odd,
-             std::span<const BigUint> scalars) {
-  std::vector<std::vector<std::int8_t>> digits(scalars.size());
+             const std::vector<std::vector<std::int8_t>>& digits) {
   std::size_t len = 0;
-  for (std::size_t j = 0; j < scalars.size(); ++j) {
-    if (scalars[j].is_zero()) continue;
-    digits[j] = num::wnaf4_digits(scalars[j]);
-    len = std::max(len, digits[j].size());
-  }
+  for (const auto& row : digits) len = std::max(len, row.size());
   FeJac acc = fe_jac_infinity(m);
   for (std::size_t i = len; i-- > 0;) {
     acc = fe_jac_dbl(m, a_mont, acc);
@@ -207,19 +203,16 @@ Point Curve::mul(const BigUint& k, const Point& pt) const {
 }
 
 Point Curve::mul(const FixedBaseTable& base, const BigUint& k) const {
-  constexpr std::size_t kChunk = FixedBaseTable::kChunkBits;
-  static_assert(64 % kChunk == 0, "a chunk must not straddle two limbs");
+  if (base.chunks_.curve_ != this) {
+    throw std::invalid_argument("Curve::mul: table prepared on another curve");
+  }
   if (k.bit_length() > base.span_bits()) {
     throw std::invalid_argument("Curve::mul: scalar wider than the fixed-base table");
   }
-  std::vector<BigUint> chunks(base.chunks_.size());
-  for (std::size_t j = 0; j < chunks.size(); ++j) {
-    const std::size_t bit = j * kChunk;
-    const std::uint64_t chunk =
-        (k.limb(bit / 64) >> (bit % 64)) & ((std::uint64_t{1} << kChunk) - 1);
-    if (chunk != 0) chunks[j] = BigUint{chunk};
-  }
-  return multi_mul(base.chunks_, chunks);
+  const MontCtx& m = field_->mont();
+  const FeJac acc = straus(m, a_mont_, base.chunks_.odd_,
+                           num::wnaf4_rows(k, FixedBaseTable::kChunkBits, base.chunks_.size()));
+  return fe_export(*field_, fe_to_affine(m, acc));
 }
 
 Point Curve::multi_mul(std::span<const BigUint> scalars, std::span<const Point> points) const {
@@ -237,20 +230,32 @@ Point Curve::multi_mul(const MsmTable& bases, std::span<const BigUint> scalars,
   if (scalars.size() != bases.size()) {
     throw std::invalid_argument("Curve::multi_mul: size mismatch");
   }
+  std::vector<std::vector<std::int8_t>> digits(scalars.size());
+  for (std::size_t j = 0; j < scalars.size(); ++j) {
+    if (!scalars[j].is_zero()) digits[j] = num::wnaf4_digits(scalars[j]);
+  }
   const MontCtx& m = field_->mont();
-  FeJac acc = straus(m, a_mont_, bases.odd_, scalars);
+  FeJac acc = straus(m, a_mont_, bases.odd_, digits);
   for (const Point& pt : addends) acc = fe_jac_add_mixed(m, a_mont_, acc, fe_import(*field_, pt));
   return fe_export(*field_, fe_to_affine(m, acc));
 }
 
-MsmTable::MsmTable(const Curve& curve, std::span<const Point> bases) : curve_(&curve) {
-  const MontCtx& m = curve.fp().mont();
+MsmTable::MsmTable(const Curve& curve, std::span<const Point> bases)
+    : MsmTable(&curve, [&] {
+        std::vector<MontAffine> imported;
+        imported.reserve(bases.size());
+        for (const Point& pt : bases) imported.push_back(fe_import(curve.fp(), pt));
+        return imported;
+      }()) {}
+
+MsmTable::MsmTable(const Curve* curve, std::span<const MontAffine> bases) : curve_(curve) {
+  const MontCtx& m = curve->fp().mont();
   std::vector<FeJac> odd_jac;  // 3P, 5P, 7P of every base
   odd_jac.reserve(3 * bases.size());
   odd_.reserve(kEntries * bases.size());
-  for (const Point& pt : bases) {
-    odd_.push_back(fe_import(curve.fp(), pt));
-    append_odd_multiples(m, curve.a_mont_, odd_.back(), odd_jac);
+  for (const MontAffine& pt : bases) {
+    odd_.push_back(pt);
+    append_odd_multiples(m, curve->a_mont_, pt, odd_jac);
     odd_.resize(odd_.size() + 3);  // filled after the shared inversion
   }
   const std::vector<MontAffine> odd = fe_to_affine_batch(m, odd_jac);
@@ -258,9 +263,9 @@ MsmTable::MsmTable(const Curve& curve, std::span<const Point> bases) : curve_(&c
 }
 
 FixedBaseTable::FixedBaseTable(const Curve& curve, const Point& base)
-    : chunks_(curve, chunk_bases(curve, base)) {}
+    : chunks_(&curve, chunk_bases(curve, base)) {}
 
-std::vector<Point> FixedBaseTable::chunk_bases(const Curve& curve, const Point& base) {
+std::vector<MontAffine> FixedBaseTable::chunk_bases(const Curve& curve, const Point& base) {
   const MontCtx& m = curve.fp().mont();
   const std::size_t count = (curve.order().bit_length() + kChunkBits - 1) / kChunkBits;
   const MontAffine p = fe_import(curve.fp(), base);
@@ -268,13 +273,12 @@ std::vector<Point> FixedBaseTable::chunk_bases(const Curve& curve, const Point& 
   std::vector<FeJac> jac;
   jac.reserve(count);
   for (std::size_t j = 0; j < count; ++j) {
+    if (j > 0) {
+      for (std::size_t d = 0; d < kChunkBits; ++d) acc = fe_jac_dbl(m, curve.a_mont_, acc);
+    }
     jac.push_back(acc);
-    for (std::size_t d = 0; d < kChunkBits; ++d) acc = fe_jac_dbl(m, curve.a_mont_, acc);
   }
-  std::vector<Point> out;
-  out.reserve(count);
-  for (const MontAffine& pt : fe_to_affine_batch(m, jac)) out.push_back(fe_export(curve.fp(), pt));
-  return out;
+  return fe_to_affine_batch(m, jac);
 }
 
 std::optional<Point> Curve::lift_x(const BigUint& x, bool even_y) const {

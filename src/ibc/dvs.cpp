@@ -68,18 +68,26 @@ DvSignature dv_transform(const PairingGroup& group, const IbsSignature& sig,
 }
 
 DvSigner::DvSigner(const PairingGroup& group, const IdentityKey& signer,
-                   std::span<const Point> verifier_q_ids)
+                   std::span<const Point> verifier_q_ids, Uses uses)
     : group_(&group), q_id_(signer.q_id) {
+  if (uses == Uses::kRepeated) q_id_table_.emplace(group.curve(), signer.q_id);
   g_.reserve(verifier_q_ids.size());
-  for (const Point& q : verifier_q_ids) g_.push_back(group.pair(signer.secret, q));
+  for (const Point& q : verifier_q_ids) g_.emplace_back(group, group.pair(signer.secret, q));
+}
+
+std::size_t DvSigner::table_bytes() const noexcept {
+  std::size_t bytes = q_id_table_ ? q_id_table_->bytes() : 0;
+  for (const pairing::GtComb& comb : g_) bytes += comb.bytes();
+  return bytes;
 }
 
 DvSignatures DvSigner::sign(std::span<const std::uint8_t> message,
                             num::RandomSource& rng) const {
-  IbsNonce nonce = ibs_nonce(*group_, q_id_, message, rng);
+  IbsNonce nonce = q_id_table_ ? ibs_nonce(*group_, *q_id_table_, message, rng)
+                               : ibs_nonce(*group_, q_id_, message, rng);
   DvSignatures out{std::move(nonce.u), {}};
   out.sigma.reserve(g_.size());
-  for (const Gt& g : g_) out.sigma.push_back(group_->gt_pow(g, nonce.exponent));
+  for (const pairing::GtComb& g : g_) out.sigma.push_back(group_->gt_pow(g, nonce.exponent));
   return out;
 }
 

@@ -6,8 +6,9 @@
 // Verification (Eq. 5/7):    Σ == ê(U + H2(U‖m)·Q_ID, sk_B).
 // Signing without pairings: V = e·sk_ID with e = (r + H2(U‖m)) mod q, so by
 // bilinearity Σ = ê(V, Q_B) = g_B^e with g_B = ê(sk_ID, Q_B) fixed per
-// signer and verifier. DvSigner prepares each g_B once; every signature then
-// costs one scalar mult (U) and one GT exponentiation per verifier.
+// signer and verifier. DvSigner prepares each g_B once, and fixed-base
+// tables for Q_ID and every g_B; every signature then costs one fixed-base
+// scalar mult (U) and one fixed-base GT exponentiation per verifier.
 // Privacy: only a party holding sk_B can check the equation, and that party
 // can *simulate* transcripts (dv_simulate), so Σ convinces nobody else —
 // this is the paper's privacy-cheating discouragement.
@@ -27,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -64,18 +66,30 @@ struct DvSignatures {
 };
 
 /// A signer prepared for a fixed list of designated verifiers: construction
-/// evaluates g_j = ê(sk_ID, Q_j) with one pairing per verifier, and sign()
-/// computes U = r·Q_ID and Σ_j = g_j^e with no pairing at all. For the same
-/// RNG draws the output is bit-identical to ibs_sign followed by
-/// dv_transform(·, Q_j). Each g_j is as secret as sk_ID for signatures
-/// designated to verifier j: whoever holds it can produce Σ_j for any U.
-/// sign() is const and safe to call from several threads at once.
+/// evaluates g_j = ê(sk_ID, Q_j) with one pairing per verifier and builds a
+/// comb for every g_j and, unless the signer is one-shot, a fixed-base table
+/// for Q_ID (both uncounted; see DESIGN.md "Fixed-base signing"). sign() then
+/// computes U = r·Q_ID and Σ_j = g_j^e over them with no pairing and no
+/// variable-base work. For the same RNG draws the output is bit-identical to
+/// ibs_sign followed by dv_transform(·, Q_j). Each g_j, and so its comb, is
+/// as secret as sk_ID for signatures designated to verifier j: whoever holds
+/// it can produce Σ_j for any U. sign() is const and safe to call from
+/// several threads at once.
 class DvSigner {
  public:
+  /// How often the signer will sign. A Q_ID table costs about one
+  /// variable-base mult to build and saves about 60 % of one per signature,
+  /// so a one-shot signer (a warrant, a commitment) skips it and computes its
+  /// one U by variable base. A comb pays for itself on the first signature,
+  /// so every signer builds them.
+  enum class Uses { kOnce, kRepeated };
+
   DvSigner(const PairingGroup& group, const IdentityKey& signer,
-           std::span<const Point> verifier_q_ids);
+           std::span<const Point> verifier_q_ids, Uses uses = Uses::kRepeated);
 
   const Point& q_id() const noexcept { return q_id_; }
+  /// Heap bytes of the Q_ID table (if any) and the combs.
+  std::size_t table_bytes() const noexcept;
 
   /// One point_mul and one gt_exp per verifier.
   DvSignatures sign(std::span<const std::uint8_t> message, num::RandomSource& rng) const;
@@ -83,7 +97,8 @@ class DvSigner {
  private:
   const PairingGroup* group_;
   Point q_id_;
-  std::vector<Gt> g_;  ///< g_j = ê(sk_ID, Q_j)
+  std::optional<ec::FixedBaseTable> q_id_table_;  ///< absent for Uses::kOnce
+  std::vector<pairing::GtComb> g_;                ///< over g_j = ê(sk_ID, Q_j)
 };
 
 /// Eq. (5)/(7): verifier-side check using the verifier's own secret key.

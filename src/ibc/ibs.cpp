@@ -11,14 +11,28 @@ BigUint tag_hash(const PairingGroup& group, const Point& u,
   return hash::hash_to_nonzero("seccloud.v1.tag", buf, group.order());
 }
 
+namespace {
+
+/// Completes a nonce from r and U = r·Q_ID: e = (r + H2(U ‖ m)) mod q.
+IbsNonce with_exponent(const PairingGroup& group, const BigUint& r, Point u,
+                       std::span<const std::uint8_t> message) {
+  BigUint exponent = r + tag_hash(group, u, message);
+  if (exponent >= group.order()) exponent -= group.order();
+  return {std::move(u), std::move(exponent)};
+}
+
+}  // namespace
+
 IbsNonce ibs_nonce(const PairingGroup& group, const Point& signer_q_id,
                    std::span<const std::uint8_t> message, num::RandomSource& rng) {
   const BigUint r = group.random_scalar(rng);
-  IbsNonce nonce;
-  nonce.u = group.mul(r, signer_q_id);
-  nonce.exponent = r + tag_hash(group, nonce.u, message);
-  if (nonce.exponent >= group.order()) nonce.exponent -= group.order();
-  return nonce;
+  return with_exponent(group, r, group.mul(r, signer_q_id), message);
+}
+
+IbsNonce ibs_nonce(const PairingGroup& group, const ec::FixedBaseTable& signer_q_id,
+                   std::span<const std::uint8_t> message, num::RandomSource& rng) {
+  const BigUint r = group.random_scalar(rng);
+  return with_exponent(group, r, group.mul(signer_q_id, r), message);
 }
 
 IbsSignature ibs_sign(const PairingGroup& group, const IdentityKey& signer,

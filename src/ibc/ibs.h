@@ -27,12 +27,15 @@ BigUint tag_hash(const PairingGroup& group, const Point& u,
 /// The message-dependent half of a signature: r ← Zq* (one draw from `rng`),
 /// U = r·Q_ID and the exponent e = (r + H2(U ‖ m)) mod q that V = e·sk_ID
 /// and every Σ_B = ê(sk_ID, Q_B)^e carry. ibs_sign and DvSigner::sign both
-/// start here, so they consume the same RNG draws.
+/// start here, so they consume the same RNG draws; the table form computes
+/// the same U over a prepared Q_ID. Each counts one point_mul.
 struct IbsNonce {
   Point u;
   BigUint exponent;
 };
 IbsNonce ibs_nonce(const PairingGroup& group, const Point& signer_q_id,
+                   std::span<const std::uint8_t> message, num::RandomSource& rng);
+IbsNonce ibs_nonce(const PairingGroup& group, const ec::FixedBaseTable& signer_q_id,
                    std::span<const std::uint8_t> message, num::RandomSource& rng);
 
 IbsSignature ibs_sign(const PairingGroup& group, const IdentityKey& signer,

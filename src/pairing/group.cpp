@@ -12,6 +12,43 @@ namespace seccloud::pairing {
 
 using field::BigUint;
 
+namespace {
+
+/// Appends g, g³, g⁵, g⁷ (one squaring and three multiplications).
+void append_odd_powers(const field::Fp2Field& f2, const field::Fe2& g,
+                       std::vector<field::Fe2>& out) {
+  const field::Fe2 g2 = f2.fe2_sqr(g);
+  out.push_back(g);
+  for (std::size_t k = 1; k < GtPowTable::kEntries; ++k) out.push_back(f2.fe2_mul(out.back(), g2));
+}
+
+/// The signed chain shared by gt_multi_pow and the comb: Π_j g_j^(d_j) with
+/// d_j = Σ_i digits[j][i]·2^i over the odd powers of unitary bases g_j, one
+/// shared squaring chain, a negative digit taking the conjugate.
+field::Fe2 signed_chain(const field::Fp2Field& f2, std::span<const field::Fe2> odd,
+                        const std::vector<std::vector<std::int8_t>>& digits) {
+  static_assert(GtPowTable::kEntries == std::size_t{1} << (num::kWnafWidth - 2),
+                "one table entry per odd digit magnitude");
+  const auto& m = f2.base().mont();
+  std::size_t len = 0;
+  for (const auto& row : digits) len = std::max(len, row.size());
+  field::Fe2 acc = f2.fe2_one();
+  for (std::size_t i = len; i-- > 0;) {
+    acc = f2.fe2_sqr(acc);
+    for (std::size_t j = 0; j < digits.size(); ++j) {
+      if (i >= digits[j].size() || digits[j][i] == 0) continue;
+      const int digit = digits[j][i];
+      const field::Fe2& entry =
+          odd[j * GtPowTable::kEntries + static_cast<std::size_t>(digit > 0 ? digit : -digit) / 2];
+      // Unitary: g^(−k) is the conjugate of g^k.
+      acc = f2.fe2_mul(acc, digit > 0 ? entry : field::Fe2{entry.a, m.neg(entry.b)});
+    }
+  }
+  return acc;
+}
+
+}  // namespace
+
 PairingGroup::PairingGroup(const TypeAParams& params) : params_(params) {
   fp_ = std::make_unique<field::PrimeField>(params_.p);
   fp2_ = std::make_unique<field::Fp2Field>(*fp_);
@@ -176,12 +213,42 @@ void PairingGroup::publish_to(obs::MetricsRegistry& registry, std::string prefix
 GtPowTable::GtPowTable(const PairingGroup& group, std::span<const Gt> bases) {
   const field::Fp2Field& f2 = group.fp2();
   odd_.reserve(kEntries * bases.size());
-  for (const Gt& base : bases) {
-    const field::Fe2 g = f2.fe2_import(base);
-    const field::Fe2 g2 = f2.fe2_sqr(g);
-    odd_.push_back(g);
-    for (std::size_t k = 1; k < kEntries; ++k) odd_.push_back(f2.fe2_mul(odd_.back(), g2));
+  for (const Gt& base : bases) append_odd_powers(f2, f2.fe2_import(base), odd_);
+}
+
+GtPowTable::GtPowTable(const field::Fp2Field& f2, std::span<const field::Fe2> bases) {
+  odd_.reserve(kEntries * bases.size());
+  for (const field::Fe2& base : bases) append_odd_powers(f2, base, odd_);
+}
+
+GtComb::GtComb(const PairingGroup& group, const Gt& base)
+    : group_(&group), chunks_(group.fp2(), chunk_bases(group, base)) {}
+
+std::vector<field::Fe2> GtComb::chunk_bases(const PairingGroup& group, const Gt& base) {
+  const field::Fp2Field& f2 = group.fp2();
+  const std::size_t count = (group.order().bit_length() + kChunkBits - 1) / kChunkBits;
+  std::vector<field::Fe2> out;
+  out.reserve(count);
+  out.push_back(f2.fe2_import(base));
+  while (out.size() < count) {
+    field::Fe2 next = out.back();
+    for (std::size_t d = 0; d < kChunkBits; ++d) next = f2.fe2_sqr(next);
+    out.push_back(next);
   }
+  return out;
+}
+
+Gt PairingGroup::gt_pow(const GtComb& comb, const BigUint& e) const {
+  if (comb.group_ != this) {
+    throw std::invalid_argument("PairingGroup::gt_pow: comb prepared on another group");
+  }
+  if (e.bit_length() > comb.span_bits()) {
+    throw std::invalid_argument("PairingGroup::gt_pow: exponent wider than the comb");
+  }
+  counters_.gt_exps.fetch_add(1, std::memory_order_relaxed);
+  ++tls_op_counters().gt_exps;
+  return fp2_->fe2_export(signed_chain(
+      *fp2_, comb.chunks_.odd_, num::wnaf4_rows(e, GtComb::kChunkBits, comb.chunks_.size())));
 }
 
 Gt PairingGroup::gt_multi_pow(const GtPowTable& bases,
@@ -189,36 +256,16 @@ Gt PairingGroup::gt_multi_pow(const GtPowTable& bases,
   if (exponents.size() != bases.size()) {
     throw std::invalid_argument("PairingGroup::gt_multi_pow: size mismatch");
   }
-  static_assert(GtPowTable::kEntries == std::size_t{1} << (num::kWnafWidth - 2),
-                "one table entry per odd digit magnitude");
   std::vector<std::vector<std::int8_t>> digits(exponents.size());
-  std::size_t len = 0;
   std::uint64_t terms = 0;
   for (std::size_t j = 0; j < exponents.size(); ++j) {
     if (exponents[j].is_zero()) continue;
     ++terms;
     digits[j] = num::wnaf4_digits(exponents[j]);
-    len = std::max(len, digits[j].size());
   }
   counters_.gt_msm_terms.fetch_add(terms, std::memory_order_relaxed);
   tls_op_counters().gt_msm_terms += terms;
-
-  const auto& m = fp_->mont();
-  const auto& f2 = *fp2_;
-  field::Fe2 acc = f2.fe2_one();
-  for (std::size_t i = len; i-- > 0;) {
-    acc = f2.fe2_sqr(acc);
-    for (std::size_t j = 0; j < digits.size(); ++j) {
-      if (i >= digits[j].size() || digits[j][i] == 0) continue;
-      const int digit = digits[j][i];
-      const field::Fe2& entry =
-          bases.odd_[j * GtPowTable::kEntries +
-                     static_cast<std::size_t>(digit > 0 ? digit : -digit) / 2];
-      // Unitary: g^(−k) is the conjugate of g^k.
-      acc = f2.fe2_mul(acc, digit > 0 ? entry : field::Fe2{entry.a, m.neg(entry.b)});
-    }
-  }
-  return f2.fe2_export(acc);
+  return fp2_->fe2_export(signed_chain(*fp2_, bases.odd_, digits));
 }
 
 std::optional<Gt> PairingGroup::gt_deserialize(std::span<const std::uint8_t> bytes) const {

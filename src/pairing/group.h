@@ -50,7 +50,39 @@ class GtPowTable {
 
  private:
   friend class PairingGroup;
+  friend class GtComb;
+  /// Bases already in Montgomery form; taking the field keeps
+  /// GtPowTable{group, {}} unambiguous.
+  GtPowTable(const field::Fp2Field& f2, std::span<const field::Fe2> bases);
+
   std::vector<field::Fe2> odd_;
+};
+
+/// A long-lived unitary base prepared for repeated g^e, the GT counterpart
+/// of ec::FixedBaseTable: one GtPowTable over the chunk bases
+/// {g^(2^(kChunkBits·j)) : j < ⌈bits(q)/kChunkBits⌉}, built in the
+/// Montgomery domain with one Fe2 squaring chain. PairingGroup::gt_pow(comb,
+/// e) deals e's wNAF digits into one row per chunk base and runs
+/// gt_multi_pow's signed chain over them, so the shared squaring chain is a
+/// chunk long instead of bits(e) long. The base must be unitary (a pairing
+/// value), since a negative digit takes the conjugate.
+class GtComb {
+ public:
+  static constexpr std::size_t kChunkBits = 32;
+
+  /// `group` must outlive the comb.
+  GtComb(const PairingGroup& group, const Gt& base);
+  /// Widest exponent PairingGroup::gt_pow accepts with this comb, in bits.
+  std::size_t span_bits() const noexcept { return kChunkBits * chunks_.size(); }
+  /// Heap bytes of the prepared chunk bases.
+  std::size_t bytes() const noexcept { return chunks_.odd_.size() * sizeof(field::Fe2); }
+
+ private:
+  friend class PairingGroup;
+  static std::vector<field::Fe2> chunk_bases(const PairingGroup& group, const Gt& base);
+
+  const PairingGroup* group_;
+  GtPowTable chunks_;
 };
 
 class PairingGroup {
@@ -127,6 +159,11 @@ class PairingGroup {
     ++tls_op_counters().gt_exps;
     return fp2_->pow(x, e);
   }
+  /// g^e over a prepared comb, equal to gt_pow(g, e) for the comb's unitary
+  /// base g; counts one gt_exp, exactly like gt_pow(g, e). Throws
+  /// std::invalid_argument if e is wider than the comb's span_bits() or the
+  /// comb was prepared on another group.
+  Gt gt_pow(const GtComb& comb, const BigUint& e) const;
   /// Π g_j^(e_j) over prepared unitary bases: one shared squaring chain with
   /// width-4 signed digits, a negative digit taking the conjugate. Exact for
   /// any exponent, including those ≥ q. exponents.size() must equal

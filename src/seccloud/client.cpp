@@ -53,7 +53,8 @@ Warrant UserClient::make_warrant(std::string_view da_id, std::uint64_t expiry_ep
   warrant.delegatee_id = std::string{da_id};
   warrant.expiry_epoch = expiry_epoch;
   const Bytes body = warrant.body_bytes();
-  const ibc::DvSigner signer{*group_, user_key_, std::span{&q_cs_, 1}};
+  const ibc::DvSigner signer{*group_, user_key_, std::span{&q_cs_, 1},
+                             ibc::DvSigner::Uses::kOnce};
   warrant.authorization = signer.sign(body, rng).for_verifier(0);
   return warrant;
 }

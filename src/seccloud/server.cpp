@@ -54,8 +54,8 @@ Commitment make_commitment(const PairingGroup& group, const TaskExecution& execu
   commitment.root = execution.tree().root();
   const std::span<const std::uint8_t> root_bytes(commitment.root.data(), commitment.root.size());
   const Point verifiers[] = {q_da, q_user};
-  const ibc::DvSignatures root_sig =
-      ibc::DvSigner{group, server_key, verifiers}.sign(root_bytes, rng);
+  const ibc::DvSigner signer{group, server_key, verifiers, ibc::DvSigner::Uses::kOnce};
+  const ibc::DvSignatures root_sig = signer.sign(root_bytes, rng);
   commitment.root_sig_da = root_sig.for_verifier(0);
   commitment.root_sig_user = root_sig.for_verifier(1);
   return commitment;

@@ -253,15 +253,14 @@ bool ShardedRegistry::bind_key(UserHandle handle, std::span<const std::uint8_t> 
       shard->record_chunks[idx / config_.records_per_chunk][idx % config_.records_per_chunk];
   if (rec.key_slot != kNoKey) return false;  // write-once
   const std::size_t slot = shard->keyed;
-  const std::size_t per_chunk = config_.records_per_chunk;
-  if (slot % per_chunk == 0) {
-    // Not zero-filled: a chunk holds per_chunk slots, and a fleet that keys a
-    // few users per shard must not make every slot of the chunk resident.
+  if (slot % kKeySlotsPerChunk == 0) {
+    // Not zero-filled: a shard that keys a few users must not make the
+    // chunk's unused slots resident.
     shard->key_chunks.push_back(
-        std::make_unique_for_overwrite<std::uint8_t[]>(per_chunk * slot_width()));
+        std::make_unique_for_overwrite<std::uint8_t[]>(kKeySlotsPerChunk * slot_width()));
   }
-  std::uint8_t* out =
-      shard->key_chunks[slot / per_chunk].get() + (slot % per_chunk) * slot_width();
+  std::uint8_t* out = shard->key_chunks[slot / kKeySlotsPerChunk].get() +
+                      (slot % kKeySlotsPerChunk) * slot_width();
   std::memcpy(out, blob.data(), blob.size());
   if (!prepared.empty()) std::memcpy(out + blob.size(), prepared.data(), prepared.size());
   rec.key_slot = static_cast<std::uint32_t>(slot);
@@ -276,11 +275,10 @@ const std::uint8_t* ShardedRegistry::key_slot(UserHandle handle) const {
   const Record& rec =
       shard->record_chunks[idx / config_.records_per_chunk][idx % config_.records_per_chunk];
   if (rec.key_slot == kNoKey) return nullptr;
-  const std::size_t per_chunk = config_.records_per_chunk;
   // Arena chunks never move and the slot was fully written before key_slot
   // was published under this same mutex, so the bytes outlive the lock.
-  return shard->key_chunks[rec.key_slot / per_chunk].get() +
-         (rec.key_slot % per_chunk) * slot_width();
+  return shard->key_chunks[rec.key_slot / kKeySlotsPerChunk].get() +
+         (rec.key_slot % kKeySlotsPerChunk) * slot_width();
 }
 
 std::span<const std::uint8_t> ShardedRegistry::key(UserHandle handle) const {
@@ -324,7 +322,7 @@ RegistryStats ShardedRegistry::stats() const {
     out.keyed_users += shard->keyed;
     out.record_bytes += shard->record_chunks.size() * config_.records_per_chunk * sizeof(Record);
     out.id_bytes += shard->id_chunks.size() * config_.id_arena_chunk_bytes;
-    out.key_bytes += shard->key_chunks.size() * config_.records_per_chunk * slot_width();
+    out.key_bytes += shard->key_chunks.size() * kKeySlotsPerChunk * slot_width();
     out.table_bytes += shard->table.size() * sizeof(std::uint32_t);
   }
   return out;

@@ -99,6 +99,14 @@ class ShardedRegistry {
   ShardedRegistry& operator=(const ShardedRegistry&) = delete;
   ~ShardedRegistry();
 
+  /// Key slots per key-arena chunk. Far fewer users are keyed than
+  /// registered (a fleet keys ~2 per shard), so key chunks are sized for the
+  /// slots they hold, not for records_per_chunk: 64 service slots are
+  /// ≈16 KiB, small enough to stay off glibc's mmap path, whose freed chunks
+  /// would raise its mmap threshold and let later chunks land on already
+  /// resident heap pages.
+  static constexpr std::size_t kKeySlotsPerChunk = 64;
+
   /// Registers `id`, returning its handle; idempotent (re-registering an
   /// existing identity returns the original handle). Throws
   /// std::invalid_argument on an empty id and std::length_error on an id

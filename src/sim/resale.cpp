@@ -34,7 +34,8 @@ TranscriptPair make_transcript_pair(const PairingGroup& group,
                                     std::span<const std::uint8_t> message,
                                     num::RandomSource& rng) {
   TranscriptPair pair;
-  pair.genuine = ibc::DvSigner{group, signer, std::span{&verifier.q_id, 1}}
+  pair.genuine = ibc::DvSigner{group, signer, std::span{&verifier.q_id, 1},
+                               ibc::DvSigner::Uses::kOnce}
                      .sign(message, rng)
                      .for_verifier(0);
   pair.simulated = ibc::dv_simulate(group, signer.q_id, message, verifier, rng);

@@ -480,13 +480,14 @@ TEST(MultiMulDifferential, SmallOrderBasesHitInfinityInsideTheTables) {
 }
 
 // ---------------------------------------------------------------------------
-// Fixed-base tables (8-bit chunks over one Straus pass) vs the oracle
+// Fixed-base tables (32-bit chunks over one Straus pass) vs the oracle
 // ---------------------------------------------------------------------------
 
 TEST(FixedBaseDifferential, MatchesOracleOnEveryGroup) {
   // The tiny and 512-bit pairing groups (a = 1) and P-256 (a = −3, 256-bit
-  // order): k = 0, 1, q − 1, the widest scalar the table spans, and random
-  // scalars, on a generic base and on O.
+  // order): k = 0, 1, q − 1, the widest scalar the table spans, every chunk
+  // boundary 2^(c·j) − 1, 2^(c·j), 2^(c·j) + 1 below it, and random scalars,
+  // on a generic base and on O.
   const ec::P256 p256;
   struct Case {
     const ec::Curve& curve;
@@ -508,6 +509,11 @@ TEST(FixedBaseDifferential, MatchesOracleOnEveryGroup) {
     ASSERT_LT(table.span_bits(), q.bit_length() + ec::FixedBaseTable::kChunkBits);
     const BigUint widest = (BigUint{1} << table.span_bits()) - BigUint{1};
     std::vector<BigUint> scalars{BigUint{}, BigUint{1}, q - BigUint{1}, widest};
+    constexpr std::size_t kC = ec::FixedBaseTable::kChunkBits;
+    for (std::size_t bit = kC; bit < table.span_bits(); bit += kC) {
+      const BigUint edge = BigUint{1} << bit;
+      scalars.insert(scalars.end(), {edge - BigUint{1}, edge, edge + BigUint{1}});
+    }
     for (std::size_t i = 0; i < property_iters(8); ++i) scalars.push_back(rng.next_below(q));
     for (const BigUint& k : scalars) {
       EXPECT_EQ(curve.mul(table, k), ref.mul(k, base)) << "k=" << k.to_hex();
@@ -523,10 +529,10 @@ TEST(FixedBaseDifferential, MatchesOracleOnEveryGroup) {
 }
 
 TEST(FixedBaseDifferential, SmallOrderBasesMatchCurveMul) {
-  // The F_1013 curve of the MSM test above (1050 = 2·3·5²·7 points): chunk
-  // bases 2^(8j)·P of a small-order P repeat or collapse to O, and their odd
-  // multiples hit O inside the table. mul over the table must equal
-  // Curve::mul and the oracle, and must not throw.
+  // The F_1013 curve of the MSM test above (1050 = 2·3·5²·7 points): the odd
+  // multiples of a small-order P hit O inside the table, and k's wNAF digits
+  // reach the top of the one 32-bit chunk (up to its carry digit). mul over
+  // the table must equal Curve::mul and the oracle, and must not throw.
   const BigUint p{1013};
   const PrimeField f{p};
   const ec::Curve curve{f, BigUint{2}, BigUint{19}, BigUint{1050}, BigUint{1}};
@@ -538,8 +544,11 @@ TEST(FixedBaseDifferential, SmallOrderBasesMatchCurveMul) {
     ASSERT_TRUE(ref.mul(BigUint{d}, base).infinity) << "d=" << d;
     std::unique_ptr<ec::FixedBaseTable> table;
     ASSERT_NO_THROW(table = std::make_unique<ec::FixedBaseTable>(curve, base)) << "d=" << d;
-    for (const BigUint& k : {BigUint{}, BigUint{1}, BigUint{d}, BigUint{d + 1}, BigUint{255},
-                             BigUint{256}, BigUint{1049}, rng.next_below(BigUint{1050})}) {
+    ASSERT_EQ(table->span_bits(), ec::FixedBaseTable::kChunkBits);
+    for (const BigUint& k :
+         {BigUint{}, BigUint{1}, BigUint{d}, BigUint{d + 1}, BigUint{255}, BigUint{256},
+          BigUint{1049}, BigUint{0x7fffffff}, BigUint{0x80000000}, BigUint{0xfffffffe},
+          BigUint{0xffffffff}, rng.next_below(BigUint{1050})}) {
       Point got;
       ASSERT_NO_THROW(got = curve.mul(*table, k)) << "d=" << d << " k=" << k.to_hex();
       EXPECT_EQ(got, curve.mul(k, base)) << "d=" << d << " k=" << k.to_hex();

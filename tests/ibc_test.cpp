@@ -99,8 +99,9 @@ DvSignatures sign_then_transform(const pairing::PairingGroup& group, const Ident
 }
 
 /// Σ_j = ê(sk_ID, Q_j)^((r+h) mod q) equals ê((r+h)·sk_ID, Q_j) for 1, 2 and
-/// 3 verifiers, and both paths leave the RNG at the same draw.
-void expect_signer_matches_reference(const pairing::PairingGroup& group) {
+/// 3 verifiers, with and without the Q_ID table, and both paths leave the
+/// RNG at the same draw.
+void expect_signer_matches_reference(const pairing::PairingGroup& group, DvSigner::Uses uses) {
   Xoshiro256 key_rng(99);
   const Sio sio(group, key_rng);
   const IdentityKey signer = sio.extract("alice");
@@ -108,7 +109,7 @@ void expect_signer_matches_reference(const pairing::PairingGroup& group) {
       sio.extract("cloud-server").q_id, sio.extract("agency").q_id, sio.extract("alice").q_id};
   for (std::size_t k = 1; k <= all_verifiers.size(); ++k) {
     const std::span<const pairing::Point> verifiers{all_verifiers.data(), k};
-    const DvSigner dv_signer(group, signer, verifiers);
+    const DvSigner dv_signer(group, signer, verifiers, uses);
     EXPECT_EQ(dv_signer.q_id(), signer.q_id);
     Xoshiro256 signer_rng(77 + k);
     Xoshiro256 reference_rng(77 + k);
@@ -124,11 +125,13 @@ void expect_signer_matches_reference(const pairing::PairingGroup& group) {
 }
 
 TEST(DvSignerTest, BitIdenticalToSignThenTransformOnTinyGroup) {
-  expect_signer_matches_reference(tiny_group());
+  expect_signer_matches_reference(tiny_group(), DvSigner::Uses::kRepeated);
+  expect_signer_matches_reference(tiny_group(), DvSigner::Uses::kOnce);
 }
 
 TEST(DvSignerTest, BitIdenticalToSignThenTransformOnDefaultGroup) {
-  expect_signer_matches_reference(pairing::default_group());
+  expect_signer_matches_reference(pairing::default_group(), DvSigner::Uses::kRepeated);
+  expect_signer_matches_reference(pairing::default_group(), DvSigner::Uses::kOnce);
 }
 
 TEST_F(IbcTest, DvSignerSigmasVerifyForTheirVerifierOnly) {
@@ -153,17 +156,26 @@ TEST_F(IbcTest, DvSignerSigmasVerifyForTheirVerifierOnly) {
 
 TEST_F(IbcTest, DvSignerCostsPairingsOnlyAtConstruction) {
   const std::vector<pairing::Point> verifiers = {server.q_id, agency.q_id, alice.q_id};
-  for (std::size_t k = 1; k <= verifiers.size(); ++k) {
-    g.reset_counters();
-    const DvSigner signer(g, alice, std::span{verifiers.data(), k});
-    EXPECT_EQ(g.counters(),
-              (pairing::OpCounters{.pairings = k, .miller_loops = k, .final_exps = k}))
-        << k << " verifiers";
-    for (int round = 0; round < 3; ++round) {
+  for (const auto uses : {DvSigner::Uses::kRepeated, DvSigner::Uses::kOnce}) {
+    for (std::size_t k = 1; k <= verifiers.size(); ++k) {
       g.reset_counters();
-      (void)signer.sign(as_bytes(std::string_view{"block"}), rng);
-      EXPECT_EQ(g.counters(), (pairing::OpCounters{.point_muls = 1, .gt_exps = k}))
+      const DvSigner signer(g, alice, std::span{verifiers.data(), k}, uses);
+      EXPECT_EQ(g.counters(),
+                (pairing::OpCounters{.pairings = k, .miller_loops = k, .final_exps = k}))
           << k << " verifiers";
+      for (int round = 0; round < 3; ++round) {
+        g.reset_counters();
+        (void)signer.sign(as_bytes(std::string_view{"block"}), rng);
+        // The fixed-base tables count exactly like the variable-base calls
+        // they replace: one point_mul for U, one gt_exp per Σ, no MSM terms.
+        const pairing::OpCounters ops = g.counters();
+        EXPECT_EQ(ops.point_muls, 1u) << k << " verifiers";
+        EXPECT_EQ(ops.gt_exps, k) << k << " verifiers";
+        EXPECT_EQ(ops.msm_terms, 0u) << k << " verifiers";
+        EXPECT_EQ(ops.gt_msm_terms, 0u) << k << " verifiers";
+        EXPECT_EQ(ops, (pairing::OpCounters{.point_muls = 1, .gt_exps = k}))
+            << k << " verifiers";
+      }
     }
   }
 }

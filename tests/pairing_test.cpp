@@ -211,6 +211,48 @@ TEST(GtMultiPowTest, MatchesProductOfPowersOnDefaultGroup) {
   expect_multi_pow_matches_product(default_group(), 22);
 }
 
+// --- GT comb (fixed-base exponentiation) --------------------------------------
+
+/// gt_pow over a comb equals plain gt_pow at e = 0, 1, the chunk boundaries
+/// 2^c − 1, 2^c, 2^c + 1 and 2^(2c) − 1, q − 1, q, the widest exponent the
+/// comb spans and random e, for a pairing value and the identity, and counts
+/// one gt_exp like gt_pow.
+void expect_comb_matches_gt_pow(const PairingGroup& group, std::uint64_t seed) {
+  Xoshiro256 rng{seed};
+  const Point p = group.generator();
+  constexpr std::size_t kC = GtComb::kChunkBits;
+  const BigUint one{1};
+  const BigUint q = group.order();
+  for (const Gt& base : {group.pair(p, group.mul(group.random_scalar(rng), p)), group.gt_one()}) {
+    const GtComb comb{group, base};
+    ASSERT_GE(comb.span_bits(), q.bit_length());
+    ASSERT_LT(comb.span_bits(), q.bit_length() + kC);
+    EXPECT_EQ(comb.bytes(), comb.span_bits() / kC * GtPowTable::kEntries * sizeof(field::Fe2));
+    const BigUint widest = (one << comb.span_bits()) - one;
+    std::vector<BigUint> exps{BigUint{},          one,         (one << kC) - one,
+                              one << kC,          (one << kC) + one,
+                              q - one,            q,           widest};
+    if (comb.span_bits() > 2 * kC) exps.push_back((one << (2 * kC)) - one);
+    for (int draw = 0; draw < 6; ++draw) exps.push_back(rng.next_below(q));
+    for (const BigUint& e : exps) {
+      const Gt expected = group.gt_pow(base, e);
+      const OpCounters before = group.counters();
+      EXPECT_EQ(group.gt_pow(comb, e), expected) << "e=" << e.to_hex();
+      EXPECT_EQ(group.counters() - before, OpCounters{.gt_exps = 1}) << "e=" << e.to_hex();
+    }
+    EXPECT_THROW(group.gt_pow(comb, widest + one), std::invalid_argument);
+  }
+}
+
+TEST(GtCombTest, MatchesGtPowOnTinyGroup) { expect_comb_matches_gt_pow(tiny_group(), 23); }
+
+TEST(GtCombTest, MatchesGtPowOnDefaultGroup) { expect_comb_matches_gt_pow(default_group(), 24); }
+
+TEST(GtCombTest, RejectsACombFromAnotherGroup) {
+  const GtComb foreign{default_group(), default_group().gt_one()};
+  EXPECT_THROW(tiny_group().gt_pow(foreign, BigUint{1}), std::invalid_argument);
+}
+
 TEST(GtSerializeTest, RoundTripsAndRejectsMalformedBytes) {
   const PairingGroup& g = tiny_group();
   const Gt e = g.pair(g.generator(), g.generator());

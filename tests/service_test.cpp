@@ -174,6 +174,26 @@ TEST(ShardedRegistryTest, KeySlotsRoundTripAtTheServiceWidth) {
   EXPECT_GE(stats.key_bytes, 40 * (kKeyWidth + kPreparedWidth));
 }
 
+TEST(ShardedRegistryTest, KeyChunksAreSizedForTheSlotsTheyHold) {
+  // One shard, so every bind lands in the same key arena: binding n keys
+  // reserves ⌈n/64⌉ chunks of 64 slots, independent of records_per_chunk.
+  constexpr std::size_t kSlot = 129 + 128;
+  constexpr std::size_t kPerChunk = ShardedRegistry::kKeySlotsPerChunk;
+  static_assert(kPerChunk == 64);
+  ShardedRegistry reg{{.shards = 1, .key_width = 129, .prepared_width = 128}};
+  const std::vector<std::uint8_t> blob(129, 0x5a);
+  const std::vector<std::uint8_t> prepared(128, 0xa5);
+  EXPECT_EQ(reg.stats().key_bytes, 0u);
+  for (std::size_t n = 1; n <= 2 * kPerChunk + 1; ++n) {
+    ASSERT_TRUE(reg.bind_key(reg.register_user("k-" + std::to_string(n)), blob, prepared));
+    EXPECT_EQ(reg.stats().key_bytes, (n + kPerChunk - 1) / kPerChunk * kPerChunk * kSlot)
+        << n << " keys";
+  }
+  // Registering without binding reserves no key storage.
+  for (std::size_t i = 0; i < 100; ++i) reg.register_user("bare-" + std::to_string(i));
+  EXPECT_EQ(reg.stats().key_bytes, 3 * kPerChunk * kSlot);
+}
+
 TEST(ShardedRegistryConcurrentTest, ParallelRegisterAndFind) {
   ShardedRegistry reg{{.shards = 8, .records_per_chunk = 32}};
   constexpr std::size_t kThreads = 8;
