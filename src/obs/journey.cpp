@@ -45,14 +45,14 @@ const char* to_string(JourneyStage stage) noexcept {
   return "unknown";
 }
 
-const char* to_string(JourneyVerdict verdict) noexcept {
+const char* to_string(Verdict verdict) noexcept {
   switch (verdict) {
-    case JourneyVerdict::kVerified: return "verified";
-    case JourneyVerdict::kInvalidSignature: return "invalid-signature";
-    case JourneyVerdict::kStaleReplay: return "stale-replay";
-    case JourneyVerdict::kUnkeyed: return "unkeyed";
-    case JourneyVerdict::kAttestationFailed: return "attestation-failed";
-    case JourneyVerdict::kRejectedAdmission: return "rejected-admission";
+    case Verdict::kVerified: return "verified";
+    case Verdict::kInvalidSignature: return "invalid-signature";
+    case Verdict::kStaleReplay: return "stale-replay";
+    case Verdict::kUnkeyed: return "unkeyed";
+    case Verdict::kAttestationFailed: return "attestation-failed";
+    case Verdict::kRejectedAdmission: return "rejected-admission";
   }
   return "unknown";
 }
@@ -98,11 +98,10 @@ std::optional<JourneyRecord> decode_journey_record(std::span<const std::uint8_t>
   r.blocks = get_le<std::uint32_t>(p + 32);
   r.retry_after_epochs = get_le<std::uint32_t>(p + 36);
   const std::uint8_t verdict = p[40];
-  if (verdict < 1 ||
-      verdict > static_cast<std::uint8_t>(JourneyVerdict::kRejectedAdmission)) {
+  if (verdict < 1 || verdict > static_cast<std::uint8_t>(Verdict::kRejectedAdmission)) {
     return std::nullopt;
   }
-  r.verdict = static_cast<JourneyVerdict>(verdict);
+  r.verdict = static_cast<Verdict>(verdict);
   r.sampled = p[41];
   r.bisection_depth = p[42];
   r.amortized_pairings_milli = get_le<std::uint32_t>(p + 44);

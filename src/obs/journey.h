@@ -64,17 +64,18 @@ const char* to_string(JourneyStage stage) noexcept;
 
 // --- the record -------------------------------------------------------------
 
-/// Terminal outcome of one request's journey.
-enum class JourneyVerdict : std::uint8_t {
-  kVerified = 1,           ///< all entries verified inside accepted batches
-  kInvalidSignature = 2,   ///< at least one entry isolated by bisection
+/// Terminal outcome of a request's journey and of a verdict-ledger record
+/// (seccloud/service/ledger.h); only a journey ends in kRejectedAdmission.
+enum class Verdict : std::uint8_t {
+  kVerified = 1,           ///< verified inside an accepted batch
+  kInvalidSignature = 2,   ///< isolated by bisection as cryptographically bad
   kStaleReplay = 3,        ///< filtered pre-batch (freshness replay)
-  kUnkeyed = 4,            ///< filtered pre-batch (no bound Q_ID)
+  kUnkeyed = 4,            ///< filtered pre-batch (no bound Q_ID, or a foreign handle)
   kAttestationFailed = 5,  ///< batch attestation invalid: outcome untrusted
   kRejectedAdmission = 6,  ///< backpressure reject, never entered an epoch
 };
 
-const char* to_string(JourneyVerdict verdict) noexcept;
+const char* to_string(Verdict verdict) noexcept;
 
 /// Why the sampling policy kept this record (bit flags; always-sample
 /// reasons compose with the probabilistic coin).
@@ -85,8 +86,8 @@ enum : std::uint8_t {
   kJourneySampledProbabilistic = 1u << 3,  ///< seeded coin
 };
 
-/// Sentinel batch id for journeys that never reached a batch.
-inline constexpr std::uint32_t kJourneyNoBatch = ~std::uint32_t{0};
+/// Sentinel batch id for journeys and ledger records that reached no batch.
+inline constexpr std::uint32_t kNoBatch = ~std::uint32_t{0};
 /// Sentinel request_index for admission-rejected journeys (never drained).
 inline constexpr std::uint32_t kJourneyNoRequest = ~std::uint32_t{0};
 
@@ -97,11 +98,11 @@ struct JourneyRecord {
   std::uint64_t request_id = 0;  ///< global admission ordinal (never reused)
   std::uint64_t user = 0;        ///< UserHandle
   std::uint64_t epoch = 0;
-  std::uint32_t batch = kJourneyNoBatch;  ///< batch of the first entry
+  std::uint32_t batch = kNoBatch;  ///< batch of the first entry
   std::uint32_t request_index = kJourneyNoRequest;  ///< drained-order index
   std::uint32_t blocks = 0;                ///< signatures the request carried
   std::uint32_t retry_after_epochs = 0;    ///< nonzero iff rejected admission
-  JourneyVerdict verdict = JourneyVerdict::kVerified;
+  Verdict verdict = Verdict::kVerified;
   std::uint8_t sampled = 0;          ///< kJourneySampled* reason bits
   std::uint8_t bisection_depth = 0;  ///< deepest descent over own entries
   /// Batch pairing spend amortized per entry, in milli-pairings

@@ -10,17 +10,6 @@ constexpr std::size_t kPayloadBytes = 64;
 
 }  // namespace
 
-const char* to_string(LedgerVerdict verdict) noexcept {
-  switch (verdict) {
-    case LedgerVerdict::kVerified: return "verified";
-    case LedgerVerdict::kInvalidSignature: return "invalid-signature";
-    case LedgerVerdict::kStaleReplay: return "stale-replay";
-    case LedgerVerdict::kUnkeyed: return "unkeyed";
-    case LedgerVerdict::kAttestationFailed: return "attestation-failed";
-  }
-  return "unknown";
-}
-
 std::vector<std::uint8_t> encode_ledger_entry(const LedgerEntry& entry) {
   std::vector<std::uint8_t> out;
   out.reserve(kPayloadBytes);
@@ -52,10 +41,11 @@ std::optional<LedgerEntry> decode_ledger_entry(std::span<const std::uint8_t> pay
   entry.block_index = get_le<std::uint32_t>(p + 32);
   entry.entry_in_batch = get_le<std::uint32_t>(p + 36);
   const std::uint8_t verdict = p[40];
-  if (verdict < 1 || verdict > static_cast<std::uint8_t>(LedgerVerdict::kAttestationFailed)) {
+  // A drained request or entry never ends in kRejectedAdmission.
+  if (verdict < 1 || verdict > static_cast<std::uint8_t>(obs::Verdict::kAttestationFailed)) {
     return std::nullopt;
   }
-  entry.verdict = static_cast<LedgerVerdict>(verdict);
+  entry.verdict = static_cast<obs::Verdict>(verdict);
   entry.isolation_depth = p[41];
   entry.isolation_path = get_le<std::uint32_t>(p + 44);
   entry.batch_pairings = get_le<std::uint64_t>(p + 48);

@@ -24,24 +24,10 @@
 #include <span>
 #include <vector>
 
+#include "obs/journey.h"
 #include "obs/telemetry.h"
 
 namespace seccloud::service {
-
-/// Terminal outcome of one audited signature entry (or one filtered
-/// request, recorded with no batch).
-enum class LedgerVerdict : std::uint8_t {
-  kVerified = 1,           ///< entry verified inside an accepted batch
-  kInvalidSignature = 2,   ///< isolated by bisection as cryptographically bad
-  kStaleReplay = 3,        ///< request filtered pre-batch (freshness replay)
-  kUnkeyed = 4,            ///< request filtered pre-batch (no bound Q_ID)
-  kAttestationFailed = 5,  ///< batch attestation invalid: entry unattributable
-};
-
-const char* to_string(LedgerVerdict verdict) noexcept;
-
-/// Sentinel batch id for records about requests filtered before batching.
-inline constexpr std::uint32_t kNoBatch = ~std::uint32_t{0};
 
 /// One ledger record. Fixed-width so a million-entry epoch appends without
 /// per-record allocation and teldump can mmap-scan the stream.
@@ -49,11 +35,11 @@ struct LedgerEntry {
   std::uint64_t epoch = 0;
   std::uint64_t user = 0;     ///< UserHandle
   std::uint64_t version = 0;  ///< Q_ID freshness counter the request audited
-  std::uint32_t batch = kNoBatch;
+  std::uint32_t batch = obs::kNoBatch;  ///< obs::kNoBatch for a filtered request
   std::uint32_t request_index = 0;  ///< index in the epoch's drained order
   std::uint32_t block_index = 0;    ///< block inside the request
   std::uint32_t entry_in_batch = 0; ///< flat position inside the batch
-  LedgerVerdict verdict = LedgerVerdict::kVerified;
+  obs::Verdict verdict = obs::Verdict::kVerified;  ///< never kRejectedAdmission
   std::uint8_t isolation_depth = 0;  ///< bisection splits taken (0 = none)
   std::uint32_t isolation_path = 0;  ///< descent bits, LSB first, 0 = left
   std::uint64_t batch_pairings = 0;  ///< total pairings the batch spent

@@ -35,6 +35,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -189,6 +190,24 @@ class AuditService {
   void attach_journeys(obs::JourneyRecorder* journeys) noexcept { journeys_ = journeys; }
 
  private:
+  // run_epoch's stages, in order, each filling the epoch's trace and report.
+  struct EpochTrace;
+  void drain(EpochTrace& t, EpochReport& report);
+  void filter(EpochTrace& t, EpochReport& report);
+  void flatten(EpochTrace& t, EpochReport& report) const;
+  void assemble(EpochTrace& t, EpochReport& report);
+  void verify(EpochTrace& t, EpochReport& report);
+  void settle(EpochTrace& t, EpochReport& report);
+  // The observers, after the epoch clock stops. record_journeys returns each
+  // drained request's journey id (0 unless sampled) for the ledger.
+  static std::vector<obs::JourneyRecord> epoch_journeys(const EpochTrace& t,
+                                                        const EpochReport& report);
+  std::vector<std::uint64_t> record_journeys(const EpochTrace& t, EpochReport& report);
+  void record_ledger(const EpochTrace& t, const EpochReport& report,
+                     const std::vector<std::uint64_t>& journey_ids);
+  void record_telemetry(const EpochTrace& t, const EpochReport& report,
+                        std::chrono::steady_clock::time_point since);
+
   const PairingGroup* group_;
   ServiceConfig config_;
   ibc::DvSigner attestor_;             ///< CS → B: g = ê(sk_CS, Q_B); as secret as sk_CS

@@ -92,7 +92,7 @@ Bytes ledger_entry() {
   e.request_index = 3;
   e.block_index = 0;
   e.entry_in_batch = 5;
-  e.verdict = service::LedgerVerdict::kInvalidSignature;
+  e.verdict = obs::Verdict::kInvalidSignature;
   e.isolation_depth = 3;
   e.isolation_path = 0b101;
   e.batch_pairings = 9;
@@ -112,7 +112,7 @@ Bytes journey() {
   r.request_index = 0;
   r.blocks = 4;
   r.retry_after_epochs = 0;
-  r.verdict = obs::JourneyVerdict::kInvalidSignature;
+  r.verdict = obs::Verdict::kInvalidSignature;
   r.sampled = obs::kJourneySampledRejected | obs::kJourneySampledBisected |
               obs::kJourneySampledProbabilistic;
   r.bisection_depth = 3;

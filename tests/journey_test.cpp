@@ -40,7 +40,7 @@ JourneyRecord sample_record() {
   r.request_index = 41;
   r.blocks = 4;
   r.retry_after_epochs = 0;
-  r.verdict = JourneyVerdict::kInvalidSignature;
+  r.verdict = Verdict::kInvalidSignature;
   r.sampled = kJourneySampledRejected | kJourneySampledBisected;
   r.bisection_depth = 5;
   r.amortized_pairings_milli = 250;
@@ -67,10 +67,10 @@ TEST(JourneyCodec, RejectedAdmissionRecordRoundTrips) {
   record.user = 2;
   record.epoch = 0;
   record.retry_after_epochs = 1;
-  record.verdict = JourneyVerdict::kRejectedAdmission;
+  record.verdict = Verdict::kRejectedAdmission;
   record.stage_us[0] = 45;
   record.end_to_end_us = 45;
-  EXPECT_EQ(record.batch, kJourneyNoBatch);
+  EXPECT_EQ(record.batch, kNoBatch);
   EXPECT_EQ(record.request_index, kJourneyNoRequest);
   const auto decoded = decode_journey_record(encode_journey_record(record));
   ASSERT_TRUE(decoded.has_value());
@@ -245,8 +245,8 @@ TEST(JourneyNames, AreStable) {
   EXPECT_STREQ(to_string(JourneyStage::kVerify), "verify");
   EXPECT_STREQ(to_string(JourneyStage::kBisect), "bisect");
   EXPECT_STREQ(to_string(JourneyStage::kVerdict), "verdict");
-  EXPECT_STREQ(to_string(JourneyVerdict::kVerified), "verified");
-  EXPECT_STREQ(to_string(JourneyVerdict::kRejectedAdmission), "rejected-admission");
+  EXPECT_STREQ(to_string(Verdict::kVerified), "verified");
+  EXPECT_STREQ(to_string(Verdict::kRejectedAdmission), "rejected-admission");
 }
 
 // --- service integration ----------------------------------------------------
@@ -292,8 +292,8 @@ TEST_F(JourneyServiceFixture, FullSamplingKeepsEveryRequestWithStageSumIdentity)
   for (const JourneyRecord& j : replay.records) {
     EXPECT_GT(j.request_id, last_id) << "global admission ordinal, never reused";
     last_id = j.request_id;
-    EXPECT_EQ(j.verdict, JourneyVerdict::kVerified);
-    EXPECT_NE(j.batch, kJourneyNoBatch);
+    EXPECT_EQ(j.verdict, Verdict::kVerified);
+    EXPECT_NE(j.batch, kNoBatch);
     EXPECT_EQ(j.blocks, 3u);
     EXPECT_EQ(j.bisection_depth, 0u);
     EXPECT_EQ(j.retry_after_epochs, 0u);
@@ -388,17 +388,17 @@ TEST_F(JourneyServiceFixture, AlwaysSamplePolicyKeepsTheForensicTail) {
   for (const JourneyRecord& j : replay.records) {
     verdicts[to_string(j.verdict)] += 1;
     EXPECT_NE(j.sampled, 0u);
-    if (j.verdict != JourneyVerdict::kVerified) {
+    if (j.verdict != Verdict::kVerified) {
       EXPECT_TRUE(j.sampled & kJourneySampledRejected)
           << "always-sample covers every non-verified journey";
     }
-    if (j.verdict == JourneyVerdict::kRejectedAdmission) {
+    if (j.verdict == Verdict::kRejectedAdmission) {
       EXPECT_EQ(j.request_index, kJourneyNoRequest) << "never drained";
-      EXPECT_EQ(j.batch, kJourneyNoBatch);
+      EXPECT_EQ(j.batch, kNoBatch);
       EXPECT_GT(j.retry_after_epochs, 0u);
       EXPECT_EQ(j.end_to_end_us, j.stage_sum_us()) << "enqueue-only journey";
     }
-    if (j.verdict == JourneyVerdict::kInvalidSignature) {
+    if (j.verdict == Verdict::kInvalidSignature) {
       EXPECT_TRUE(j.sampled & kJourneySampledBisected);
       EXPECT_GT(j.bisection_depth, 0u) << "descent isolated its entry";
     }
@@ -448,8 +448,8 @@ TEST_F(JourneyServiceFixture, LedgerJoinCarriesSampledJourneyIds) {
     EXPECT_EQ(j.user, entry.user);
     EXPECT_EQ(j.epoch, entry.epoch);
     EXPECT_EQ(j.request_index, entry.request_index);
-    if (entry.verdict == service::LedgerVerdict::kInvalidSignature) {
-      EXPECT_EQ(j.verdict, JourneyVerdict::kInvalidSignature);
+    if (entry.verdict == obs::Verdict::kInvalidSignature) {
+      EXPECT_EQ(j.verdict, Verdict::kInvalidSignature);
       EXPECT_GE(j.bisection_depth, entry.isolation_depth)
           << "the journey's depth is the max over the request's own entries";
     }

@@ -33,7 +33,7 @@ LedgerEntry sample_entry() {
   e.request_index = 41;
   e.block_index = 2;
   e.entry_in_batch = 11;
-  e.verdict = LedgerVerdict::kInvalidSignature;
+  e.verdict = obs::Verdict::kInvalidSignature;
   e.isolation_depth = 5;
   e.isolation_path = 0b10110;
   e.batch_pairings = 14;
@@ -57,8 +57,8 @@ TEST(LedgerCodec, FilteredRequestRecordRoundTrips) {
   entry.epoch = 2;
   entry.user = 7;
   entry.version = 1;
-  entry.batch = kNoBatch;  // filtered before batching
-  entry.verdict = LedgerVerdict::kStaleReplay;
+  entry.batch = obs::kNoBatch;  // filtered before batching
+  entry.verdict = obs::Verdict::kStaleReplay;
   const auto decoded = decode_ledger_entry(encode_ledger_entry(entry));
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(*decoded, entry);
@@ -69,7 +69,7 @@ TEST(LedgerCodec, RejectsWrongSizeAndBadVerdict) {
   EXPECT_FALSE(decode_ledger_entry({payload.data(), payload.size() - 1}));
   payload[40] = 0;  // verdict byte below the enum range
   EXPECT_FALSE(decode_ledger_entry(payload).has_value());
-  payload[40] = 6;  // above the range
+  payload[40] = 6;  // rejected-admission: it ends a journey, never a ledger record
   EXPECT_FALSE(decode_ledger_entry(payload).has_value());
 }
 
@@ -181,8 +181,8 @@ TEST_F(LedgerServiceFixture, EveryAuditedEntryGetsExactlyOneRecord) {
   EXPECT_FALSE(replay.torn_tail);
   ASSERT_EQ(replay.entries.size(), 15u) << "5 requests x 3 blocks";
   for (const auto& entry : replay.entries) {
-    EXPECT_EQ(entry.verdict, LedgerVerdict::kVerified);
-    EXPECT_NE(entry.batch, kNoBatch);
+    EXPECT_EQ(entry.verdict, obs::Verdict::kVerified);
+    EXPECT_NE(entry.batch, obs::kNoBatch);
     EXPECT_LT(entry.batch, report.batches);
     EXPECT_EQ(entry.epoch, report.epoch);
     EXPECT_EQ(entry.isolation_depth, 0u) << "clean entries take no descent";
@@ -223,19 +223,19 @@ TEST_F(LedgerServiceFixture, PreBatchFiltersAreRecordedWithNoBatch) {
   const LedgerReplay replay = replay_ledger(ledger.bytes());
   std::vector<LedgerEntry> filtered;
   for (std::size_t i = round1; i < replay.entries.size(); ++i) {
-    if (replay.entries[i].verdict != LedgerVerdict::kVerified) {
+    if (replay.entries[i].verdict != obs::Verdict::kVerified) {
       filtered.push_back(replay.entries[i]);
     }
   }
   ASSERT_EQ(filtered.size(), 2u);
   for (const auto& entry : filtered) {
-    EXPECT_EQ(entry.batch, kNoBatch) << "filtered before any batch formed";
+    EXPECT_EQ(entry.batch, obs::kNoBatch) << "filtered before any batch formed";
     EXPECT_EQ(entry.batch_pairings, 0u) << "filters cost zero pairings";
     EXPECT_EQ(entry.epoch, report.epoch);
   }
-  EXPECT_EQ(filtered[0].verdict, LedgerVerdict::kStaleReplay);
+  EXPECT_EQ(filtered[0].verdict, obs::Verdict::kStaleReplay);
   EXPECT_EQ(filtered[0].user, fleet.handle(0));
-  EXPECT_EQ(filtered[1].verdict, LedgerVerdict::kUnkeyed);
+  EXPECT_EQ(filtered[1].verdict, obs::Verdict::kUnkeyed);
 }
 
 TEST_F(LedgerServiceFixture, SnapshotShardHeatMatchesRegistryOccupancy) {
@@ -291,11 +291,11 @@ TEST_F(LedgerServiceFixture, EpochReportJsonCarriesTheSummaryFields) {
 }
 
 TEST(LedgerVerdictTest, NamesAreStable) {
-  EXPECT_STREQ(to_string(LedgerVerdict::kVerified), "verified");
-  EXPECT_STREQ(to_string(LedgerVerdict::kInvalidSignature), "invalid-signature");
-  EXPECT_STREQ(to_string(LedgerVerdict::kStaleReplay), "stale-replay");
-  EXPECT_STREQ(to_string(LedgerVerdict::kUnkeyed), "unkeyed");
-  EXPECT_STREQ(to_string(LedgerVerdict::kAttestationFailed), "attestation-failed");
+  EXPECT_STREQ(to_string(obs::Verdict::kVerified), "verified");
+  EXPECT_STREQ(to_string(obs::Verdict::kInvalidSignature), "invalid-signature");
+  EXPECT_STREQ(to_string(obs::Verdict::kStaleReplay), "stale-replay");
+  EXPECT_STREQ(to_string(obs::Verdict::kUnkeyed), "unkeyed");
+  EXPECT_STREQ(to_string(obs::Verdict::kAttestationFailed), "attestation-failed");
 }
 
 }  // namespace

@@ -14,9 +14,11 @@
 #include "ibc/dvs.h"
 #include "ibc/ibs.h"
 #include "ibc/keys.h"
+#include "obs/journey.h"
 #include "obs/metrics.h"
 #include "pairing/group.h"
 #include "seccloud/client.h"
+#include "seccloud/service/ledger.h"
 #include "seccloud/service/service.h"
 #include "sim/fleet.h"
 
@@ -587,6 +589,57 @@ TEST_F(ServiceFixture, UnkeyedUsersAreRejectedBeforeBatching) {
   EXPECT_EQ(report.unkeyed_rejected, 1u);
   EXPECT_EQ(report.entries, 0u);
   EXPECT_EQ(report.verify_ops.pairings, 0u);
+}
+
+TEST_F(ServiceFixture, ForeignHandlesAreFiledUnkeyedAndHonestRequestsStillVerify) {
+  // Handles this registry never issued: a shard past the last one
+  // (kInvalidUser) and an index one past the last record of a shard. The
+  // queue admits them like any handle; the epoch must file them as unkeyed
+  // instead of throwing after the drain and losing every honest request
+  // drained beside them. Submission runs on its own thread so the TSan job
+  // covers submit-then-run_epoch.
+  AuditService svc = make_service(/*threads=*/2);
+  service::VerdictLedger ledger;
+  obs::JourneyRecorder journeys{{.sample_every = 1}};
+  svc.attach_ledger(&ledger);
+  svc.attach_journeys(&journeys);
+  FleetWorkload fleet{sio, {.users = 8, .active_users = 4, .blocks_per_request = 2, .seed = 29}};
+  fleet.populate(svc);
+  const UserHandle past_last_index = svc.register_user("last-registered") + 1;
+
+  std::vector<AuditRequest> traffic = fleet.make_requests(svc);
+  for (const UserHandle foreign : {service::kInvalidUser, past_last_index}) {
+    AuditRequest r = traffic[0];
+    r.user = foreign;
+    traffic.insert(traffic.begin(), std::move(r));
+  }
+  std::thread submitter{[&] {
+    for (AuditRequest& r : traffic) EXPECT_TRUE(svc.submit(std::move(r)).accepted);
+  }};
+  submitter.join();
+
+  EpochReport report;
+  ASSERT_NO_THROW(report = svc.run_epoch());
+  EXPECT_EQ(report.requests, 6u);
+  EXPECT_EQ(report.unkeyed_rejected, 2u);
+  EXPECT_EQ(report.verified_requests, 4u) << "the honest requests of the same epoch";
+  EXPECT_EQ(report.failed_requests, 2u);
+  EXPECT_EQ(report.entries, 8u) << "foreign requests never reach a batch";
+  EXPECT_EQ(svc.queue().depth(), 0u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(svc.registry().audited_version(fleet.handle(i)), 1u) << "user " << i;
+  }
+
+  std::vector<UserHandle> unkeyed_ledger;
+  for (const service::LedgerEntry& e : service::replay_ledger(ledger.bytes()).entries) {
+    if (std::string{to_string(e.verdict)} == "unkeyed") unkeyed_ledger.push_back(e.user);
+  }
+  EXPECT_EQ(unkeyed_ledger, (std::vector<UserHandle>{past_last_index, service::kInvalidUser}));
+  std::vector<UserHandle> unkeyed_journeys;
+  for (const obs::JourneyRecord& j : obs::replay_journeys(journeys.stream()).records) {
+    if (std::string{to_string(j.verdict)} == "unkeyed") unkeyed_journeys.push_back(j.user);
+  }
+  EXPECT_EQ(unkeyed_journeys, unkeyed_ledger);
 }
 
 TEST_F(ServiceFixture, MetricsFlowThroughTheRegistry) {

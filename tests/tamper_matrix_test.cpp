@@ -391,8 +391,8 @@ TEST(TamperMatrixTest, CrossUserByzantineSignersIsolatedInSharedBatch) {
     ASSERT_EQ(forensics.entries.size(), n) << "one record per audited entry";
     std::vector<service::UserHandle> flagged;
     for (const auto& entry : forensics.entries) {
-      if (entry.verdict == service::LedgerVerdict::kVerified) continue;
-      ASSERT_EQ(entry.verdict, service::LedgerVerdict::kInvalidSignature);
+      if (entry.verdict == obs::Verdict::kVerified) continue;
+      ASSERT_EQ(entry.verdict, obs::Verdict::kInvalidSignature);
       flagged.push_back(entry.user);
       EXPECT_EQ(entry.epoch, report.epoch);
       EXPECT_EQ(entry.batch, 0u) << "the one shared batch";
@@ -438,15 +438,15 @@ TEST(TamperMatrixTest, CrossUserByzantineSignersIsolatedInSharedBatch) {
       const obs::JourneyRecord& j = *it->second;
       EXPECT_EQ(j.user, entry.user);
       EXPECT_EQ(j.request_index, entry.request_index);
-      if (entry.verdict == service::LedgerVerdict::kInvalidSignature) {
-        EXPECT_EQ(j.verdict, obs::JourneyVerdict::kInvalidSignature);
+      if (entry.verdict == obs::Verdict::kInvalidSignature) {
+        EXPECT_EQ(j.verdict, obs::Verdict::kInvalidSignature);
         EXPECT_TRUE(j.sampled & obs::kJourneySampledBisected);
         EXPECT_EQ(j.bisection_depth, deepest.at(entry.request_index))
             << "journey depth = deepest descent over the request's entries";
         EXPECT_GT(j.stage_us[static_cast<std::size_t>(obs::JourneyStage::kBisect)], 0u)
             << "an isolated request must carry bisection time";
       } else if (deepest.at(entry.request_index) == 0) {
-        EXPECT_EQ(j.verdict, obs::JourneyVerdict::kVerified);
+        EXPECT_EQ(j.verdict, obs::Verdict::kVerified);
         EXPECT_EQ(j.bisection_depth, 0u);
       }
     }

@@ -39,6 +39,7 @@ runs it over the bench artifacts.
 """
 
 import argparse
+import collections
 import hashlib
 import json
 import pathlib
@@ -64,18 +65,19 @@ TYPE_JOURNEY = 1
 JOURNEY_TYPE_NAMES = {TYPE_JOURNEY: "journey"}
 
 LEDGER_PAYLOAD = struct.Struct("<QQQIIIIBBHIQQ")  # 64 bytes
-VERDICT_NAMES = {
+VERDICT_NAMES = {  # obs::Verdict: one table for ledger entries and journeys
     1: "verified",
     2: "invalid-signature",
     3: "stale-replay",
     4: "unkeyed",
     5: "attestation-failed",
+    6: "rejected-admission",
 }
+REJECTED_ADMISSION = 6  # ends a journey only; never a ledger verdict
 NO_BATCH = 0xFFFFFFFF
 NO_REQUEST = 0xFFFFFFFF
 
 JOURNEY_PAYLOAD = struct.Struct("<QQQIIIIBBBBI8III")  # 88 bytes
-JOURNEY_VERDICT_NAMES = {**VERDICT_NAMES, 6: "rejected-admission"}
 STAGE_NAMES = [
     "enqueue", "admit", "filter", "flatten", "attest", "verify", "bisect",
     "verdict",
@@ -168,7 +170,7 @@ def decode_ledger_entry(payload: bytes):
     (epoch, user, version, batch, request_index, block_index, entry_in_batch,
      verdict, isolation_depth, _reserved, isolation_path,
      batch_pairings, journey_id) = LEDGER_PAYLOAD.unpack(payload)
-    if verdict not in VERDICT_NAMES:
+    if verdict not in VERDICT_NAMES or verdict == REJECTED_ADMISSION:
         return None
     return {
         "epoch": epoch,
@@ -196,7 +198,7 @@ def decode_journey(payload: bytes):
     amortized_milli = fields[11]
     stage_us = list(fields[12:20])
     end_to_end_us = fields[20]
-    if verdict not in JOURNEY_VERDICT_NAMES:
+    if verdict not in VERDICT_NAMES:
         return None
     return {
         "request_id": request_id,
@@ -206,7 +208,7 @@ def decode_journey(payload: bytes):
         "request_index": request_index,
         "blocks": blocks,
         "retry_after_epochs": retry_after,
-        "verdict": JOURNEY_VERDICT_NAMES[verdict],
+        "verdict": VERDICT_NAMES[verdict],
         "sampled": sampled,
         "sampled_reasons": [name for bit, name in SAMPLE_REASONS if sampled & bit],
         "bisection_depth": bisection_depth,
@@ -442,16 +444,18 @@ def render_alerts(alerts, out):
     out.append("")
 
 
+def verdict_tally(records) -> str:
+    """'2 unkeyed, 9 verified': ledger entries or journeys counted by verdict."""
+    tally = collections.Counter(record["verdict"] for record in records)
+    return ", ".join(f"{count} {verdict}" for verdict, count in sorted(tally.items()))
+
+
 def render_ledger(ledger, out):
     if not ledger:
         return
-    tally = {}
-    for entry in ledger:
-        tally[entry["verdict"]] = tally.get(entry["verdict"], 0) + 1
     out.append("## Verdict ledger")
     out.append("")
-    out.append(f"{len(ledger)} records: " +
-               ", ".join(f"{count} {verdict}" for verdict, count in sorted(tally.items())))
+    out.append(f"{len(ledger)} records: {verdict_tally(ledger)}")
     out.append("")
     flagged = [entry for entry in ledger if entry["verdict"] != "verified"]
     if not flagged:
@@ -495,13 +499,9 @@ def waterfall_bar(journey) -> str:
 def render_journeys(journeys, out):
     if not journeys:
         return
-    tally = {}
-    for journey in journeys:
-        tally[journey["verdict"]] = tally.get(journey["verdict"], 0) + 1
     out.append("## Request journeys")
     out.append("")
-    out.append(f"{len(journeys)} sampled records: " +
-               ", ".join(f"{count} {verdict}" for verdict, count in sorted(tally.items())))
+    out.append(f"{len(journeys)} sampled records: {verdict_tally(journeys)}")
     out.append("")
     out.append("### Waterfall (stage glyphs: " +
                ", ".join(f"{g}={name}" for g, name in zip(STAGE_GLYPHS, STAGE_NAMES)) +
@@ -658,6 +658,9 @@ def self_test() -> int:
             failures.append("ledger journey cross-link lost")
         if isolation_path_str(3, 0b101) != "RLR":
             failures.append("isolation path rendering")
+    # Verdict 6 ends a journey only: a ledger record carrying it is malformed.
+    if decode_ledger_entry(LEDGER_PAYLOAD.pack(0, 42, 7, 1, 3, 0, 5, 6, 0, 0, 0, 2, 0)):
+        failures.append("ledger decoder accepted a rejected-admission verdict")
 
     # Journey replay: the magic sniff must reject 'ST' parsing, the decoder
     # must round-trip every field, and the stage-sum identity must hold.
