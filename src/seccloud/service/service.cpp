@@ -79,7 +79,7 @@ std::uint64_t batch_pairings(const BatchResult& batch) {
   return 2 + batch.verdict.bisection.oracle_calls;
 }
 
-bool filtered(obs::Verdict verdict) {
+bool is_filtered(obs::Verdict verdict) {
   return verdict == obs::Verdict::kStaleReplay || verdict == obs::Verdict::kUnkeyed;
 }
 
@@ -378,7 +378,7 @@ std::vector<obs::JourneyRecord> AuditService::epoch_journeys(const EpochTrace& t
     stage_us(j, obs::JourneyStage::kEnqueue) = static_cast<std::uint32_t>(meta.enqueue_us);
     stage_us(j, obs::JourneyStage::kAdmit) = us_between(meta.enqueued_at, t.drained);
     stage_us(j, obs::JourneyStage::kFilter) = us_between(t.drained, t.filtered);
-    if (filtered(outcome.verdict)) {
+    if (is_filtered(outcome.verdict)) {
       // Filtered: the journey ends at the filter verdict, so later stages
       // stay zero and the stage sum IS the end-to-end.
       j.end_to_end_us = static_cast<std::uint32_t>(j.stage_sum_us());
@@ -461,7 +461,7 @@ void AuditService::record_ledger(const EpochTrace& t, const EpochReport& report,
                                  const std::vector<std::uint64_t>& journey_ids) {
   if (ledger_ == nullptr) return;
   for (std::size_t r = 0; r < t.requests.size(); ++r) {
-    if (!filtered(t.outcomes[r].verdict)) continue;
+    if (!is_filtered(t.outcomes[r].verdict)) continue;
     ledger_->append({.epoch = report.epoch,
                      .user = t.requests[r].user,
                      .version = t.requests[r].version,
