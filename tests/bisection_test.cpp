@@ -203,6 +203,77 @@ TEST(DvBatchIsolateTest, CancellationForgeryEvadesTheAggregate) {
   EXPECT_TRUE(acc.isolate(dv, root).empty());
 }
 
+TEST(DvBatchIsolateTest, HostileSigmasKeepTheirPinnedVerdictsAndAggregate) {
+  // Σ crosses the trust boundary unvalidated, so the accumulator must treat
+  // every hostile value exactly as the BigUint gt_mul product did: reduce
+  // coordinates ≥ p on entry, let Σ = 0 and Σ = ζ = −1 poison exactly the
+  // ranges that hold them, and keep the swapped pair's cancellation. The
+  // verdicts, isolated sets and serialized Σ aggregates below are literals
+  // recorded from the BigUint accumulator.
+  Xoshiro256 rng{811};
+  const auto& g = tiny_group();
+  const ibc::Sio sio{g, rng};
+  const std::vector<ibc::IdentityKey> signers{sio.extract("fay@hostile"),
+                                              sio.extract("gus@hostile")};
+  const auto verifier = sio.extract("da@hostile");
+  const ibc::DesignatedVerifier dv{g, verifier};
+  const num::BigUint& p = g.params().p;
+  const DvBatch honest = make_batch(g, signers, verifier, 8, {}, rng);
+
+  struct Case {
+    const char* name;
+    void (*corrupt)(std::vector<ibc::DvSignature>&, const num::BigUint&);
+    bool valid;
+    std::vector<std::size_t> invalid;
+    const char* aggregate_hex;
+  };
+  const std::vector<Case> cases = {
+      {"coordinates >= p",
+       [](std::vector<ibc::DvSignature>& sigs, const num::BigUint& mod) {
+         sigs[3].sigma.a += mod;
+         sigs[3].sigma.b += mod + mod;
+       },
+       true, {}, "16ec8bf8ff35f2b6e23344b77221cab93417b6679b312a70"},
+      {"zero",
+       [](std::vector<ibc::DvSignature>& sigs, const num::BigUint&) {
+         sigs[5].sigma = pairing::Gt{};
+       },
+       false, {5}, "000000000000000000000000000000000000000000000000"},
+      {"zeta",
+       [](std::vector<ibc::DvSignature>& sigs, const num::BigUint& mod) {
+         sigs[1].sigma = pairing::Gt{mod - num::BigUint{1}, num::BigUint{}};
+       },
+       false, {1}, "895604980066cf6532e0b30964de7d2b9c21f6724b395514"},
+      {"swapped pair",
+       [](std::vector<ibc::DvSignature>& sigs, const num::BigUint&) {
+         std::swap(sigs[2].sigma, sigs[6].sigma);
+       },
+       true, {}, "16ec8bf8ff35f2b6e23344b77221cab93417b6679b312a70"},
+  };
+  for (const Case& c : cases) {
+    std::vector<ibc::DvSignature> sigs = honest.sigs;
+    c.corrupt(sigs, p);
+    ibc::BatchAccumulator acc{g};
+    for (std::size_t i = 0; i < sigs.size(); ++i) {
+      acc.add(signers[i % signers.size()].q_id, honest.messages[i], sigs[i]);
+    }
+    const ibc::BatchAccumulator::Check key_root = acc.check(verifier);
+    const ibc::BatchAccumulator::Check dv_root = acc.check(dv);
+    EXPECT_EQ(key_root.valid, c.valid) << c.name;
+    EXPECT_EQ(dv_root.valid, c.valid) << c.name;
+    EXPECT_EQ(acc.isolate(verifier, key_root), c.invalid) << c.name;
+    EXPECT_EQ(acc.isolate(dv, dv_root), c.invalid) << c.name;
+    const std::vector<std::uint8_t> aggregate = g.gt_serialize(acc.sigma_aggregate());
+    std::string hex;
+    for (const std::uint8_t byte : aggregate) {
+      static constexpr char kDigits[] = "0123456789abcdef";
+      hex += kDigits[byte >> 4];
+      hex += kDigits[byte & 0xF];
+    }
+    EXPECT_EQ(hex, c.aggregate_hex) << c.name;
+  }
+}
+
 TEST(DvBatchIsolateTest, PrecomputedVerifierIsolatesBitIdentically) {
   // Three interleaved signers, so every bisection range mixes signers and
   // its grouped MSM carries one term per signer.
