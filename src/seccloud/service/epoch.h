@@ -57,8 +57,8 @@ struct AuditRequest {
 struct Admission {
   bool accepted = false;
   std::uint64_t epoch = 0;               ///< epoch the request will verify in
-  std::uint64_t retry_after_epochs = 0;  ///< nonzero iff rejected
-  std::uint64_t request_id = 0;          ///< global ordinal (journey tracing key)
+  std::uint64_t retry_after_epochs = 0;  ///< nonzero iff rejected for backpressure
+  std::uint64_t request_id = 0;          ///< global ordinal (journey tracing key); 0 if none
 };
 
 /// Journey metadata for one admitted request, parallel to the drained

@@ -221,6 +221,14 @@ std::pair<ShardedRegistry::Shard*, std::size_t> ShardedRegistry::resolve(
   return {shards_[shard_index].get(), idx};
 }
 
+bool ShardedRegistry::issued(UserHandle handle) const noexcept {
+  const std::size_t shard_index = static_cast<std::size_t>(handle >> kIndexBits);
+  if (shard_index >= shards_.size()) return false;
+  const Shard& shard = *shards_[shard_index];
+  std::lock_guard<std::mutex> lock(shard.m);
+  return static_cast<std::size_t>(handle & kIndexMask) < shard.count;
+}
+
 UserView ShardedRegistry::view(UserHandle handle) const {
   auto [shard, idx] = resolve(handle);
   std::lock_guard<std::mutex> lock(shard->m);

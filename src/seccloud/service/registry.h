@@ -121,6 +121,10 @@ class ShardedRegistry {
   std::size_t shard_count() const noexcept { return shards_.size(); }
   std::size_t key_width() const noexcept { return config_.key_width; }
 
+  /// True iff `handle` names a record of this registry: resolve()'s shard
+  /// bound plus the shard's record count. Never throws.
+  bool issued(UserHandle handle) const noexcept;
+
   /// Read-only snapshot of one record. Throws std::out_of_range on a handle
   /// that was never issued.
   UserView view(UserHandle handle) const;

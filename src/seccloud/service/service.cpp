@@ -56,6 +56,10 @@ std::optional<Point> AuditService::user_q_id(UserHandle user) const {
 }
 
 Admission AuditService::submit(AuditRequest request) {
+  // A handle the registry never issued is refused before the queue lock, so
+  // it takes neither a slot nor a request id; filter() still files one that
+  // reaches the queue another way as unkeyed.
+  if (!registry_.issued(request.user)) return {.epoch = queue_.epoch()};
   return queue_.submit(std::move(request));
 }
 

@@ -158,7 +158,9 @@ class AuditService {
   /// The bound identity point, deserialized; nullopt for unkeyed users.
   std::optional<Point> user_q_id(UserHandle user) const;
 
-  /// Admits one request into the current epoch (bounded; thread-safe).
+  /// Admits one request into the current epoch (bounded; thread-safe). A
+  /// handle the registry never issued is refused outright: not accepted,
+  /// retry_after_epochs 0, request_id 0, and no queue slot taken.
   Admission submit(AuditRequest request);
 
   /// Drains the admission queue and verifies the epoch. Single-driver:

@@ -114,6 +114,9 @@ TEST(ShardedRegistryTest, RejectsMalformedInputs) {
   EXPECT_THROW(reg.view(service::kInvalidUser), std::out_of_range);
   const UserHandle u = reg.register_user("ok");
   EXPECT_THROW(reg.view(u + 1), std::out_of_range);
+  EXPECT_TRUE(reg.issued(u));
+  EXPECT_FALSE(reg.issued(u + 1));
+  EXPECT_FALSE(reg.issued(service::kInvalidUser));
 }
 
 TEST(ShardedRegistryTest, StatsAccountForArenas) {
@@ -593,11 +596,12 @@ TEST_F(ServiceFixture, UnkeyedUsersAreRejectedBeforeBatching) {
 
 TEST_F(ServiceFixture, ForeignHandlesAreFiledUnkeyedAndHonestRequestsStillVerify) {
   // Handles this registry never issued: a shard past the last one
-  // (kInvalidUser) and an index one past the last record of a shard. The
-  // queue admits them like any handle; the epoch must file them as unkeyed
-  // instead of throwing after the drain and losing every honest request
-  // drained beside them. Submission runs on its own thread so the TSan job
-  // covers submit-then-run_epoch.
+  // (kInvalidUser) and an index one past the last record of a shard.
+  // AuditService::submit refuses them, so they reach the queue here only
+  // through AdmissionQueue::submit, which admits any handle; the epoch must
+  // still file them as unkeyed instead of throwing after the drain and
+  // losing every honest request drained beside them. Submission runs on its
+  // own thread so the TSan job covers submit-then-run_epoch.
   AuditService svc = make_service(/*threads=*/2);
   service::VerdictLedger ledger;
   obs::JourneyRecorder journeys{{.sample_every = 1}};
@@ -614,7 +618,14 @@ TEST_F(ServiceFixture, ForeignHandlesAreFiledUnkeyedAndHonestRequestsStillVerify
     traffic.insert(traffic.begin(), std::move(r));
   }
   std::thread submitter{[&] {
-    for (AuditRequest& r : traffic) EXPECT_TRUE(svc.submit(std::move(r)).accepted);
+    for (AuditRequest& r : traffic) {
+      if (svc.registry().issued(r.user)) {
+        EXPECT_TRUE(svc.submit(std::move(r)).accepted);
+      } else {
+        EXPECT_FALSE(svc.submit(r).accepted) << "refused before the queue";
+        EXPECT_TRUE(svc.queue().submit(std::move(r)).accepted);
+      }
+    }
   }};
   submitter.join();
 
@@ -640,6 +651,41 @@ TEST_F(ServiceFixture, ForeignHandlesAreFiledUnkeyedAndHonestRequestsStillVerify
     if (std::string{to_string(j.verdict)} == "unkeyed") unkeyed_journeys.push_back(j.user);
   }
   EXPECT_EQ(unkeyed_journeys, unkeyed_ledger);
+}
+
+TEST_F(ServiceFixture, SubmitRefusesForeignHandlesWithoutTakingAQueueSlot) {
+  // A burst of handles the registry never issued must not fill the queue
+  // ahead of honest traffic: each is refused at submit, takes no slot and no
+  // request id, and the honest requests after it are all admitted and
+  // verified. Submission runs on its own thread for the TSan job.
+  ServiceConfig config;
+  config.registry.shards = 4;
+  config.epoch.queue_capacity = 4;
+  AuditService svc{g, da, cs, config};
+  FleetWorkload fleet{sio, {.users = 8, .active_users = 4, .blocks_per_request = 2, .seed = 31}};
+  fleet.populate(svc);
+  const UserHandle past_last_index = svc.register_user("last-registered") + 1;
+  std::vector<AuditRequest> honest = fleet.make_requests(svc);
+
+  std::thread submitter{[&] {
+    for (std::size_t i = 0; i < 2 * config.epoch.queue_capacity; ++i) {
+      AuditRequest r = honest[i % honest.size()];
+      r.user = i % 2 == 0 ? service::kInvalidUser : past_last_index;
+      const service::Admission refused = svc.submit(std::move(r));
+      EXPECT_FALSE(refused.accepted) << "foreign request " << i;
+      EXPECT_EQ(refused.retry_after_epochs, 0u) << "a retry cannot help";
+      EXPECT_EQ(refused.request_id, 0u);
+    }
+    EXPECT_EQ(svc.queue().depth(), 0u);
+    for (AuditRequest& r : honest) EXPECT_TRUE(svc.submit(std::move(r)).accepted);
+  }};
+  submitter.join();
+  EXPECT_EQ(svc.queue().rejected_total(), 0u) << "refusals are not backpressure";
+
+  const EpochReport report = svc.run_epoch();
+  EXPECT_EQ(report.requests, 4u);
+  EXPECT_EQ(report.verified_requests, 4u);
+  EXPECT_EQ(report.unkeyed_rejected, 0u);
 }
 
 TEST_F(ServiceFixture, MetricsFlowThroughTheRegistry) {
