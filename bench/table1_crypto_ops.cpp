@@ -5,7 +5,9 @@
 //   T_pair (pairing operation)    = 4.14 ms
 // This benchmark measures the same operations on our from-scratch stack at
 // the same parameter class (SS512 type-A curve), plus the supporting
-// primitives the protocol uses. The fixed-base rows (a prepared Q_ID table,
+// primitives the protocol uses: the final exponentiation on its own, and
+// SHA-256 over 1 MiB (its mean time is the hash's throughput, 1 MiB per
+// sha256_1mib_ms). The fixed-base rows (a prepared Q_ID table,
 // a prepared GT comb, a two-verifier DvSigner::sign and the table builds) are
 // the per-block signing cost under the fleet's set-up; each row's mean time
 // is also recorded in BENCH_table1_crypto_ops.json as "<row>_ms", next to the
@@ -65,6 +67,17 @@ void BM_Pairing_Tpair(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Pairing_Tpair)->Unit(benchmark::kMillisecond);
+
+void BM_FinalExponentiation(benchmark::State& state) {
+  num::Xoshiro256 rng{2};
+  const auto& g = group();
+  const pairing::Point q = g.curve().mul(g.random_scalar(rng), g.generator());
+  const field::Fp2 f = g.miller(g.generator(), q);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(g.finalize(f));
+  }
+}
+BENCHMARK(BM_FinalExponentiation)->Unit(benchmark::kMillisecond);
 
 void BM_PairProduct(benchmark::State& state) {
   num::Xoshiro256 rng{3};
@@ -152,6 +165,15 @@ void BM_Sha256_1KiB(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256_1KiB);
 
+void BM_Sha256_1MiB(benchmark::State& state) {
+  std::vector<std::uint8_t> data(std::size_t{1} << 20, 0xAB);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(hash::Sha256::digest(data));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) << 20);
+}
+BENCHMARK(BM_Sha256_1MiB)->Unit(benchmark::kMillisecond);
+
 void BM_P256_PointMul(benchmark::State& state) {
   static const ec::P256 p256;
   num::Xoshiro256 rng{5};
@@ -201,10 +223,12 @@ int main(int argc, char** argv) {
            {"BM_FixedBaseMultiplication", "fixed_base_mul_ms"},
            {"BM_FixedBaseTableBuild", "fixed_base_build_ms"},
            {"BM_Pairing_Tpair", "t_pair_ms"},
+           {"BM_FinalExponentiation", "final_exp_ms"},
            {"BM_GtExponentiation", "gt_pow_ms"},
            {"BM_GtCombExponentiation", "gt_comb_pow_ms"},
            {"BM_GtCombBuild", "gt_comb_build_ms"},
-           {"BM_DvSignerSign_TwoVerifiers", "dv_sign_2v_ms"}}) {
+           {"BM_DvSignerSign_TwoVerifiers", "dv_sign_2v_ms"},
+           {"BM_Sha256_1MiB", "sha256_1mib_ms"}}) {
     if (const auto it = wall_ms.find(row); it != wall_ms.end()) bench.value(key, it->second);
   }
   const auto& g = group();

@@ -1,4 +1,6 @@
-// SHA-256 (FIPS 180-4). Streaming and one-shot interfaces.
+// SHA-256 (FIPS 180-4). Streaming and one-shot interfaces. Blocks are
+// compressed by a SHA-NI kernel when the CPU has one, else by the portable
+// rounds (hash/sha256_compress.h).
 //
 // This is the hash H used throughout the SecCloud protocol: block-tag
 // hashing H2(U‖m), Merkle tree nodes Ω(V)=H(Ω(l)‖Ω(r)), hash-to-Zq, and the
@@ -31,7 +33,9 @@ class Sha256 {
   static Digest digest(std::string_view data) noexcept;
 
  private:
-  void process_block(const std::uint8_t* block) noexcept;
+  /// Compresses `blocks` whole 64-byte blocks at `data` into state_, on the
+  /// kernel picked once per process (see sha256_compress.h).
+  void compress(const std::uint8_t* data, std::size_t blocks) noexcept;
 
   std::array<std::uint32_t, 8> state_{};
   std::array<std::uint8_t, 64> buffer_{};

@@ -1,6 +1,7 @@
 #include "pairing/group.h"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "bigint/wnaf.h"
@@ -14,17 +15,27 @@ using field::BigUint;
 
 namespace {
 
-/// Appends g, g³, g⁵, g⁷ (one squaring and three multiplications).
-void append_odd_powers(const field::Fp2Field& f2, const field::Fe2& g,
-                       std::vector<field::Fe2>& out) {
+/// g, g³, g⁵, g⁷ (one squaring and three multiplications).
+std::array<field::Fe2, GtPowTable::kEntries> odd_powers(const field::Fp2Field& f2,
+                                                        const field::Fe2& g) {
   const field::Fe2 g2 = f2.fe2_sqr(g);
-  out.push_back(g);
-  for (std::size_t k = 1; k < GtPowTable::kEntries; ++k) out.push_back(f2.fe2_mul(out.back(), g2));
+  std::array<field::Fe2, GtPowTable::kEntries> out;
+  out[0] = g;
+  for (std::size_t k = 1; k < out.size(); ++k) out[k] = f2.fe2_mul(out[k - 1], g2);
+  return out;
 }
 
-/// The signed chain shared by gt_multi_pow and the comb: Π_j g_j^(d_j) with
-/// d_j = Σ_i digits[j][i]·2^i over the odd powers of unitary bases g_j, one
-/// shared squaring chain, a negative digit taking the conjugate.
+/// Appends odd_powers(g) to a table.
+void append_odd_powers(const field::Fp2Field& f2, const field::Fe2& g,
+                       std::vector<field::Fe2>& out) {
+  const auto odd = odd_powers(f2, g);
+  out.insert(out.end(), odd.begin(), odd.end());
+}
+
+/// The signed chain shared by gt_multi_pow, the comb and the final
+/// exponentiation: Π_j g_j^(d_j) with d_j = Σ_i digits[j][i]·2^i over the
+/// odd powers of unitary bases g_j, one shared squaring chain, a negative
+/// digit taking the conjugate.
 field::Fe2 signed_chain(const field::Fp2Field& f2, std::span<const field::Fe2> odd,
                         const std::vector<std::vector<std::int8_t>>& digits) {
   static_assert(GtPowTable::kEntries == std::size_t{1} << (num::kWnafWidth - 2),
@@ -49,7 +60,8 @@ field::Fe2 signed_chain(const field::Fp2Field& f2, std::span<const field::Fe2> o
 
 }  // namespace
 
-PairingGroup::PairingGroup(const TypeAParams& params) : params_(params) {
+PairingGroup::PairingGroup(const TypeAParams& params)
+    : params_(params), h_digits_{num::wnaf4_digits(params_.h)} {
   fp_ = std::make_unique<field::PrimeField>(params_.p);
   fp2_ = std::make_unique<field::Fp2Field>(*fp_);
   // E: y^2 = x^3 + x (a = 1, b = 0); subgroup order q, cofactor h.
@@ -89,7 +101,7 @@ bool PairingGroup::in_g1(const Point& pt) const {
   return curve_->mul(params_.q, pt).infinity;
 }
 
-Fp2 PairingGroup::miller_loop(const Point& p, const Point& q) const {
+field::Fe2 PairingGroup::miller_loop(const Point& p, const Point& q) const {
   using field::Fe2;
   using field::fixed::Fe;
   const auto& m = fp_->mont();
@@ -114,20 +126,26 @@ Fp2 PairingGroup::miller_loop(const Point& p, const Point& q) const {
         const Fe imag = m.mont_mul(z3, yq);
         acc = f2.fe2_mul(acc, Fe2{real, imag});
       });
-  return f2.fe2_export(acc);
+  return acc;
 }
 
-Fp2 PairingGroup::final_exponentiation(const Fp2& f) const {
+Gt PairingGroup::final_exponentiation(const field::Fe2& f) const {
+  const auto& m = fp_->mont();
   const auto& f2 = *fp2_;
-  // e = (p^2 − 1)/q = (p − 1)·h.   f^(p−1) = conj(f)·f^{-1} (Frobenius).
-  const auto f_inv = f2.inv(f);
-  if (!f_inv) {
-    // Only reachable if the Miller value is 0, which cannot happen for
-    // inputs on the curve; treat as the degenerate pairing.
+  // e = (p² − 1)/q = (p − 1)·h. Easy part: the Frobenius is the conjugate, so
+  // f^(p−1) = conj(f)/f = conj(f)²/N(f) with the norm N(f) = a² + b² ∈ F_p:
+  // one base-field inversion.
+  const auto norm_inv = m.inv_mont(m.add(m.mont_sqr(f.a), m.mont_sqr(f.b)));
+  if (!norm_inv) {
+    // N(f) = 0 only for f = 0, which the Miller loop cannot produce for
+    // inputs on the curve; treat it as the degenerate pairing.
     return f2.one();
   }
-  const Fp2 powered = f2.mul(f2.conj(f), *f_inv);
-  return f2.pow(powered, params_.h);
+  const field::Fe2 conj_sq = f2.fe2_sqr({f.a, m.neg(f.b)});
+  const field::Fe2 g{m.mont_mul(conj_sq.a, *norm_inv), m.mont_mul(conj_sq.b, *norm_inv)};
+  // Hard part: g has norm 1, so g^h runs on the signed chain over the digits
+  // of h recoded at construction (not gt_multi_pow: no gt_msm_term is spent).
+  return f2.fe2_export(signed_chain(f2, odd_powers(f2, g), h_digits_));
 }
 
 Gt PairingGroup::pair(const Point& p, const Point& q) const {
@@ -154,13 +172,13 @@ Gt PairingGroup::pair_product(std::span<const std::pair<Point, Point>> pairs) co
 Fp2 PairingGroup::miller(const Point& p, const Point& q) const {
   counters_.miller_loops.fetch_add(1, std::memory_order_relaxed);
   ++tls_op_counters().miller_loops;
-  return miller_loop(p, q);
+  return fp2_->fe2_export(miller_loop(p, q));
 }
 
 Gt PairingGroup::finalize(const Fp2& f) const {
   counters_.final_exps.fetch_add(1, std::memory_order_relaxed);
   ++tls_op_counters().final_exps;
-  return final_exponentiation(f);
+  return final_exponentiation(fp2_->fe2_import(f));
 }
 
 OpCounters PairingGroup::counters() const noexcept {

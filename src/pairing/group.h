@@ -144,7 +144,8 @@ class PairingGroup {
   /// engine. Inputs must be finite points. Counts one miller_loop.
   Fp2 miller(const Point& p, const Point& q) const;
 
-  /// Final exponentiation f^((p²−1)/q). Counts one final_exp.
+  /// Final exponentiation f^((p²−1)/q). Counts one final_exp. Coordinates
+  /// ≥ p are reduced on import; finalize(0) is 1.
   Gt finalize(const Fp2& f) const;
 
   // --- GT ---------------------------------------------------------------
@@ -199,10 +200,14 @@ class PairingGroup {
  private:
   /// The whole loop runs on Montgomery-domain stack limbs; coordinates ≥ p
   /// are reduced on import.
-  Fp2 miller_loop(const Point& p, const Point& q) const;
-  Fp2 final_exponentiation(const Fp2& f) const;
+  field::Fe2 miller_loop(const Point& p, const Point& q) const;
+  /// One norm inversion for the easy part, then the unitary signed chain over
+  /// h_digits_ for the hard part; one export.
+  Gt final_exponentiation(const field::Fe2& f) const;
 
   TypeAParams params_;
+  /// wnaf4_digits(h) as signed_chain's one row, recoded once.
+  std::vector<std::vector<std::int8_t>> h_digits_;
   std::unique_ptr<field::PrimeField> fp_;
   std::unique_ptr<field::Fp2Field> fp2_;
   std::unique_ptr<ec::Curve> curve_;

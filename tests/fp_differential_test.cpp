@@ -589,6 +589,45 @@ TEST(PairingBackendDifferential, FixedPairingMatchesDirectPairing) {
   }
 }
 
+TEST(FinalExpDifferential, UnitaryChainMatchesTheBinaryLadder) {
+  // finalize() takes one norm inversion and the signed chain over h's
+  // digits; Fp2Field's BigUint inverse and binary-ladder pow are the oracle:
+  // f^((p²−1)/q) = (conj(f)·f⁻¹)^h. Random f are non-unitary, so the easy
+  // part's division is exercised, not skipped.
+  for (const auto& [g, ref] : group_cases()) {
+    const field::Fp2Field& f2 = g.fp2();
+    const BigUint& p = g.params().p;
+    Xoshiro256 rng(1729);
+    const auto oracle = [&](const field::Fp2& f) {
+      return f2.pow(f2.mul(f2.conj(f), *f2.inv(f)), g.params().h);
+    };
+    for (std::size_t i = 0; i < property_iters(8); ++i) {
+      const field::Fp2 f = f2.random(rng);
+      ASSERT_FALSE(f2.is_zero(f));
+      EXPECT_NE(f2.mul(f, f2.conj(f)), f2.one()) << "f must be non-unitary";
+      EXPECT_EQ(g.finalize(f), oracle(f)) << f2.to_string(f);
+      // Unreduced coordinates reduce on import.
+      EXPECT_EQ(g.finalize({f.a + p, f.b + p + p}), g.finalize(f));
+    }
+    // A Miller value, as the pairings hand it over.
+    const Point a = g.mul(g.random_scalar(rng), g.generator());
+    const field::Fp2 m = g.miller(a, g.generator());
+    EXPECT_EQ(g.finalize(m), oracle(m));
+
+    // f = 0 has no easy part and gives 1; so does every f ∈ F_p*, which the
+    // Frobenius fixes (conj(f)/f = 1).
+    EXPECT_EQ(g.finalize(f2.zero()), g.gt_one());
+    for (const BigUint& k : {BigUint{1}, BigUint{2}, p - BigUint{1}, g.fp().random(rng)}) {
+      EXPECT_EQ(g.finalize(f2.from_base(k)), g.gt_one()) << k.to_hex();
+    }
+
+    // One final_exp and nothing else: the chain is internal, not gt_multi_pow.
+    g.reset_counters();
+    (void)g.finalize(m);
+    EXPECT_EQ(g.counters(), pairing::OpCounters{.final_exps = 1});
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Degenerate-point differential: small-torsion points drive the Miller loop
 // through the T = P tangent step, the y = 0 doubling, and T = −P vertical
