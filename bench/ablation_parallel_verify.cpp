@@ -35,12 +35,9 @@ double ms_since(std::chrono::steady_clock::time_point start) {
 /// U_A ‖ Σ_A as bytes — the canonical "output" of a batch verification.
 std::vector<std::uint8_t> serialize_aggregates(const pairing::PairingGroup& g,
                                                const ibc::BatchAccumulator& acc) {
-  const std::size_t w = (g.params().p.bit_length() + 7) / 8;
   std::vector<std::uint8_t> out = g.curve().serialize(acc.u_aggregate());
-  const auto real = acc.sigma_aggregate().a.to_bytes(w);
-  const auto imag = acc.sigma_aggregate().b.to_bytes(w);
-  out.insert(out.end(), real.begin(), real.end());
-  out.insert(out.end(), imag.begin(), imag.end());
+  const auto sigma = g.gt_serialize(acc.sigma_aggregate());
+  out.insert(out.end(), sigma.begin(), sigma.end());
   return out;
 }
 

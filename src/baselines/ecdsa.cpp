@@ -17,7 +17,7 @@ EcdsaSignature ecdsa_sign(const P256& curve, const EcdsaKeyPair& key,
   while (true) {
     const BigUint k = rng.next_nonzero_below(n);
     const Point kg = curve.curve().mul(k, curve.generator());
-    const BigUint r = kg.x % n;
+    const BigUint r = curve.curve().coordinates(kg).first % n;
     if (r.is_zero()) continue;
     const BigUint k_inv = *num::inv_mod(k, n);
     const BigUint s = num::mul_mod(k_inv, num::add_mod(h, num::mul_mod(r, key.d, n), n), n);
@@ -38,7 +38,7 @@ bool ecdsa_verify(const P256& curve, const Point& public_key,
   const std::array<Point, 2> points{curve.generator(), public_key};
   const Point result = curve.curve().multi_mul(scalars, points);
   if (result.infinity) return false;
-  return result.x % n == sig.r;
+  return curve.curve().coordinates(result).first % n == sig.r;
 }
 
 }  // namespace seccloud::baselines

@@ -4,10 +4,12 @@
 //   * the pairing group G1 (supersingular y^2 = x^3 + x, see src/pairing);
 //   * the ECDSA baseline (NIST P-256, see ec/p256.h).
 //
-// Affine points are the public value type; add, dbl and scalar
-// multiplication run in Jacobian coordinates on the base field's fixed-limb
-// Montgomery core, converting only at entry and exit. Coordinates ≥ p are
-// reduced on entry.
+// Affine points are the public value type, with Montgomery-domain
+// coordinates on the base field's fixed-limb core; add, dbl and scalar
+// multiplication run in Jacobian coordinates on the same limbs. A point
+// leaves the domain only as bytes (serialize/deserialize) or through the
+// canonical import/export pair Curve::point/coordinates; the import reduces
+// coordinates ≥ p.
 //
 // Every operation is exact for every on-curve input: O, zero scalars,
 // repeated points, P with −P, and points outside the prime-order subgroup
@@ -19,6 +21,7 @@
 
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "field/fp.h"
@@ -28,32 +31,24 @@ namespace seccloud::ec {
 using field::BigUint;
 using field::PrimeField;
 
-/// Affine point; the point at infinity is {infinity = true}.
+/// Affine point with Montgomery-domain coordinates. The point at infinity is
+/// {infinity = true} with zero coordinates, so == is value equality.
 struct Point {
-  BigUint x;
-  BigUint y;
+  field::fixed::Fe x;
+  field::fixed::Fe y;
   bool infinity = true;
 
   static Point at_infinity() { return {}; }
-  static Point affine(BigUint px, BigUint py) { return {std::move(px), std::move(py), false}; }
 
   bool operator==(const Point&) const = default;
-};
-
-/// An affine point with Montgomery-domain coordinates, the form curve
-/// arithmetic runs on internally (inf marks the point at infinity).
-struct MontAffine {
-  field::fixed::Fe x;
-  field::fixed::Fe y;
-  bool inf = false;
 };
 
 class Curve;
 
 /// Base points prepared for Curve::multi_mul: each base's odd multiples
-/// P, 3P, 5P, 7P in Montgomery affine form, normalised with one shared
-/// inversion. Prepare a set of bases once, then run any number of
-/// multi-scalar multiplications over it.
+/// P, 3P, 5P, 7P in affine form, normalised with one shared inversion.
+/// Prepare a set of bases once, then run any number of multi-scalar
+/// multiplications over it.
 class MsmTable {
  public:
   static constexpr std::size_t kEntries = 4;  ///< P, 3P, 5P, 7P per base
@@ -64,23 +59,19 @@ class MsmTable {
 
  private:
   friend class Curve;
-  friend class FixedBaseTable;
-  /// Bases already in Montgomery form; the pointer keeps MsmTable{curve, {}}
-  /// unambiguous.
-  MsmTable(const Curve* curve, std::span<const MontAffine> bases);
 
   const Curve* curve_;
-  std::vector<MontAffine> odd_;
+  std::vector<Point> odd_;
 };
 
 /// A long-lived base prepared for repeated k·P: one MsmTable over the
 /// chunk bases {2^(kChunkBits·j)·P : j < ⌈bits(order)/kChunkBits⌉}, so
 /// k·P = Σ_j k_j·(2^(kChunkBits·j)·P), with k's wNAF digits dealt into one
 /// row k_j per chunk, runs as one Straus pass whose shared doubling chain is
-/// a chunk long instead of bits(order) long. Built in the Montgomery domain
-/// with one doubling chain and two shared inversions. The chunk width is
-/// sized for memory: a 160-bit order needs 5 bases (2.7 KiB) at 32 bits
-/// against 20 at 8 bits (DESIGN.md "Fixed-base signing").
+/// a chunk long instead of bits(order) long. Built with one doubling chain
+/// and two shared inversions. The chunk width is sized for memory: a 160-bit
+/// order needs 5 bases (2.7 KiB) at 32 bits against 20 at 8 bits (DESIGN.md
+/// "Fixed-base signing").
 class FixedBaseTable {
  public:
   static constexpr std::size_t kChunkBits = 32;
@@ -90,11 +81,13 @@ class FixedBaseTable {
   /// Widest scalar Curve::mul accepts with this table, in bits.
   std::size_t span_bits() const noexcept { return kChunkBits * chunks_.size(); }
   /// Heap bytes of the prepared chunk bases.
-  std::size_t bytes() const noexcept { return chunks_.odd_.size() * sizeof(MontAffine); }
+  std::size_t bytes() const noexcept {
+    return chunks_.size() * MsmTable::kEntries * sizeof(Point);
+  }
 
  private:
   friend class Curve;
-  static std::vector<MontAffine> chunk_bases(const Curve& curve, const Point& base);
+  static std::vector<Point> chunk_bases(const Curve& curve, const Point& base);
 
   MsmTable chunks_;
 };
@@ -112,6 +105,16 @@ class Curve {
   const BigUint& b() const noexcept { return b_; }
   const BigUint& order() const noexcept { return order_; }
   const BigUint& cofactor() const noexcept { return cofactor_; }
+
+  /// The canonical import: the affine point (x mod p, y mod p), for any
+  /// non-negative x, y. Not checked against the curve equation.
+  Point point(const BigUint& x, const BigUint& y) const {
+    return {field_->to_mont(x), field_->to_mont(y), false};
+  }
+  /// The canonical export: the affine coordinates in [0, p); (0, 0) for O.
+  std::pair<BigUint, BigUint> coordinates(const Point& pt) const {
+    return {field_->from_mont(pt.x), field_->from_mont(pt.y)};
+  }
 
   /// Is the affine point on the curve (infinity counts as on-curve)?
   bool is_on_curve(const Point& pt) const;
@@ -140,7 +143,8 @@ class Curve {
   std::optional<Point> lift_x(const BigUint& x, bool even_y) const;
 
   /// Uncompressed serialization: 0x00 for infinity, else 0x04 ‖ X ‖ Y with
-  /// fixed-width big-endian coordinates.
+  /// fixed-width big-endian coordinates (two Montgomery reductions, no heap
+  /// beyond the output).
   std::vector<std::uint8_t> serialize(const Point& pt) const;
   /// Inverse of serialize(); std::nullopt on malformed or off-curve input.
   std::optional<Point> deserialize(std::span<const std::uint8_t> bytes) const;
@@ -163,6 +167,7 @@ class Curve {
   BigUint order_;
   BigUint cofactor_;
   field::fixed::Fe a_mont_;  ///< a in the Montgomery domain
+  field::fixed::Fe b_mont_;  ///< b in the Montgomery domain
 };
 
 }  // namespace seccloud::ec

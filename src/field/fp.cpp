@@ -64,11 +64,6 @@ BigUint PrimeField::add(const BigUint& a, const BigUint& b) const {
   return r;
 }
 
-BigUint PrimeField::sub(const BigUint& a, const BigUint& b) const {
-  if (a >= b) return a - b;
-  return a + p_ - b;
-}
-
 BigUint PrimeField::neg(const BigUint& a) const {
   if (a.is_zero()) return a;
   return p_ - a;
@@ -80,10 +75,6 @@ BigUint PrimeField::mul(const BigUint& a, const BigUint& b) const {
 
 BigUint PrimeField::sqr(const BigUint& a) const {
   return mont_.to_biguint(mont_.sqr_canonical(load(a)));
-}
-
-BigUint PrimeField::mul_small(const BigUint& a, std::uint64_t k) const {
-  return mont_.to_biguint(mont_.mul_word(load(a), k));
 }
 
 BigUint PrimeField::pow(const BigUint& a, const BigUint& e) const {
@@ -100,25 +91,16 @@ std::optional<BigUint> PrimeField::inv(const BigUint& a) const {
   return from_mont(*iv);
 }
 
-std::vector<BigUint> PrimeField::inv_batch(std::span<const BigUint> values) const {
-  if (values.empty()) return {};
-  // Prefix products: prefix[i] = v0 · v1 ⋯ vi.
-  std::vector<BigUint> prefix(values.size());
-  prefix[0] = reduce(values[0]);
-  if (prefix[0].is_zero()) throw std::domain_error("inv_batch: zero element");
-  for (std::size_t i = 1; i < values.size(); ++i) {
-    if (values[i].is_zero()) throw std::domain_error("inv_batch: zero element");
-    prefix[i] = mul(prefix[i - 1], values[i]);
-  }
-  auto running = inv(prefix.back());
-  if (!running) throw std::domain_error("inv_batch: product not invertible");
-  std::vector<BigUint> out(values.size());
-  for (std::size_t i = values.size(); i-- > 1;) {
-    out[i] = mul(*running, prefix[i - 1]);
-    running = mul(*running, values[i]);
-  }
-  out[0] = std::move(*running);
-  return out;
+void PrimeField::encode(const fixed::Fe& x, std::vector<std::uint8_t>& out) const {
+  out.resize(out.size() + byte_width());
+  mont_.to_bytes(mont_.from_mont(x), std::span<std::uint8_t>{out}.last(byte_width()));
+}
+
+std::optional<fixed::Fe> PrimeField::decode(std::span<const std::uint8_t> bytes) const {
+  if (bytes.size() != byte_width()) return std::nullopt;
+  const auto x = mont_.from_bytes(bytes);
+  if (!x) return std::nullopt;
+  return mont_.to_mont(*x);
 }
 
 std::optional<BigUint> PrimeField::sqrt(const BigUint& a) const {

@@ -1,18 +1,23 @@
 // Prime field F_p arithmetic.
 //
 // Context-object style: a PrimeField owns the modulus and reduction
-// machinery; elements are plain BigUint residues in [0, p). This keeps the
-// hot path (the Miller loop) free of per-element indirection.
+// machinery. All multiplicative arithmetic runs on the fixed-limb Montgomery
+// core (field/fp_fixed.h), so the modulus must fit in 8×64 bits.
 //
-// All multiplicative arithmetic runs on the fixed-limb Montgomery core
-// (field/fp_fixed.h), so the modulus must fit in 8×64 bits. The BigUint-facing
-// API converts at the boundary; the really hot consumers (ec::Curve, the
-// Miller loop, FixedPairing) work on mont() directly and convert only at entry
-// and exit. mul, sqr, mul_small, pow, inv and to_mont reduce an input ≥ p on
-// import, so they accept any non-negative integer.
+// The values built on this field (ec::Point coordinates, Fp2 components) are
+// Montgomery-domain fixed::Fe limbs for their whole life (DESIGN.md §11).
+// They leave the domain only through encode()/decode() (big-endian bytes)
+// and to_mont()/from_mont() (the canonical BigUint import/export behind
+// Curve::point/coordinates and Fp2Field::element/coordinates). The BigUint
+// API below serves parameter setup, lift_x and the micro-benchmarks; mul,
+// sqr, pow, inv and to_mont reduce an input ≥ p on import, so they accept
+// any non-negative integer.
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "bigint/biguint.h"
 #include "bigint/modular.h"
@@ -33,8 +38,7 @@ class PrimeField {
   const BigUint& modulus() const noexcept { return p_; }
   std::size_t limb_count() const noexcept { return k_; }
 
-  /// The fixed-limb Montgomery core. Hot loops (curve, pairing) run on it end
-  /// to end, converting through to_mont()/from_mont() only at the boundary.
+  /// The fixed-limb Montgomery core every curve and pairing value runs on.
   const fixed::MontCtx& mont() const noexcept { return mont_; }
 
   /// Reduces an arbitrary non-negative integer into [0, p). Uses Barrett
@@ -47,12 +51,19 @@ class PrimeField {
   /// Montgomery-domain x̃ → canonical residue.
   BigUint from_mont(const fixed::Fe& x) const { return mont_.to_biguint(mont_.from_mont(x)); }
 
+  /// Bytes of one encoded element: ⌈bits(p)/8⌉.
+  std::size_t byte_width() const noexcept { return (p_.bit_length() + 7) / 8; }
+  /// Appends the canonical residue of the Montgomery-domain x̃ as
+  /// byte_width() big-endian bytes.
+  void encode(const fixed::Fe& x, std::vector<std::uint8_t>& out) const;
+  /// byte_width() big-endian bytes → Montgomery-domain element; std::nullopt
+  /// on a wrong width or a residue ≥ p.
+  std::optional<fixed::Fe> decode(std::span<const std::uint8_t> bytes) const;
+
   BigUint add(const BigUint& a, const BigUint& b) const;
-  BigUint sub(const BigUint& a, const BigUint& b) const;
   BigUint neg(const BigUint& a) const;
   BigUint mul(const BigUint& a, const BigUint& b) const;
   BigUint sqr(const BigUint& a) const;
-  BigUint mul_small(const BigUint& a, std::uint64_t k) const;
 
   /// a^e mod p.
   BigUint pow(const BigUint& a, const BigUint& e) const;
@@ -65,11 +76,6 @@ class PrimeField {
   /// Tonelli–Shanks. Throws std::logic_error only if no quadratic
   /// non-residue could be found at construction (non-prime modulus).
   std::optional<BigUint> sqrt(const BigUint& a) const;
-
-  /// Batch inversion (Montgomery's trick): inverts every element with ONE
-  /// field inversion plus 3(n−1) multiplications. All inputs must be
-  /// nonzero; throws std::domain_error otherwise.
-  std::vector<BigUint> inv_batch(std::span<const BigUint> values) const;
 
   /// Uniform element of [0, p).
   BigUint random(num::RandomSource& rng) const { return rng.next_below(p_); }

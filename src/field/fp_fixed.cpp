@@ -1,5 +1,8 @@
 #include "field/fp_fixed.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstring>
 #include <stdexcept>
 
 namespace seccloud::field::fixed {
@@ -14,6 +17,29 @@ u64 neg_inv64(u64 p) {
   u64 x = p;  // correct mod 2^3 for odd p
   for (int i = 0; i < 5; ++i) x *= 2 - p * x;
   return ~x + 1;  // −p⁻¹
+}
+
+/// The `len` ≤ 8 big-endian bytes at `p` as a word. A whole word is one
+/// byte-swapped load.
+u64 load_be(const std::uint8_t* p, std::size_t len) {
+  u64 word = 0;
+  if (len == 8) {
+    std::memcpy(&word, p, 8);
+    if constexpr (std::endian::native == std::endian::little) word = __builtin_bswap64(word);
+    return word;
+  }
+  for (std::size_t j = 0; j < len; ++j) word = (word << 8) | p[j];
+  return word;
+}
+
+/// The low `len` ≤ 8 bytes of `word`, big-endian, at `p`.
+void store_be(u64 word, std::uint8_t* p, std::size_t len) {
+  if (len == 8) {
+    if constexpr (std::endian::native == std::endian::little) word = __builtin_bswap64(word);
+    std::memcpy(p, &word, 8);
+    return;
+  }
+  for (std::size_t j = len; j-- > 0; word >>= 8) p[j] = static_cast<std::uint8_t>(word);
 }
 
 /// Mask-selected conditional subtraction: out = t − p if t ≥ p else t, where
@@ -316,13 +342,6 @@ Fe MontCtx::load(const num::BigUint& x) const noexcept {
   return out;
 }
 
-Fe MontCtx::from_biguint(const num::BigUint& x) const {
-  if (x >= p_big_) {
-    throw std::invalid_argument("MontCtx::from_biguint: value not reduced mod p");
-  }
-  return load(x);
-}
-
 num::BigUint MontCtx::to_biguint(const Fe& x) const {
   return num::BigUint::from_limbs(
       std::vector<u64>(x.w.begin(), x.w.begin() + static_cast<std::ptrdiff_t>(n_)));
@@ -493,6 +512,34 @@ std::vector<Fe> MontCtx::inv_batch_mont(std::span<const Fe> xs) const {
   }
   out[0] = *running;
   return out;
+}
+
+// Big-endian strings map to limbs eight bytes at a time from the end; only
+// the leading word may be shorter.
+std::optional<Fe> MontCtx::from_bytes(std::span<const std::uint8_t> be) const noexcept {
+  Fe out;
+  std::size_t end = be.size();
+  for (std::size_t i = 0; end > 0; ++i) {
+    const std::size_t len = std::min<std::size_t>(end, 8);
+    end -= len;
+    const u64 word = load_be(be.data() + end, len);
+    if (i < n_) {
+      out.w[i] = word;
+    } else if (word != 0) {
+      return std::nullopt;
+    }
+  }
+  if (limbs_ge(out.w.data(), p_.data())) return std::nullopt;
+  return out;
+}
+
+void MontCtx::to_bytes(const Fe& x, std::span<std::uint8_t> out) const noexcept {
+  std::size_t end = out.size();
+  for (std::size_t i = 0; end > 0; ++i) {
+    const std::size_t len = std::min<std::size_t>(end, 8);
+    end -= len;
+    store_be(i < kMaxLimbs ? x.w[i] : 0, out.data() + end, len);
+  }
 }
 
 }  // namespace seccloud::field::fixed

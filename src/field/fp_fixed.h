@@ -4,16 +4,19 @@
 // Tate pairing. This core is the only field arithmetic behind PrimeField: it
 // represents a field element as a fixed-capacity stack array of 64-bit limbs
 // (N ≤ 8, N = 8 for the pinned 512-bit prime) and multiplies with CIOS
-// Montgomery multiplication, so an entire Miller loop runs without touching
-// the heap.
+// Montgomery multiplication, so curve and pairing arithmetic never touch the
+// heap.
 //
 // Domain conventions (see DESIGN.md §11):
 //   * canonical domain: a residue x in [0, p), limbs little-endian;
 //   * Montgomery domain: x̃ = x·R mod p with R = 2^(64·N).
-// mont_mul(ã, b̃) = a·b·R mod p keeps the domain closed; mont_mul on two
-// *canonical* residues yields a·b·R⁻¹, which `mul_canonical` repairs with one
-// extra multiplication by R² — that identity is what lets PrimeField serve
-// its BigUint-facing API without converting operands into the domain.
+// The value types built on this core (ec::Point coordinates, Fp2 and so GT
+// components) live in the Montgomery domain. They pass through the canonical
+// domain only on their way to or from bytes (to_bytes/from_bytes) and in the
+// one canonical BigUint import/export per type. mont_mul(ã, b̃) = a·b·R mod p
+// keeps the domain closed; mont_mul on two *canonical* residues yields
+// a·b·R⁻¹, which `mul_canonical` repairs with one extra multiplication by R²,
+// so PrimeField's BigUint mul/sqr need no conversion into the domain.
 //
 // add/sub/neg are domain-agnostic (exact mod-p maps) and constant-shape: no
 // value-dependent branches, conditional subtraction via limb masks. The core
@@ -22,8 +25,8 @@
 // operand-dependent control flow.
 //
 // BigUint remains at the boundary: constants (R mod p, R² mod p) are derived
-// from BigUint division at context construction, and conversions go through
-// from_biguint/to_biguint. Moduli wider than kMaxLimbs are not fields here at
+// from BigUint division at context construction, and the canonical BigUint
+// import/export goes through load/to_biguint. Moduli wider than kMaxLimbs are not fields here at
 // all — RSA and parameter generation use plain BigUint arithmetic. The test
 // reference lives in tests/textbook_oracle.h.
 #pragma once
@@ -65,13 +68,15 @@ class MontCtx {
   std::size_t limbs() const noexcept { return n_; }
   const num::BigUint& modulus() const noexcept { return p_big_; }
 
-  // --- boundary conversions (BigUint is authoritative here) -------------
-  /// Canonical residue → Fe. Requires x < p (checked; throws
-  /// std::invalid_argument otherwise).
-  Fe from_biguint(const num::BigUint& x) const;
-  /// Unchecked variant for callers that already hold a residue in [0, p).
+  // --- boundary conversions (BigUint and bytes) --------------------------
+  /// Canonical residue → Fe; x must already be in [0, p).
   Fe load(const num::BigUint& x) const noexcept;
   num::BigUint to_biguint(const Fe& x) const;
+  /// Big-endian bytes → canonical Fe; std::nullopt unless the value is < p.
+  std::optional<Fe> from_bytes(std::span<const std::uint8_t> be) const noexcept;
+  /// Canonical x → exactly out.size() big-endian bytes, zero-padded on the
+  /// left; out must be wide enough for x.
+  void to_bytes(const Fe& x, std::span<std::uint8_t> out) const noexcept;
 
   /// x → x·R mod p (canonical → Montgomery).
   Fe to_mont(const Fe& x) const noexcept { return mont_mul(x, r2_); }

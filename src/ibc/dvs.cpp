@@ -177,7 +177,7 @@ bool DesignatedVerifier::verify(const Gt& signer_pairwise_key,
 }
 
 BatchAccumulator::BatchAccumulator(const PairingGroup& group)
-    : group_(&group), sigma_aggregate_(group.fp2().fe2_one()) {}
+    : group_(&group), sigma_aggregate_(group.gt_one()) {}
 
 void BatchAccumulator::add(const Point& signer_q_id, std::span<const std::uint8_t> message,
                            const DvSignature& sig) {
@@ -219,9 +219,8 @@ void BatchAccumulator::file(std::uint32_t slot, BigUint h, const DvSignature& si
   signer_of_.push_back(slot);
   h_.push_back(std::move(h));
   u_.push_back(sig.u);
-  const field::Fp2Field& f2 = group_->fp2();
-  sigma_.push_back(f2.fe2_import(sig.sigma));
-  sigma_aggregate_ = f2.fe2_mul(sigma_aggregate_, sigma_.back());
+  sigma_.push_back(sig.sigma);
+  sigma_aggregate_ = group_->gt_mul(sigma_aggregate_, sig.sigma);
 }
 
 BatchAccumulator::SignerSums BatchAccumulator::signer_sums(std::size_t lo,
@@ -252,15 +251,10 @@ Point BatchAccumulator::u_aggregate() const {
                            signer_sums(0, size()).by_q_id, u_);
 }
 
-field::Fe2 BatchAccumulator::sigma_product(std::size_t lo, std::size_t hi) const {
-  const field::Fp2Field& f2 = group_->fp2();
-  field::Fe2 product = f2.fe2_one();
-  for (std::size_t i = lo; i < hi; ++i) product = f2.fe2_mul(product, sigma_[i]);
+Gt BatchAccumulator::sigma_product(std::size_t lo, std::size_t hi) const {
+  Gt product = group_->gt_one();
+  for (std::size_t i = lo; i < hi; ++i) product = group_->gt_mul(product, sigma_[i]);
   return product;
-}
-
-bool BatchAccumulator::matches(const Gt& paired, const field::Fe2& sigma) const {
-  return group_->fp2().fe2_import(paired) == sigma;
 }
 
 template <typename PairSk>
@@ -268,7 +262,7 @@ BatchAccumulator::Check BatchAccumulator::check_with(const PairSk& pair_sk) cons
   Check root{ec::MsmTable{group_->curve(), signers_}, pairing::GtPowTable{*group_, keys_}, {},
              false};
   root.paired = aggregate(pair_sk, root, 0, size());
-  root.valid = matches(root.paired, sigma_aggregate_);
+  root.valid = root.paired == sigma_aggregate_;
   return root;
 }
 
@@ -312,10 +306,10 @@ void BatchAccumulator::descend(const PairSk& pair_sk, const Check& root, std::si
   // side is never derived this way: an attacker's Σ need not be unitary, or
   // even invertible.
   const Gt right = group_->gt_mul(paired, group_->gt_inv(left));
-  if (!matches(left, sigma_product(lo, mid))) {
+  if (left != sigma_product(lo, mid)) {
     descend(pair_sk, root, lo, mid, left, depth + 1, invalid, stats);
   }
-  if (!matches(right, sigma_product(mid, hi))) {
+  if (right != sigma_product(mid, hi)) {
     descend(pair_sk, root, mid, hi, right, depth + 1, invalid, stats);
   }
 }

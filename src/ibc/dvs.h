@@ -258,8 +258,8 @@ class BatchAccumulator {
   /// Throws std::logic_error when a signer was filed by pairwise key, whose
   /// Q_ID the accumulator does not hold.
   Point u_aggregate() const;
-  /// Σ_A = Π Σ_i, exported from the Montgomery-domain product.
-  Gt sigma_aggregate() const { return group_->fp2().fe2_export(sigma_aggregate_); }
+  /// Σ_A = Π Σ_i.
+  const Gt& sigma_aggregate() const noexcept { return sigma_aggregate_; }
 
   /// One evaluated aggregate check: A = ê(sk_B, U_A), with the Miller loop on
   /// sk_B, and the signer tables it ran on. Isolating a rejected batch starts
@@ -302,9 +302,7 @@ class BatchAccumulator {
                const Gt& paired, std::size_t depth, std::vector<std::size_t>& invalid,
                BisectionStats& stats) const;
   /// Π_{i∈[lo,hi)} Σ_i.
-  field::Fe2 sigma_product(std::size_t lo, std::size_t hi) const;
-  /// `paired` == `sigma`, compared in the Montgomery domain.
-  bool matches(const Gt& paired, const field::Fe2& sigma) const;
+  Gt sigma_product(std::size_t lo, std::size_t hi) const;
   void file(const BatchEntry& entry, BigUint h);
   /// Files (h, sig) under `slot`, a signer_of_ value.
   void file(std::uint32_t slot, BigUint h, const DvSignature& sig);
@@ -330,11 +328,8 @@ class BatchAccumulator {
   std::vector<std::uint32_t> signer_of_;
   std::vector<BigUint> h_;                ///< per entry: H2(U ‖ m)
   std::vector<Point> u_;                  ///< per entry: U
-  /// Per entry: Σ in the Montgomery domain, reduced on import exactly as
-  /// the canonical gt_mul would reduce it, so hostile coordinates ≥ p give
-  /// the same products.
-  std::vector<field::Fe2> sigma_;
-  field::Fe2 sigma_aggregate_;            ///< Σ_A = Π Σ, Montgomery domain
+  std::vector<Gt> sigma_;                 ///< per entry: Σ
+  Gt sigma_aggregate_;                    ///< Σ_A = Π Σ
 };
 
 }  // namespace seccloud::ibc

@@ -16,43 +16,34 @@ using field::BigUint;
 namespace {
 
 /// g, g³, g⁵, g⁷ (one squaring and three multiplications).
-std::array<field::Fe2, GtPowTable::kEntries> odd_powers(const field::Fp2Field& f2,
-                                                        const field::Fe2& g) {
-  const field::Fe2 g2 = f2.fe2_sqr(g);
-  std::array<field::Fe2, GtPowTable::kEntries> out;
+std::array<Gt, GtPowTable::kEntries> odd_powers(const field::Fp2Field& f2, const Gt& g) {
+  const Gt g2 = f2.sqr(g);
+  std::array<Gt, GtPowTable::kEntries> out;
   out[0] = g;
-  for (std::size_t k = 1; k < out.size(); ++k) out[k] = f2.fe2_mul(out[k - 1], g2);
+  for (std::size_t k = 1; k < out.size(); ++k) out[k] = f2.mul(out[k - 1], g2);
   return out;
-}
-
-/// Appends odd_powers(g) to a table.
-void append_odd_powers(const field::Fp2Field& f2, const field::Fe2& g,
-                       std::vector<field::Fe2>& out) {
-  const auto odd = odd_powers(f2, g);
-  out.insert(out.end(), odd.begin(), odd.end());
 }
 
 /// The signed chain shared by gt_multi_pow, the comb and the final
 /// exponentiation: Π_j g_j^(d_j) with d_j = Σ_i digits[j][i]·2^i over the
 /// odd powers of unitary bases g_j, one shared squaring chain, a negative
 /// digit taking the conjugate.
-field::Fe2 signed_chain(const field::Fp2Field& f2, std::span<const field::Fe2> odd,
-                        const std::vector<std::vector<std::int8_t>>& digits) {
+Gt signed_chain(const field::Fp2Field& f2, std::span<const Gt> odd,
+                const std::vector<std::vector<std::int8_t>>& digits) {
   static_assert(GtPowTable::kEntries == std::size_t{1} << (num::kWnafWidth - 2),
                 "one table entry per odd digit magnitude");
-  const auto& m = f2.base().mont();
   std::size_t len = 0;
   for (const auto& row : digits) len = std::max(len, row.size());
-  field::Fe2 acc = f2.fe2_one();
+  Gt acc = f2.one();
   for (std::size_t i = len; i-- > 0;) {
-    acc = f2.fe2_sqr(acc);
+    acc = f2.sqr(acc);
     for (std::size_t j = 0; j < digits.size(); ++j) {
       if (i >= digits[j].size() || digits[j][i] == 0) continue;
       const int digit = digits[j][i];
-      const field::Fe2& entry =
+      const Gt& entry =
           odd[j * GtPowTable::kEntries + static_cast<std::size_t>(digit > 0 ? digit : -digit) / 2];
       // Unitary: g^(−k) is the conjugate of g^k.
-      acc = f2.fe2_mul(acc, digit > 0 ? entry : field::Fe2{entry.a, m.neg(entry.b)});
+      acc = f2.mul(acc, digit > 0 ? entry : f2.conj(entry));
     }
   }
   return acc;
@@ -101,35 +92,35 @@ bool PairingGroup::in_g1(const Point& pt) const {
   return curve_->mul(params_.q, pt).infinity;
 }
 
-field::Fe2 PairingGroup::miller_loop(const Point& p, const Point& q) const {
-  using field::Fe2;
+Fp2 PairingGroup::miller(const Point& p, const Point& q) const {
+  counters_.miller_loops.fetch_add(1, std::memory_order_relaxed);
+  ++tls_op_counters().miller_loops;
   using field::fixed::Fe;
   const auto& m = fp_->mont();
   const auto& f2 = *fp2_;
 
   // Each line is evaluated at φ(Q) = (−x_Q, i·y_Q) as soon as it is walked.
-  const Fe xp = fp_->to_mont(p.x);
-  const Fe yp = fp_->to_mont(p.y);
-  const Fe xq = m.neg(fp_->to_mont(q.x));
-  const Fe yq = fp_->to_mont(q.y);
-  Fe2 acc = f2.fe2_one();
+  const Fe xq = m.neg(q.x);
+  Fp2 acc = f2.one();
   detail::walk_miller(
-      m, params_.q, xp, yp, [&] { acc = f2.fe2_sqr(acc); },
+      m, params_.q, p.x, p.y, [&] { acc = f2.sqr(acc); },
       [&](const Fe& x, const Fe& y2, const Fe& z2, const Fe& mm, const Fe& z3) {
         const Fe real =
             m.neg(m.add(m.add(y2, y2), m.mont_mul(mm, m.sub(m.mont_mul(z2, xq), x))));
-        const Fe imag = m.mont_mul(m.mont_mul(z3, z2), yq);
-        acc = f2.fe2_mul(acc, Fe2{real, imag});
+        const Fe imag = m.mont_mul(m.mont_mul(z3, z2), q.y);
+        acc = f2.mul(acc, Fp2{real, imag});
       },
       [&](const Fe& r, const Fe& z3) {
-        const Fe real = m.neg(m.add(m.mont_mul(z3, yp), m.mont_mul(r, m.sub(xq, xp))));
-        const Fe imag = m.mont_mul(z3, yq);
-        acc = f2.fe2_mul(acc, Fe2{real, imag});
+        const Fe real = m.neg(m.add(m.mont_mul(z3, p.y), m.mont_mul(r, m.sub(xq, p.x))));
+        const Fe imag = m.mont_mul(z3, q.y);
+        acc = f2.mul(acc, Fp2{real, imag});
       });
   return acc;
 }
 
-Gt PairingGroup::final_exponentiation(const field::Fe2& f) const {
+Gt PairingGroup::finalize(const Fp2& f) const {
+  counters_.final_exps.fetch_add(1, std::memory_order_relaxed);
+  ++tls_op_counters().final_exps;
   const auto& m = fp_->mont();
   const auto& f2 = *fp2_;
   // e = (p² − 1)/q = (p − 1)·h. Easy part: the Frobenius is the conjugate, so
@@ -141,23 +132,20 @@ Gt PairingGroup::final_exponentiation(const field::Fe2& f) const {
     // inputs on the curve; treat it as the degenerate pairing.
     return f2.one();
   }
-  const field::Fe2 conj_sq = f2.fe2_sqr({f.a, m.neg(f.b)});
-  const field::Fe2 g{m.mont_mul(conj_sq.a, *norm_inv), m.mont_mul(conj_sq.b, *norm_inv)};
+  const Fp2 conj_sq = f2.sqr(f2.conj(f));
+  const Fp2 g{m.mont_mul(conj_sq.a, *norm_inv), m.mont_mul(conj_sq.b, *norm_inv)};
   // Hard part: g has norm 1, so g^h runs on the signed chain over the digits
   // of h recoded at construction (not gt_multi_pow: no gt_msm_term is spent).
-  return f2.fe2_export(signed_chain(f2, odd_powers(f2, g), h_digits_));
+  return signed_chain(f2, odd_powers(f2, g), h_digits_);
 }
 
 Gt PairingGroup::pair(const Point& p, const Point& q) const {
-  counters_.pairings.fetch_add(1, std::memory_order_relaxed);
-  counters_.miller_loops.fetch_add(1, std::memory_order_relaxed);
-  counters_.final_exps.fetch_add(1, std::memory_order_relaxed);
-  OpCounters& tls = tls_op_counters();
-  ++tls.pairings;
-  ++tls.miller_loops;
-  ++tls.final_exps;
-  if (p.infinity || q.infinity) return fp2_->one();
-  return final_exponentiation(miller_loop(p, q));
+  if (p.infinity || q.infinity) {
+    add_ops({.pairings = 1, .miller_loops = 1, .final_exps = 1});
+    return fp2_->one();
+  }
+  add_ops({.pairings = 1});
+  return finalize(miller(p, q));
 }
 
 Gt PairingGroup::pair_product(std::span<const std::pair<Point, Point>> pairs) const {
@@ -167,18 +155,6 @@ Gt PairingGroup::pair_product(std::span<const std::pair<Point, Point>> pairs) co
     acc = fp2_->mul(acc, miller(p, q));
   }
   return finalize(acc);
-}
-
-Fp2 PairingGroup::miller(const Point& p, const Point& q) const {
-  counters_.miller_loops.fetch_add(1, std::memory_order_relaxed);
-  ++tls_op_counters().miller_loops;
-  return fp2_->fe2_export(miller_loop(p, q));
-}
-
-Gt PairingGroup::finalize(const Fp2& f) const {
-  counters_.final_exps.fetch_add(1, std::memory_order_relaxed);
-  ++tls_op_counters().final_exps;
-  return final_exponentiation(fp2_->fe2_import(f));
 }
 
 OpCounters PairingGroup::counters() const noexcept {
@@ -229,28 +205,25 @@ void PairingGroup::publish_to(obs::MetricsRegistry& registry, std::string prefix
 }
 
 GtPowTable::GtPowTable(const PairingGroup& group, std::span<const Gt> bases) {
-  const field::Fp2Field& f2 = group.fp2();
   odd_.reserve(kEntries * bases.size());
-  for (const Gt& base : bases) append_odd_powers(f2, f2.fe2_import(base), odd_);
-}
-
-GtPowTable::GtPowTable(const field::Fp2Field& f2, std::span<const field::Fe2> bases) {
-  odd_.reserve(kEntries * bases.size());
-  for (const field::Fe2& base : bases) append_odd_powers(f2, base, odd_);
+  for (const Gt& base : bases) {
+    const auto odd = odd_powers(group.fp2(), base);
+    odd_.insert(odd_.end(), odd.begin(), odd.end());
+  }
 }
 
 GtComb::GtComb(const PairingGroup& group, const Gt& base)
-    : group_(&group), chunks_(group.fp2(), chunk_bases(group, base)) {}
+    : group_(&group), chunks_(group, chunk_bases(group, base)) {}
 
-std::vector<field::Fe2> GtComb::chunk_bases(const PairingGroup& group, const Gt& base) {
+std::vector<Gt> GtComb::chunk_bases(const PairingGroup& group, const Gt& base) {
   const field::Fp2Field& f2 = group.fp2();
   const std::size_t count = (group.order().bit_length() + kChunkBits - 1) / kChunkBits;
-  std::vector<field::Fe2> out;
+  std::vector<Gt> out;
   out.reserve(count);
-  out.push_back(f2.fe2_import(base));
+  out.push_back(base);
   while (out.size() < count) {
-    field::Fe2 next = out.back();
-    for (std::size_t d = 0; d < kChunkBits; ++d) next = f2.fe2_sqr(next);
+    Gt next = out.back();
+    for (std::size_t d = 0; d < kChunkBits; ++d) next = f2.sqr(next);
     out.push_back(next);
   }
   return out;
@@ -265,8 +238,8 @@ Gt PairingGroup::gt_pow(const GtComb& comb, const BigUint& e) const {
   }
   counters_.gt_exps.fetch_add(1, std::memory_order_relaxed);
   ++tls_op_counters().gt_exps;
-  return fp2_->fe2_export(signed_chain(
-      *fp2_, comb.chunks_.odd_, num::wnaf4_rows(e, GtComb::kChunkBits, comb.chunks_.size())));
+  return signed_chain(*fp2_, comb.chunks_.odd_,
+                      num::wnaf4_rows(e, GtComb::kChunkBits, comb.chunks_.size()));
 }
 
 Gt PairingGroup::gt_multi_pow(const GtPowTable& bases,
@@ -283,22 +256,23 @@ Gt PairingGroup::gt_multi_pow(const GtPowTable& bases,
   }
   counters_.gt_msm_terms.fetch_add(terms, std::memory_order_relaxed);
   tls_op_counters().gt_msm_terms += terms;
-  return fp2_->fe2_export(signed_chain(*fp2_, bases.odd_, digits));
+  return signed_chain(*fp2_, bases.odd_, digits);
 }
 
 std::optional<Gt> PairingGroup::gt_deserialize(std::span<const std::uint8_t> bytes) const {
-  const std::size_t width = (params_.p.bit_length() + 7) / 8;
+  const std::size_t width = fp_->byte_width();
   if (bytes.size() != 2 * width) return std::nullopt;
-  Gt x{BigUint::from_bytes(bytes.first(width)), BigUint::from_bytes(bytes.subspan(width))};
-  if (x.a >= params_.p || x.b >= params_.p) return std::nullopt;
-  return x;
+  const auto real = fp_->decode(bytes.first(width));
+  const auto imag = fp_->decode(bytes.subspan(width));
+  if (!real || !imag) return std::nullopt;
+  return Gt{*real, *imag};
 }
 
 std::vector<std::uint8_t> PairingGroup::gt_serialize(const Gt& x) const {
-  const std::size_t width = (params_.p.bit_length() + 7) / 8;
-  std::vector<std::uint8_t> out = x.a.to_bytes(width);
-  const auto imag = x.b.to_bytes(width);
-  out.insert(out.end(), imag.begin(), imag.end());
+  std::vector<std::uint8_t> out;
+  out.reserve(2 * fp_->byte_width());
+  fp_->encode(x.a, out);
+  fp_->encode(x.b, out);
   return out;
 }
 

@@ -36,11 +36,10 @@ using Gt = Fp2;
 class PairingGroup;
 
 /// Unitary GT bases prepared for PairingGroup::gt_multi_pow: each base's odd
-/// powers g, g³, g⁵, g⁷ in Montgomery form (one squaring and three
-/// multiplications per base). Every base must be unitary (a pairing value or
-/// a product of them): the multi-exponentiation takes the conjugate as the
-/// inverse. Prepare a set of bases once, then run any number of
-/// multi-exponentiations over it.
+/// powers g, g³, g⁵, g⁷ (one squaring and three multiplications per base).
+/// Every base must be unitary (a pairing value or a product of them): the
+/// multi-exponentiation takes the conjugate as the inverse. Prepare a set of
+/// bases once, then run any number of multi-exponentiations over it.
 class GtPowTable {
  public:
   static constexpr std::size_t kEntries = 4;  ///< g, g³, g⁵, g⁷ per base
@@ -50,22 +49,18 @@ class GtPowTable {
 
  private:
   friend class PairingGroup;
-  friend class GtComb;
-  /// Bases already in Montgomery form; taking the field keeps
-  /// GtPowTable{group, {}} unambiguous.
-  GtPowTable(const field::Fp2Field& f2, std::span<const field::Fe2> bases);
 
-  std::vector<field::Fe2> odd_;
+  std::vector<Gt> odd_;
 };
 
 /// A long-lived unitary base prepared for repeated g^e, the GT counterpart
 /// of ec::FixedBaseTable: one GtPowTable over the chunk bases
-/// {g^(2^(kChunkBits·j)) : j < ⌈bits(q)/kChunkBits⌉}, built in the
-/// Montgomery domain with one Fe2 squaring chain. PairingGroup::gt_pow(comb,
-/// e) deals e's wNAF digits into one row per chunk base and runs
-/// gt_multi_pow's signed chain over them, so the shared squaring chain is a
-/// chunk long instead of bits(e) long. The base must be unitary (a pairing
-/// value), since a negative digit takes the conjugate.
+/// {g^(2^(kChunkBits·j)) : j < ⌈bits(q)/kChunkBits⌉}, built with one
+/// squaring chain. PairingGroup::gt_pow(comb, e) deals e's wNAF digits into
+/// one row per chunk base and runs gt_multi_pow's signed chain over them, so
+/// the shared squaring chain is a chunk long instead of bits(e) long. The
+/// base must be unitary (a pairing value), since a negative digit takes the
+/// conjugate.
 class GtComb {
  public:
   static constexpr std::size_t kChunkBits = 32;
@@ -75,11 +70,13 @@ class GtComb {
   /// Widest exponent PairingGroup::gt_pow accepts with this comb, in bits.
   std::size_t span_bits() const noexcept { return kChunkBits * chunks_.size(); }
   /// Heap bytes of the prepared chunk bases.
-  std::size_t bytes() const noexcept { return chunks_.odd_.size() * sizeof(field::Fe2); }
+  std::size_t bytes() const noexcept {
+    return chunks_.size() * GtPowTable::kEntries * sizeof(Gt);
+  }
 
  private:
   friend class PairingGroup;
-  static std::vector<field::Fe2> chunk_bases(const PairingGroup& group, const Gt& base);
+  static std::vector<Gt> chunk_bases(const PairingGroup& group, const Gt& base);
 
   const PairingGroup* group_;
   GtPowTable chunks_;
@@ -144,8 +141,9 @@ class PairingGroup {
   /// engine. Inputs must be finite points. Counts one miller_loop.
   Fp2 miller(const Point& p, const Point& q) const;
 
-  /// Final exponentiation f^((p²−1)/q). Counts one final_exp. Coordinates
-  /// ≥ p are reduced on import; finalize(0) is 1.
+  /// Final exponentiation f^((p²−1)/q): one norm inversion for the easy
+  /// part, then the unitary signed chain over h's digits for the hard part.
+  /// Counts one final_exp; finalize(0) is 1.
   Gt finalize(const Fp2& f) const;
 
   // --- GT ---------------------------------------------------------------
@@ -170,7 +168,8 @@ class PairingGroup {
   /// any exponent, including those ≥ q. exponents.size() must equal
   /// bases.size(). Counts one gt_msm_term per nonzero exponent.
   Gt gt_multi_pow(const GtPowTable& bases, std::span<const BigUint> exponents) const;
-  /// Fixed-width serialization (2 field elements, big-endian).
+  /// Fixed-width serialization (2 field elements, big-endian), written from
+  /// the canonical limbs.
   std::vector<std::uint8_t> gt_serialize(const Gt& x) const;
   /// Inverse of gt_serialize(); std::nullopt on a wrong width or a
   /// coordinate ≥ p. Does not check membership in GT.
@@ -198,13 +197,6 @@ class PairingGroup {
   void publish_to(obs::MetricsRegistry& registry, std::string prefix) const;
 
  private:
-  /// The whole loop runs on Montgomery-domain stack limbs; coordinates ≥ p
-  /// are reduced on import.
-  field::Fe2 miller_loop(const Point& p, const Point& q) const;
-  /// One norm inversion for the easy part, then the unitary signed chain over
-  /// h_digits_ for the hard part; one export.
-  Gt final_exponentiation(const field::Fe2& f) const;
-
   TypeAParams params_;
   /// wnaf4_digits(h) as signed_chain's one row, recoded once.
   std::vector<std::vector<std::int8_t>> h_digits_;

@@ -1,5 +1,5 @@
 // The Miller-loop schedule for ê(P, ·): point arithmetic and edge policy,
-// shared by PairingGroup::miller_loop (evaluates each line on the spot) and
+// shared by PairingGroup::miller (evaluates each line on the spot) and
 // FixedPairing (records each line once, replays it per evaluation point).
 #pragma once
 

@@ -9,10 +9,9 @@ using field::fixed::Fe;
 FixedPairing::FixedPairing(const PairingGroup& group, const Point& fixed)
     : group_(&group), fixed_(fixed) {
   if (fixed_.infinity) return;  // ê(O, ·) = 1; no lines to record
-  const auto& f = group.fp();
-  const auto& m = f.mont();
-  const Fe xp = f.to_mont(fixed_.x);
-  const Fe yp = f.to_mont(fixed_.y);
+  const auto& m = group.fp().mont();
+  const Fe& xp = fixed_.x;
+  const Fe& yp = fixed_.y;
   lines_per_step_.reserve(group.order().bit_length() - 1);
 
   // Instead of evaluating each line at φ(Q) we record its (u, v, w)
@@ -33,27 +32,24 @@ FixedPairing::FixedPairing(const PairingGroup& group, const Point& fixed)
 }
 
 Fp2 FixedPairing::miller_with(const Point& q) const {
-  using field::Fe2;
   group_->add_ops({.miller_loops = 1});
-  const auto& f = group_->fp();
-  const auto& m = f.mont();
+  const auto& m = group_->fp().mont();
   const auto& f2 = group_->fp2();
 
-  const Fe xq = m.neg(f.to_mont(q.x));  // x̄_Q: φ(Q) has x-coordinate −x_Q
-  const Fe yq = f.to_mont(q.y);
+  const Fe xq = m.neg(q.x);  // x̄_Q: φ(Q) has x-coordinate −x_Q
 
-  Fe2 acc = f2.fe2_one();
+  Fp2 acc = f2.one();
   std::size_t next = 0;
   for (const std::uint8_t count : lines_per_step_) {
-    acc = f2.fe2_sqr(acc);
+    acc = f2.sqr(acc);
     for (std::uint8_t k = 0; k < count; ++k) {
       const Line& line = lines_[next++];
       const Fe real = m.neg(m.add(line.u, m.mont_mul(line.v, xq)));
-      const Fe imag = m.mont_mul(line.w, yq);
-      acc = f2.fe2_mul(acc, Fe2{real, imag});
+      const Fe imag = m.mont_mul(line.w, q.y);
+      acc = f2.mul(acc, Fp2{real, imag});
     }
   }
-  return f2.fe2_export(acc);
+  return acc;
 }
 
 Gt FixedPairing::pair_with(const Point& q) const {

@@ -10,12 +10,12 @@
 // class stores. Replaying a precomputed loop skips every Jacobian doubling/
 // addition and keeps only the two line-evaluation multiplications per step.
 //
-// The recording walks the same schedule as PairingGroup::miller_loop
+// The recording walks the same schedule as PairingGroup::miller
 // (pairing/miller_schedule.h) and each replayed line equals the one the loop
 // evaluates, so miller_with(Q) is bit-identical to group.miller(fixed, Q) and
 // pair_with(Q) to group.pair(fixed, Q) (and, by symmetry, group.pair(Q, fixed)).
-// The lines are stored as Montgomery-domain limbs, so a replay never touches
-// BigUint between importing Q and exporting the result.
+// The lines are stored as Montgomery-domain limbs, the domain Q and the
+// result already live in, so a replay never touches BigUint.
 #pragma once
 
 #include "pairing/group.h"

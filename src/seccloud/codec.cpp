@@ -5,10 +5,6 @@
 namespace seccloud::core {
 namespace {
 
-std::size_t field_width(const PairingGroup& group) {
-  return (group.params().p.bit_length() + 7) / 8;
-}
-
 /// Fail-fast bound for attacker-controlled element counts: true iff `count`
 /// items of at least `min_item_bytes` each could still fit in the decoder's
 /// remaining input. Checked BEFORE any reserve() so a few-byte malicious
@@ -37,17 +33,11 @@ void Encoder::put_string(std::string_view s) {
 }
 
 void Encoder::put_point(const Point& p) {
-  const auto bytes = group_->curve().serialize(p);
-  put_bytes(bytes);  // self-delimiting: 0x00 = infinity, 0x04 ‖ X ‖ Y otherwise
+  // Self-delimiting: 0x00 = infinity, 0x04 ‖ X ‖ Y otherwise.
+  put_bytes(group_->curve().serialize(p));
 }
 
-void Encoder::put_gt(const Gt& v) {
-  const std::size_t w = field_width(*group_);
-  const auto real = v.a.to_bytes(w);
-  const auto imag = v.b.to_bytes(w);
-  put_bytes(real);
-  put_bytes(imag);
-}
+void Encoder::put_gt(const Gt& v) { put_bytes(group_->gt_serialize(v)); }
 
 void Encoder::put_digest(const merkle::Digest& d) {
   put_bytes(std::span<const std::uint8_t>(d.data(), d.size()));
@@ -95,28 +85,18 @@ std::optional<std::string> Decoder::get_string(std::size_t max_len) {
 }
 
 std::optional<Point> Decoder::get_point() {
+  const std::size_t start = pos_;
   const auto tag = get_u8();
   if (!tag) return std::nullopt;
   if (*tag == 0x00) return Point::at_infinity();
-  if (*tag != 0x04) return std::nullopt;
-  const std::size_t w = field_width(*group_);
-  const auto coords = take(2 * w);
-  if (!coords) return std::nullopt;
-  Bytes full;
-  full.reserve(1 + 2 * w);
-  full.push_back(0x04);
-  full.insert(full.end(), coords->begin(), coords->end());
-  return group_->curve().deserialize(full);  // validates on-curve
+  if (*tag != 0x04 || !take(2 * group_->fp().byte_width())) return std::nullopt;
+  return group_->curve().deserialize(data_.subspan(start, pos_ - start));  // validates on-curve
 }
 
 std::optional<Gt> Decoder::get_gt() {
-  const std::size_t w = field_width(*group_);
-  const auto real = take(w);
-  const auto imag = real ? take(w) : std::nullopt;
-  if (!real || !imag) return std::nullopt;
-  Gt out{num::BigUint::from_bytes(*real), num::BigUint::from_bytes(*imag)};
-  if (out.a >= group_->params().p || out.b >= group_->params().p) return std::nullopt;
-  return out;
+  const auto raw = take(2 * group_->fp().byte_width());
+  if (!raw) return std::nullopt;
+  return group_->gt_deserialize(*raw);
 }
 
 std::optional<merkle::Digest> Decoder::get_digest() {

@@ -6,19 +6,12 @@
 #include "seccloud/codec.h"
 
 namespace seccloud::sim {
-namespace {
-
-std::uint64_t field_bytes(const PairingGroup& group) {
-  return (group.params().p.bit_length() + 7) / 8;
-}
-
-}  // namespace
 
 std::uint64_t wire_size_point(const PairingGroup& group) {
-  return 1 + 2 * field_bytes(group);  // 0x04 ‖ X ‖ Y
+  return 1 + 2 * group.fp().byte_width();  // 0x04 ‖ X ‖ Y
 }
 
-std::uint64_t wire_size_gt(const PairingGroup& group) { return 2 * field_bytes(group); }
+std::uint64_t wire_size_gt(const PairingGroup& group) { return 2 * group.fp().byte_width(); }
 
 // Message sizes are exact: each delegates to the real wire codec.
 

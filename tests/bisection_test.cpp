@@ -217,42 +217,42 @@ TEST(DvBatchIsolateTest, HostileSigmasKeepTheirPinnedVerdictsAndAggregate) {
                                               sio.extract("gus@hostile")};
   const auto verifier = sio.extract("da@hostile");
   const ibc::DesignatedVerifier dv{g, verifier};
-  const num::BigUint& p = g.params().p;
   const DvBatch honest = make_batch(g, signers, verifier, 8, {}, rng);
 
   struct Case {
     const char* name;
-    void (*corrupt)(std::vector<ibc::DvSignature>&, const num::BigUint&);
+    void (*corrupt)(std::vector<ibc::DvSignature>&, const field::Fp2Field&);
     bool valid;
     std::vector<std::size_t> invalid;
     const char* aggregate_hex;
   };
   const std::vector<Case> cases = {
       {"coordinates >= p",
-       [](std::vector<ibc::DvSignature>& sigs, const num::BigUint& mod) {
-         sigs[3].sigma.a += mod;
-         sigs[3].sigma.b += mod + mod;
+       [](std::vector<ibc::DvSignature>& sigs, const field::Fp2Field& f2) {
+         const num::BigUint& mod = f2.base().modulus();
+         const auto [a, b] = f2.coordinates(sigs[3].sigma);
+         sigs[3].sigma = f2.element(a + mod, b + mod + mod);
        },
        true, {}, "16ec8bf8ff35f2b6e23344b77221cab93417b6679b312a70"},
       {"zero",
-       [](std::vector<ibc::DvSignature>& sigs, const num::BigUint&) {
+       [](std::vector<ibc::DvSignature>& sigs, const field::Fp2Field&) {
          sigs[5].sigma = pairing::Gt{};
        },
        false, {5}, "000000000000000000000000000000000000000000000000"},
       {"zeta",
-       [](std::vector<ibc::DvSignature>& sigs, const num::BigUint& mod) {
-         sigs[1].sigma = pairing::Gt{mod - num::BigUint{1}, num::BigUint{}};
+       [](std::vector<ibc::DvSignature>& sigs, const field::Fp2Field& f2) {
+         sigs[1].sigma = f2.element(f2.base().modulus() - num::BigUint{1}, num::BigUint{});
        },
        false, {1}, "895604980066cf6532e0b30964de7d2b9c21f6724b395514"},
       {"swapped pair",
-       [](std::vector<ibc::DvSignature>& sigs, const num::BigUint&) {
+       [](std::vector<ibc::DvSignature>& sigs, const field::Fp2Field&) {
          std::swap(sigs[2].sigma, sigs[6].sigma);
        },
        true, {}, "16ec8bf8ff35f2b6e23344b77221cab93417b6679b312a70"},
   };
   for (const Case& c : cases) {
     std::vector<ibc::DvSignature> sigs = honest.sigs;
-    c.corrupt(sigs, p);
+    c.corrupt(sigs, g.fp2());
     ibc::BatchAccumulator acc{g};
     for (std::size_t i = 0; i < sigs.size(); ++i) {
       acc.add(signers[i % signers.size()].q_id, honest.messages[i], sigs[i]);
@@ -504,7 +504,7 @@ TEST_F(DerivedIsolationTest, IdentityAndTorsionInUAreTransparent) {
   // U = O and U tainted by order-2 and order-3 torsion: ê(sk_B, ·) ignores
   // the torsion, so an entry whose Σ matches its tainted target is valid in
   // every range that holds it, and one that does not is isolated.
-  const pairing::Point two_torsion = pairing::Point::affine(num::BigUint{}, num::BigUint{});
+  const pairing::Point two_torsion = g.curve().point(num::BigUint{}, num::BigUint{});
   ASSERT_TRUE(g.curve().is_on_curve(two_torsion));
   const num::BigUint cofactor = (g.params().p + num::BigUint{1}) / num::BigUint{3};
   pairing::Point three_torsion = pairing::Point::at_infinity();
@@ -537,7 +537,7 @@ TEST_F(DerivedIsolationTest, SigmaOutsideGtIsNeverDerived) {
   // derived Σ_right would let the failing right half through.
   const pairing::Gt minus_one = g.fp2().neg(g.gt_one());
   const pairing::Gt zero = g.fp2().zero();
-  const pairing::Gt two = g.fp2().from_base(num::BigUint{2});
+  const pairing::Gt two = g.fp2().element(num::BigUint{2}, num::BigUint{});
   const DvBatch pristine = make_batch(g, signers, verifier, 16, {}, rng);
   struct Row {
     std::vector<std::size_t> at;
@@ -631,7 +631,7 @@ TEST_F(DerivedIsolationTest, PairwiseKeysOfTorsionKeysAndIdentityU) {
   // them to the identity), and U = O contributes nothing to either side:
   // entries whose Σ matches their target stay valid whichever way the
   // signer is filed, and the others are isolated identically.
-  const pairing::Point two_torsion = pairing::Point::affine(num::BigUint{}, num::BigUint{});
+  const pairing::Point two_torsion = g.curve().point(num::BigUint{}, num::BigUint{});
   const num::BigUint cofactor = (g.params().p + num::BigUint{1}) / num::BigUint{3};
   pairing::Point three_torsion = pairing::Point::at_infinity();
   while (three_torsion.infinity) {

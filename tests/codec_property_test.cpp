@@ -69,7 +69,8 @@ class Gen {
   Gt gt() {
     // Any pair of residues < p is a decodable GT encoding; scalars mod q
     // are a convenient uniform-ish subset.
-    return Gt{g_.random_scalar(rng_), g_.random_scalar(rng_)};
+    const num::BigUint real = g_.random_scalar(rng_);
+    return g_.fp2().element(real, g_.random_scalar(rng_));
   }
 
   ibc::DvSignature dv_signature() { return {point(), gt()}; }

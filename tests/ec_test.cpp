@@ -124,12 +124,13 @@ TEST_F(CurveTest, DeserializeRejectsOffCurveAndMalformed) {
 TEST_F(CurveTest, LiftXRespectsParity) {
   for (int i = 0; i < 20; ++i) {
     const Point a = curve.random_point(rng);
-    const auto even = curve.lift_x(a.x, true);
-    const auto odd = curve.lift_x(a.x, false);
+    const BigUint x = curve.coordinates(a).first;
+    const auto even = curve.lift_x(x, true);
+    const auto odd = curve.lift_x(x, false);
     ASSERT_TRUE(even.has_value());
     ASSERT_TRUE(odd.has_value());
-    EXPECT_TRUE(even->y.is_even());
-    EXPECT_TRUE(odd->y.is_odd());
+    EXPECT_TRUE(curve.coordinates(*even).second.is_even());
+    EXPECT_TRUE(curve.coordinates(*odd).second.is_odd());
     EXPECT_TRUE(*even == a || *odd == a);
   }
 }
@@ -196,12 +197,12 @@ TEST_F(P256Test, GeneratorOnCurveWithCorrectOrder) {
 
 TEST_F(P256Test, KnownScalarMultiples) {
   // 2G from the standard test vectors.
-  const Point two_g = p256.curve().mul(BigUint{2}, p256.generator());
-  EXPECT_EQ(two_g.x.to_hex(), "7cf27b188d034f7e8a52380304b51ac3c08969e277f21b35a60b48fc47669978");
-  EXPECT_EQ(two_g.y.to_hex(), "7775510db8ed040293d9ac69f7430dbba7dade63ce982299e04b79d227873d1");
+  const auto [x2, y2] = p256.curve().coordinates(p256.curve().mul(BigUint{2}, p256.generator()));
+  EXPECT_EQ(x2.to_hex(), "7cf27b188d034f7e8a52380304b51ac3c08969e277f21b35a60b48fc47669978");
+  EXPECT_EQ(y2.to_hex(), "7775510db8ed040293d9ac69f7430dbba7dade63ce982299e04b79d227873d1");
   // 5G.
-  const Point five_g = p256.curve().mul(BigUint{5}, p256.generator());
-  EXPECT_EQ(five_g.x.to_hex(), "51590b7a515140d2d784c85608668fdfef8c82fd1f5be52421554a0dc3d033ed");
+  const auto [x5, y5] = p256.curve().coordinates(p256.curve().mul(BigUint{5}, p256.generator()));
+  EXPECT_EQ(x5.to_hex(), "51590b7a515140d2d784c85608668fdfef8c82fd1f5be52421554a0dc3d033ed");
 }
 
 TEST_F(P256Test, LargeKnownScalar) {

@@ -227,7 +227,7 @@ void expect_comb_matches_gt_pow(const PairingGroup& group, std::uint64_t seed) {
     const GtComb comb{group, base};
     ASSERT_GE(comb.span_bits(), q.bit_length());
     ASSERT_LT(comb.span_bits(), q.bit_length() + kC);
-    EXPECT_EQ(comb.bytes(), comb.span_bits() / kC * GtPowTable::kEntries * sizeof(field::Fe2));
+    EXPECT_EQ(comb.bytes(), comb.span_bits() / kC * GtPowTable::kEntries * sizeof(Gt));
     const BigUint widest = (one << comb.span_bits()) - one;
     std::vector<BigUint> exps{BigUint{},          one,         (one << kC) - one,
                               one << kC,          (one << kC) + one,

@@ -1,8 +1,10 @@
 // Textbook reference arithmetic for the differential suite: plain BigUint
 // with `%` and num::inv_mod, affine point formulas, double-and-add, and an
 // affine Miller loop followed by a square-and-multiply final exponentiation.
-// It shares no arithmetic with src/field, src/ec or src/pairing (only the
-// BigUint, Point and Fp2 value types).
+// It shares no arithmetic and no value type with src/field, src/ec or
+// src/pairing: its points and F_{p²} elements are BigUint pairs of its own,
+// and tests compare them with production values through the canonical
+// import/export (ec::Curve::point/coordinates, Fp2Field::element/coordinates).
 //
 // The Miller loop follows the production edge policy (y = 0 → O, T = P →
 // tangent, T = −P → O without a line). Its lines differ from the production
@@ -11,17 +13,35 @@
 #pragma once
 
 #include <optional>
+#include <utility>
 
 #include "bigint/biguint.h"
 #include "bigint/modular.h"
-#include "ec/curve.h"
-#include "field/fp2.h"
 
 namespace seccloud::oracle {
 
-using ec::Point;
-using field::Fp2;
 using num::BigUint;
+
+/// Affine point with canonical coordinates; the point at infinity is
+/// {infinity = true}.
+struct Point {
+  BigUint x;
+  BigUint y;
+  bool infinity = true;
+
+  static Point at_infinity() { return {}; }
+  static Point affine(BigUint px, BigUint py) { return {std::move(px), std::move(py), false}; }
+
+  bool operator==(const Point&) const = default;
+};
+
+/// a + b·i in F_{p²} with canonical components.
+struct Fp2 {
+  BigUint a;
+  BigUint b;
+
+  bool operator==(const Fp2&) const = default;
+};
 
 /// F_p by definition.
 struct Fp {
