@@ -46,6 +46,7 @@ struct Fixture {
   num::Xoshiro256 rng{424242};
   ibc::Sio sio{g, rng};
   ibc::IdentityKey csp = sio.extract("csp");
+  ibc::DesignatedVerifier csp_verifier{g, csp};
   std::vector<ibc::IdentityKey> signers;
   std::vector<std::string> messages;
   std::vector<ibc::DvSignature> sigs;
@@ -87,7 +88,7 @@ RunResult run_serial(const Fixture& f) {
   for (std::size_t i = 0; i < f.sigs.size(); ++i) {
     acc.add(f.signer_of(i).q_id, hash::as_bytes(f.messages[i]), f.sigs[i]);
   }
-  r.batch_verdict = acc.verify(f.csp);
+  r.batch_verdict = acc.verify(f.csp_verifier);
   r.batch_ms = ms_since(start);
   r.batch_output = serialize_aggregates(f.g, acc);
   r.batch_ops = f.g.counters();
@@ -120,18 +121,17 @@ RunResult run_parallel(const Fixture& f, std::size_t threads) {
   auto start = std::chrono::steady_clock::now();
   ibc::BatchAccumulator acc{f.g};
   acc.add_batch(engine, entries);
-  r.batch_verdict = acc.verify(f.csp);
+  r.batch_verdict = acc.verify(f.csp_verifier);
   r.batch_ms = ms_since(start);
   r.batch_output = serialize_aggregates(f.g, acc);
   r.batch_ops = f.g.counters();
 
   f.g.reset_counters();
   start = std::chrono::steady_clock::now();
-  const ibc::DesignatedVerifier verifier{f.g, f.csp};
   r.verdict_bitmap.resize(f.sigs.size());
   engine.for_each(f.sigs.size(), [&](std::size_t i) {
-    r.verdict_bitmap[i] = verifier.verify(f.signer_of(i).q_id,
-                                          hash::as_bytes(f.messages[i]), f.sigs[i])
+    r.verdict_bitmap[i] = f.csp_verifier.verify(f.signer_of(i).q_id,
+                                                hash::as_bytes(f.messages[i]), f.sigs[i])
                               ? 1
                               : 0;
   });

@@ -29,9 +29,7 @@ bool bgls_verify(const PairingGroup& group, const Point& public_key,
 }
 
 Point bgls_aggregate(const PairingGroup& group, std::span<const Point> signatures) {
-  Point acc = Point::at_infinity();
-  for (const auto& sig : signatures) acc = group.add(acc, sig);
-  return acc;
+  return group.multi_mul(ec::MsmTable{group.curve(), {}}, {}, signatures);
 }
 
 bool bgls_aggregate_verify(const PairingGroup& group, std::span<const BglsItem> items,

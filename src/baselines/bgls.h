@@ -29,7 +29,8 @@ Point bgls_sign(const PairingGroup& group, const BglsKeyPair& key,
 bool bgls_verify(const PairingGroup& group, const Point& public_key,
                  std::span<const std::uint8_t> message, const Point& signature);
 
-/// σ_agg = Σ σ_i.
+/// σ_agg = Σ σ_i: the signatures are `multi_mul` addends, folded in Jacobian
+/// coordinates with one final inversion and no op counted.
 Point bgls_aggregate(const PairingGroup& group, std::span<const Point> signatures);
 
 /// One item of an aggregate: who signed what.

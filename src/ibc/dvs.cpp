@@ -15,15 +15,6 @@ Point dv_target(const PairingGroup& group, const Point& signer_q_id,
   return group.add(u, group.mul(tag_hash(group, u, message), signer_q_id));
 }
 
-/// ê(sk_B, ·) with the Miller loop on sk_B, the argument every check fixes.
-auto pair_sk(const PairingGroup& group, const IdentityKey& verifier) {
-  return [&group, &verifier](const Point& u) { return group.pair(verifier.secret, u); };
-}
-
-auto pair_sk(const DesignatedVerifier& verifier) {
-  return [&verifier](const Point& u) { return verifier.fixed().pair_with(u); };
-}
-
 BatchAccumulator accumulate(const PairingGroup& group, std::span<const BatchEntry> batch) {
   BatchAccumulator acc{group};
   for (const auto& entry : batch) acc.add(entry);
@@ -32,11 +23,10 @@ BatchAccumulator accumulate(const PairingGroup& group, std::span<const BatchEntr
 
 /// Pairing 1, the cloud server's epoch attestation over the batch digest,
 /// arrives as `attestation_valid`. Pairing 2 checks the mixed-signer
-/// aggregate (Eq. 8/9), any batch size, through `verifier` (an IdentityKey
-/// or a DesignatedVerifier), which also serves every isolation evaluation
-/// below that aggregate.
-template <typename Verifier>
-CrossUserVerdict cross_user_verdict(const BatchAccumulator& acc, const Verifier& verifier,
+/// aggregate (Eq. 8/9), any batch size, through `verifier`, which also
+/// serves every isolation evaluation below that aggregate.
+CrossUserVerdict cross_user_verdict(const BatchAccumulator& acc,
+                                    const DesignatedVerifier& verifier,
                                     bool attestation_valid, bool isolate_on_reject) {
   CrossUserVerdict verdict;
   const BatchAccumulator::Check aggregate = acc.check(verifier);
@@ -47,17 +37,6 @@ CrossUserVerdict cross_user_verdict(const BatchAccumulator& acc, const Verifier&
     verdict.invalid_entries = acc.isolate(verifier, aggregate, &verdict.bisection);
   }
   return verdict;
-}
-
-/// BatchAccumulator::isolate below a fresh check, counted as one more
-/// oracle call (none for an empty batch).
-std::vector<std::size_t> isolate_fresh(const BatchAccumulator& acc,
-                                       const IdentityKey& verifier, BisectionStats* stats) {
-  if (acc.size() == 0) return {};
-  BisectionStats local;
-  BisectionStats& s = stats != nullptr ? *stats : local;
-  ++s.oracle_calls;
-  return acc.isolate(verifier, acc.check(verifier), &s);
 }
 
 }  // namespace
@@ -115,7 +94,7 @@ DvSignature dv_simulate(const PairingGroup& group, const Point& signer_q_id,
 
 bool dv_batch_verify(const PairingGroup& group, std::span<const BatchEntry> batch,
                      const IdentityKey& verifier) {
-  return accumulate(group, batch).verify(verifier);
+  return accumulate(group, batch).verify(DesignatedVerifier{group, verifier});
 }
 
 // --- batch-rejection bisection ---------------------------------------------
@@ -124,7 +103,14 @@ std::vector<std::size_t> dv_batch_isolate(const PairingGroup& group,
                                           std::span<const BatchEntry> batch,
                                           const IdentityKey& verifier,
                                           BisectionStats* stats) {
-  return isolate_fresh(accumulate(group, batch), verifier, stats);
+  // The fresh root check counts as one more oracle call (none when empty).
+  const BatchAccumulator acc = accumulate(group, batch);
+  if (acc.size() == 0) return {};
+  BisectionStats local;
+  BisectionStats& s = stats != nullptr ? *stats : local;
+  ++s.oracle_calls;
+  const DesignatedVerifier dv{group, verifier};
+  return acc.isolate(dv, acc.check(dv), &s);
 }
 
 // --- cross-user shared batches ---------------------------------------------
@@ -136,10 +122,10 @@ CrossUserVerdict dv_cross_user_verify(const PairingGroup& group,
                                       std::span<const std::uint8_t> attestation_message,
                                       const DvSignature& attestation,
                                       bool isolate_on_reject) {
-  return cross_user_verdict(
-      accumulate(group, entries), verifier,
-      dv_verify(group, attestor_q_id, attestation_message, attestation, verifier),
-      isolate_on_reject);
+  const DesignatedVerifier dv{group, verifier};
+  return cross_user_verdict(accumulate(group, entries), dv,
+                            dv.verify(attestor_q_id, attestation_message, attestation),
+                            isolate_on_reject);
 }
 
 CrossUserVerdict dv_cross_user_verify(const DesignatedVerifier& verifier,
@@ -156,7 +142,7 @@ CrossUserVerdict dv_cross_user_verify(const DesignatedVerifier& verifier,
 
 DesignatedVerifier::DesignatedVerifier(const PairingGroup& group,
                                        const IdentityKey& verifier)
-    : group_(&group), key_(verifier), fixed_(group, verifier.secret) {}
+    : group_(&group), q_id_(verifier.q_id), fixed_(group, verifier.secret) {}
 
 bool DesignatedVerifier::verify(const Point& signer_q_id,
                                 std::span<const std::uint8_t> message,
@@ -233,11 +219,10 @@ BatchAccumulator::SignerSums BatchAccumulator::signer_sums(std::size_t lo,
   return sums;
 }
 
-template <typename PairSk>
-Gt BatchAccumulator::aggregate(const PairSk& pair_sk, const Check& root, std::size_t lo,
-                               std::size_t hi) const {
+Gt BatchAccumulator::aggregate(const DesignatedVerifier& verifier, const Check& root,
+                               std::size_t lo, std::size_t hi) const {
   const SignerSums sums = signer_sums(lo, hi);
-  const Gt paired = pair_sk(group_->multi_mul(
+  const Gt paired = verifier.fixed().pair_with(group_->multi_mul(
       root.tables, sums.by_q_id, std::span<const Point>{u_}.subspan(lo, hi - lo)));
   if (keys_.empty()) return paired;
   return group_->gt_mul(paired, group_->gt_multi_pow(root.keys, sums.by_key));
@@ -257,40 +242,29 @@ Gt BatchAccumulator::sigma_product(std::size_t lo, std::size_t hi) const {
   return product;
 }
 
-template <typename PairSk>
-BatchAccumulator::Check BatchAccumulator::check_with(const PairSk& pair_sk) const {
+BatchAccumulator::Check BatchAccumulator::check(const DesignatedVerifier& verifier) const {
   Check root{ec::MsmTable{group_->curve(), signers_}, pairing::GtPowTable{*group_, keys_}, {},
              false};
-  root.paired = aggregate(pair_sk, root, 0, size());
+  root.paired = aggregate(verifier, root, 0, size());
   root.valid = root.paired == sigma_aggregate_;
   return root;
 }
 
-BatchAccumulator::Check BatchAccumulator::check(const IdentityKey& verifier) const {
-  return check_with(pair_sk(*group_, verifier));
-}
-
-BatchAccumulator::Check BatchAccumulator::check(const DesignatedVerifier& verifier) const {
-  return check_with(pair_sk(verifier));
-}
-
-template <typename PairSk>
-std::vector<std::size_t> BatchAccumulator::isolate_with(const PairSk& pair_sk,
-                                                        const Check& root,
-                                                        BisectionStats* stats) const {
+std::vector<std::size_t> BatchAccumulator::isolate(const DesignatedVerifier& verifier,
+                                                   const Check& root,
+                                                   BisectionStats* stats) const {
   BisectionStats local;
   std::vector<std::size_t> invalid;
   if (!root.valid) {
-    descend(pair_sk, root, 0, size(), root.paired, 0, invalid,
+    descend(verifier, root, 0, size(), root.paired, 0, invalid,
             stats != nullptr ? *stats : local);
   }
   return invalid;
 }
 
-template <typename PairSk>
-void BatchAccumulator::descend(const PairSk& pair_sk, const Check& root, std::size_t lo,
-                               std::size_t hi, const Gt& paired, std::size_t depth,
-                               std::vector<std::size_t>& invalid,
+void BatchAccumulator::descend(const DesignatedVerifier& verifier, const Check& root,
+                               std::size_t lo, std::size_t hi, const Gt& paired,
+                               std::size_t depth, std::vector<std::size_t>& invalid,
                                BisectionStats& stats) const {
   if (hi - lo == 1) {
     invalid.push_back(lo);
@@ -299,7 +273,7 @@ void BatchAccumulator::descend(const PairSk& pair_sk, const Check& root, std::si
   const std::size_t mid = lo + (hi - lo) / 2;
   stats.max_depth = std::max(stats.max_depth, depth + 1);
   ++stats.oracle_calls;
-  const Gt left = aggregate(pair_sk, root, lo, mid);
+  const Gt left = aggregate(verifier, root, lo, mid);
   // ê(sk_B, ·) is a homomorphism in its evaluation argument and its values
   // are unitary (so are the pairwise keys, which are pairing values), so the
   // right half's A is the parent's times the conjugate of the left's. The Σ
@@ -307,23 +281,11 @@ void BatchAccumulator::descend(const PairSk& pair_sk, const Check& root, std::si
   // even invertible.
   const Gt right = group_->gt_mul(paired, group_->gt_inv(left));
   if (left != sigma_product(lo, mid)) {
-    descend(pair_sk, root, lo, mid, left, depth + 1, invalid, stats);
+    descend(verifier, root, lo, mid, left, depth + 1, invalid, stats);
   }
   if (right != sigma_product(mid, hi)) {
-    descend(pair_sk, root, mid, hi, right, depth + 1, invalid, stats);
+    descend(verifier, root, mid, hi, right, depth + 1, invalid, stats);
   }
-}
-
-std::vector<std::size_t> BatchAccumulator::isolate(const IdentityKey& verifier,
-                                                   const Check& root,
-                                                   BisectionStats* stats) const {
-  return isolate_with(pair_sk(*group_, verifier), root, stats);
-}
-
-std::vector<std::size_t> BatchAccumulator::isolate(const DesignatedVerifier& verifier,
-                                                   const Check& root,
-                                                   BisectionStats* stats) const {
-  return isolate_with(pair_sk(verifier), root, stats);
 }
 
 }  // namespace seccloud::ibc

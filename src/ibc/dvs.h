@@ -25,6 +25,12 @@
 // across an engine's lanes and leaves the accumulator bit-identical to
 // sequential add() calls, so verdicts, isolated sets, aggregates and
 // op-counter totals do not depend on the lane count.
+// BatchAccumulator evaluates ê(sk_B, ·) only through a DesignatedVerifier's
+// replayed sk_B lines. The IdentityKey forms of dv_batch_verify,
+// dv_batch_isolate and dv_cross_user_verify stay as wrappers that build one
+// verifier per call: they are the paper-facing entry points, and the
+// benchmark's per-layer replay calls them. dv_verify stays the plain-pairing
+// Eq. 5/7 reference.
 #pragma once
 
 #include <cstdint>
@@ -126,6 +132,7 @@ struct BatchEntry {
 
 /// Eq. (8)/(9): verifies an arbitrary mixed-signer batch with ONE pairing
 /// (vs one pairing per signature individually). Empty batches verify.
+/// Builds one DesignatedVerifier for the call.
 bool dv_batch_verify(const PairingGroup& group, std::span<const BatchEntry> batch,
                      const IdentityKey& verifier);
 
@@ -145,7 +152,7 @@ struct BisectionStats {
 /// is evaluated first, then one range per failing internal node, so k bad of
 /// n cost at most 1 + k·⌈log2 n⌉ pairings versus n for individual
 /// re-verification. Returns the invalid entry indices ascending (empty: the
-/// full aggregate verifies).
+/// full aggregate verifies). Builds one DesignatedVerifier for the call.
 std::vector<std::size_t> dv_batch_isolate(const PairingGroup& group,
                                           std::span<const BatchEntry> batch,
                                           const IdentityKey& verifier,
@@ -171,7 +178,8 @@ struct CrossUserVerdict {
 /// users contributed. On an aggregate reject (and `isolate_on_reject`), the
 /// range walk starts from that aggregate and isolates the bad entries across
 /// user boundaries in at most k·⌈log2 n⌉ extra pairings, so one Byzantine
-/// user cannot poison the epoch.
+/// user cannot poison the epoch. Builds one DesignatedVerifier for the call
+/// and checks the attestation with its Q_ID form of verify().
 CrossUserVerdict dv_cross_user_verify(const PairingGroup& group,
                                       std::span<const BatchEntry> entries,
                                       const IdentityKey& verifier,
@@ -180,13 +188,11 @@ CrossUserVerdict dv_cross_user_verify(const PairingGroup& group,
                                       const DvSignature& attestation,
                                       bool isolate_on_reject = true);
 
-/// The same verdict for a long-lived verifier: the attestation check, the
-/// aggregate and every bisection oracle call replay the precomputed sk_B
-/// lines, the attestation is checked through the attestor's pairwise key
-/// ê(Q_CS, sk_B), and entries that carry a pairwise key raise it in GT.
-/// Verdicts, isolated sets and bisection stats are bit-identical to the
-/// IdentityKey form; the op counters trade point_muls and msm_terms for
-/// gt_msm_terms.
+/// The same verdict for a long-lived verifier: the attestation is checked
+/// through the attestor's pairwise key ê(Q_CS, sk_B), and entries that carry
+/// a pairwise key raise it in GT. Verdicts, isolated sets and bisection
+/// stats are bit-identical to the IdentityKey form; the op counters trade
+/// point_muls and msm_terms for gt_msm_terms.
 CrossUserVerdict dv_cross_user_verify(const DesignatedVerifier& verifier,
                                       std::span<const BatchEntry> entries,
                                       const Gt& attestor_pairwise_key,
@@ -197,12 +203,14 @@ CrossUserVerdict dv_cross_user_verify(const DesignatedVerifier& verifier,
 /// A verifier with the fixed-argument Miller precomputation for its secret
 /// key sk_B — the same second argument in every Eq. 5/7/8/9 check — so each
 /// verification replays recorded line functions instead of recomputing the
-/// Jacobian point arithmetic. Results are bit-identical to dv_verify.
+/// Jacobian point arithmetic. Results are bit-identical to dv_verify. The
+/// verifier keeps sk_B only inside that precomputation.
 class DesignatedVerifier {
  public:
   DesignatedVerifier(const PairingGroup& group, const IdentityKey& verifier);
 
-  const IdentityKey& key() const noexcept { return key_; }
+  /// The verifier's public identity point Q_B.
+  const Point& q_id() const noexcept { return q_id_; }
   const PairingGroup& group() const noexcept { return *group_; }
 
   /// Eq. (5)/(7) with the precomputed sk_B pairing.
@@ -223,7 +231,7 @@ class DesignatedVerifier {
 
  private:
   const PairingGroup* group_;
-  IdentityKey key_;
+  Point q_id_;
   pairing::FixedPairing fixed_;  ///< ê(sk_B, ·) = ê(·, sk_B) by symmetry
 };
 
@@ -261,21 +269,19 @@ class BatchAccumulator {
   /// Σ_A = Π Σ_i.
   const Gt& sigma_aggregate() const noexcept { return sigma_aggregate_; }
 
-  /// One evaluated aggregate check: A = ê(sk_B, U_A), with the Miller loop on
-  /// sk_B, and the signer tables it ran on. Isolating a rejected batch starts
-  /// from all three, so it pays no second root evaluation or table build.
+  /// One evaluated aggregate check: A = ê(sk_B, U_A), replayed on the
+  /// verifier's sk_B lines, and the signer tables it ran on. Isolating a
+  /// rejected batch starts from all three, so it pays no second root
+  /// evaluation or table build.
   struct Check {
     ec::MsmTable tables;         ///< the signers filed by Q_ID
     pairing::GtPowTable keys;    ///< the signers filed by pairwise key
     Gt paired;   ///< ê(sk_B, U_A)
     bool valid;  ///< paired == Σ_A
   };
-  Check check(const IdentityKey& verifier) const;
-  /// Same check through a precomputed verifier (no Jacobian recomputation).
   Check check(const DesignatedVerifier& verifier) const;
 
   /// ê(sk_B, U_A) == Σ_A.
-  bool verify(const IdentityKey& verifier) const { return check(verifier).valid; }
   bool verify(const DesignatedVerifier& verifier) const { return check(verifier).valid; }
 
   /// The invalid entries (indices in add order) below `root`, this
@@ -284,23 +290,14 @@ class BatchAccumulator {
   /// derives the right half's pairing as A(parent)·A(left)⁻¹; Σ products are
   /// always multiplied out. Each evaluation counts one oracle call, so k bad
   /// of n cost at most k·⌈log2 n⌉. Empty when `root` is valid.
-  std::vector<std::size_t> isolate(const IdentityKey& verifier, const Check& root,
-                                   BisectionStats* stats = nullptr) const;
   std::vector<std::size_t> isolate(const DesignatedVerifier& verifier, const Check& root,
                                    BisectionStats* stats = nullptr) const;
 
  private:
-  /// `pair_sk(U)` evaluates ê(sk_B, U).
-  template <typename PairSk>
-  Check check_with(const PairSk& pair_sk) const;
-  template <typename PairSk>
-  std::vector<std::size_t> isolate_with(const PairSk& pair_sk, const Check& root,
-                                        BisectionStats* stats) const;
   /// Descends into [lo, hi), a failing range whose pairing is `paired`.
-  template <typename PairSk>
-  void descend(const PairSk& pair_sk, const Check& root, std::size_t lo, std::size_t hi,
-               const Gt& paired, std::size_t depth, std::vector<std::size_t>& invalid,
-               BisectionStats& stats) const;
+  void descend(const DesignatedVerifier& verifier, const Check& root, std::size_t lo,
+               std::size_t hi, const Gt& paired, std::size_t depth,
+               std::vector<std::size_t>& invalid, BisectionStats& stats) const;
   /// Π_{i∈[lo,hi)} Σ_i.
   Gt sigma_product(std::size_t lo, std::size_t hi) const;
   void file(const BatchEntry& entry, BigUint h);
@@ -317,8 +314,7 @@ class BatchAccumulator {
   SignerSums signer_sums(std::size_t lo, std::size_t hi) const;
   /// A over [lo, hi): ê(sk_B, Σ U_i + Σ s_j·Q_j) · Π v_j^{s_j}, over the
   /// signer tables of `root`.
-  template <typename PairSk>
-  Gt aggregate(const PairSk& pair_sk, const Check& root, std::size_t lo,
+  Gt aggregate(const DesignatedVerifier& verifier, const Check& root, std::size_t lo,
                std::size_t hi) const;
 
   const PairingGroup* group_;

@@ -144,7 +144,7 @@ class AuditService {
   std::uint64_t epoch() const noexcept { return queue_.epoch(); }
   /// Identity points clients designate their signatures to: the service's
   /// own verifying identity and the attesting cloud server.
-  const Point& verifier_q_id() const noexcept { return verifier_.key().q_id; }
+  const Point& verifier_q_id() const noexcept { return verifier_.q_id(); }
   const Point& attestor_q_id() const noexcept { return attestor_.q_id(); }
 
   /// Registers an identity record only (cheap; no key material).

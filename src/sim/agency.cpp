@@ -7,7 +7,10 @@
 namespace seccloud::sim {
 
 SimAgency::SimAgency(const PairingGroup& group, ibc::PublicParams params, IdentityKey da_key)
-    : group_(&group), params_(std::move(params)), da_key_(std::move(da_key)) {}
+    : group_(&group),
+      params_(std::move(params)),
+      da_key_(std::move(da_key)),
+      da_verifier_(group, da_key_) {}
 
 SimAgency::ComputationAuditResult SimAgency::audit_computation(
     SimCloudServer& server, const Point& q_user, const ComputationTask& task,
@@ -89,7 +92,7 @@ SimAgency::MultiUserReport SimAgency::audit_storage_multiuser(
   }
 
   group_->reset_counters();
-  report.accepted = aggregate.size() == 0 || aggregate.verify(da_key_);
+  report.accepted = aggregate.size() == 0 || aggregate.verify(da_verifier_);
   report.pairings_used = group_->counters().pairings;
   if (report.accepted) return report;
 
@@ -101,7 +104,7 @@ SimAgency::MultiUserReport SimAgency::audit_storage_multiuser(
       per_session.add(sessions[item.session].q_user, core::block_message_bytes(sb.block),
                       sb.sig.for_da());
     }
-    if (per_session.size() > 0 && !per_session.verify(da_key_)) {
+    if (per_session.size() > 0 && !per_session.verify(da_verifier_)) {
       report.offending_sessions.push_back(item.session);
     }
   }

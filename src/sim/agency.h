@@ -4,6 +4,7 @@
 #pragma once
 
 #include "analysis/history.h"
+#include "ibc/dvs.h"
 #include "ibc/keys.h"
 #include "sim/server.h"
 
@@ -74,6 +75,7 @@ class SimAgency {
   const PairingGroup* group_;
   ibc::PublicParams params_;
   IdentityKey da_key_;
+  ibc::DesignatedVerifier da_verifier_;  ///< sk_B lines for the multi-user aggregate
   analysis::CostHistoryLearner learner_;
   TrafficMeter traffic_;
 };

@@ -135,6 +135,32 @@ TEST_F(BglsTest, AggregateOfDistinctSignersVerifies) {
   EXPECT_TRUE(bgls_aggregate_verify(g, items, aggregate));
 }
 
+TEST_F(BglsTest, AggregateEqualsTheAffineFold) {
+  // The aggregate is one Jacobian fold; it must equal the signature-by-
+  // signature affine sum on the doubling branch (a repeated signature), on
+  // a signature plus its negation (which reaches O), on the empty list, and
+  // count no op either way.
+  const BglsKeyPair key = bgls_generate(g, rng);
+  const pairing::Point s = bgls_sign(g, key, as_bytes(std::string_view{"s"}));
+  const pairing::Point t = bgls_sign(g, key, as_bytes(std::string_view{"t"}));
+  const auto affine_fold = [&](std::span<const pairing::Point> sigs) {
+    pairing::Point acc = pairing::Point::at_infinity();
+    for (const pairing::Point& sig : sigs) acc = g.add(acc, sig);
+    return acc;
+  };
+  const std::vector<std::vector<pairing::Point>> cases = {
+      {s, s}, {s, g.neg(s)}, {}, {s, t, s, g.neg(t)}, {t}};
+  for (const std::vector<pairing::Point>& sigs : cases) {
+    g.reset_counters();
+    const pairing::Point aggregate = bgls_aggregate(g, sigs);
+    EXPECT_EQ(g.counters(), pairing::OpCounters{}) << sigs.size() << " signatures";
+    EXPECT_EQ(aggregate, affine_fold(sigs)) << sigs.size() << " signatures";
+  }
+  EXPECT_EQ(bgls_aggregate(g, cases[0]), g.curve().dbl(s));
+  EXPECT_TRUE(bgls_aggregate(g, cases[1]).infinity);
+  EXPECT_TRUE(bgls_aggregate(g, cases[2]).infinity);
+}
+
 TEST_F(BglsTest, AggregateRejectsForgedComponent) {
   std::vector<BglsKeyPair> keys;
   std::vector<std::string> messages;

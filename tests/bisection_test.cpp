@@ -148,6 +148,7 @@ TEST(DvBatchIsolateTest, SerialAndParallelAreBitIdentical) {
   const auto signer = sio.extract("user@bisect-par");
   const auto verifier = sio.extract("da@bisect-par");
   const DvBatch batch = make_batch(g, {signer}, verifier, 24, {1, 9, 20, 21}, rng);
+  const ibc::DesignatedVerifier dv{g, verifier};
 
   g.reset_counters();
   ibc::BisectionStats serial_stats;
@@ -161,7 +162,7 @@ TEST(DvBatchIsolateTest, SerialAndParallelAreBitIdentical) {
     acc.add_batch(engine, batch.entries);
     ibc::BisectionStats par_stats;
     ++par_stats.oracle_calls;  // the root check, counted as dv_batch_isolate counts it
-    const auto par = acc.isolate(verifier, acc.check(verifier), &par_stats);
+    const auto par = acc.isolate(dv, acc.check(dv), &par_stats);
     const auto par_ops = g.counters();
     EXPECT_EQ(par, serial);
     EXPECT_EQ(par_stats, serial_stats);
@@ -257,11 +258,8 @@ TEST(DvBatchIsolateTest, HostileSigmasKeepTheirPinnedVerdictsAndAggregate) {
     for (std::size_t i = 0; i < sigs.size(); ++i) {
       acc.add(signers[i % signers.size()].q_id, honest.messages[i], sigs[i]);
     }
-    const ibc::BatchAccumulator::Check key_root = acc.check(verifier);
     const ibc::BatchAccumulator::Check dv_root = acc.check(dv);
-    EXPECT_EQ(key_root.valid, c.valid) << c.name;
     EXPECT_EQ(dv_root.valid, c.valid) << c.name;
-    EXPECT_EQ(acc.isolate(verifier, key_root), c.invalid) << c.name;
     EXPECT_EQ(acc.isolate(dv, dv_root), c.invalid) << c.name;
     const std::vector<std::uint8_t> aggregate = g.gt_serialize(acc.sigma_aggregate());
     std::string hex;
@@ -279,7 +277,9 @@ TEST(DvBatchIsolateTest, PrecomputedVerifierIsolatesBitIdentically) {
   // its grouped MSM carries one term per signer. Each fault set pins the
   // verdict, the isolated set, the walk's stats and the op counts of one
   // check plus isolation: one pairing per evaluated range and one MSM term
-  // per signer and entry of that range.
+  // per signer and entry of that range. The literals were recorded from
+  // the plain-pairing IdentityKey walk, which the precomputed verifier's
+  // replayed lines matched bit for bit.
   struct Pin {
     std::vector<std::size_t> bad;
     bool valid;
@@ -315,25 +315,15 @@ TEST(DvBatchIsolateTest, PrecomputedVerifierIsolatesBitIdentically) {
     }
 
     g.reset_counters();
-    ibc::BisectionStats key_stats;
-    const ibc::BatchAccumulator::Check key_root = acc.check(verifier);
-    const auto key_invalid = acc.isolate(verifier, key_root, &key_stats);
-    const auto key_ops = g.counters();
+    ibc::BisectionStats stats;
+    const ibc::BatchAccumulator::Check root = acc.check(dv);
+    const auto invalid = acc.isolate(dv, root, &stats);
+    const auto ops_used = g.counters();
 
-    g.reset_counters();
-    ibc::BisectionStats dv_stats;
-    const ibc::BatchAccumulator::Check dv_root = acc.check(dv);
-    const auto dv_invalid = acc.isolate(dv, dv_root, &dv_stats);
-    const auto dv_ops = g.counters();
-
-    EXPECT_EQ(key_root.valid, pin.valid);
-    EXPECT_EQ(key_invalid, pin.invalid);
-    EXPECT_EQ(key_stats, pin.stats);
-    EXPECT_EQ(key_ops, pin.ops);
-    EXPECT_EQ(dv_root.valid, pin.valid);
-    EXPECT_EQ(dv_invalid, pin.invalid);
-    EXPECT_EQ(dv_stats, pin.stats);
-    EXPECT_EQ(dv_ops, pin.ops);
+    EXPECT_EQ(root.valid, pin.valid);
+    EXPECT_EQ(invalid, pin.invalid);
+    EXPECT_EQ(stats, pin.stats);
+    EXPECT_EQ(ops_used, pin.ops);
   }
 }
 
@@ -421,8 +411,8 @@ struct Isolation {
   ibc::BisectionStats reused;  ///< the walk below a reused aggregate check
 };
 
-/// Both isolate overloads below a reused check, and dv_batch_isolate from a
-/// fresh one, must return the reference's set and max_depth. The reused walk
+/// The walk below a reused check, and dv_batch_isolate from a fresh one,
+/// must return the reference's set and max_depth. The reused walk
 /// evaluates one range per failing internal node, which the reference
 /// evaluates twice (and its root once more). Every isolated entry must fail
 /// on its own.
@@ -436,17 +426,11 @@ Isolation expect_matches_reference(const pairing::PairingGroup& g, const DvBatch
   ibc::BatchAccumulator acc{g};
   for (const auto& e : batch.entries) acc.add(e.signer_q_id, e.message, *e.sig);
 
-  const auto walk = [&](const auto& v) {
-    const ibc::BatchAccumulator::Check root = acc.check(v);
-    EXPECT_EQ(root.valid, result.invalid.empty());
-    ibc::BisectionStats reused;
-    EXPECT_EQ(acc.isolate(v, root, &reused), result.invalid);
-    EXPECT_EQ(reused.max_depth, ref_stats.max_depth);
-    EXPECT_EQ(ref_stats.oracle_calls, 1 + 2 * reused.oracle_calls);
-    return reused;
-  };
-  result.reused = walk(verifier);
-  EXPECT_EQ(walk(dv), result.reused);
+  const ibc::BatchAccumulator::Check root = acc.check(dv);
+  EXPECT_EQ(root.valid, result.invalid.empty());
+  EXPECT_EQ(acc.isolate(dv, root, &result.reused), result.invalid);
+  EXPECT_EQ(result.reused.max_depth, ref_stats.max_depth);
+  EXPECT_EQ(ref_stats.oracle_calls, 1 + 2 * result.reused.oracle_calls);
   ibc::BisectionStats fresh;
   EXPECT_EQ(ibc::dv_batch_isolate(g, batch.entries, verifier, &fresh), result.invalid);
   EXPECT_EQ(fresh.max_depth, ref_stats.max_depth);
@@ -609,25 +593,21 @@ ibc::BatchAccumulator file_batch(const pairing::PairingGroup& g, const DvBatch& 
   return acc;
 }
 
-template <typename Verifier>
-Outcome outcome_of(const ibc::BatchAccumulator& acc, const Verifier& v) {
+Outcome outcome_of(const ibc::BatchAccumulator& acc, const ibc::DesignatedVerifier& v) {
   const ibc::BatchAccumulator::Check root = acc.check(v);
   Outcome out{root.paired, root.valid, {}, {}};
   out.invalid = acc.isolate(v, root, &out.stats);
   return out;
 }
 
-/// The Q_ID filing checked through the IdentityKey is the reference; every
-/// filing checked through either verifier form must reproduce its paired
-/// value, verdict, isolated set and stats bit for bit.
+/// The Q_ID filing is the reference; the key and mixed filings must
+/// reproduce its paired value, verdict, isolated set and stats bit for bit.
 Outcome expect_filings_agree(const pairing::PairingGroup& g, const DvBatch& batch,
-                             const ibc::IdentityKey& verifier,
                              const ibc::DesignatedVerifier& dv) {
-  const Outcome reference = outcome_of(file_batch(g, batch, dv, Filing::kQId), verifier);
-  for (const Filing filing : {Filing::kQId, Filing::kKey, Filing::kMixed}) {
-    const ibc::BatchAccumulator acc = file_batch(g, batch, dv, filing);
-    EXPECT_EQ(outcome_of(acc, verifier), reference) << "filing " << static_cast<int>(filing);
-    EXPECT_EQ(outcome_of(acc, dv), reference) << "filing " << static_cast<int>(filing);
+  const Outcome reference = outcome_of(file_batch(g, batch, dv, Filing::kQId), dv);
+  for (const Filing filing : {Filing::kKey, Filing::kMixed}) {
+    EXPECT_EQ(outcome_of(file_batch(g, batch, dv, filing), dv), reference)
+        << "filing " << static_cast<int>(filing);
   }
   return reference;
 }
@@ -642,7 +622,7 @@ TEST_F(DerivedIsolationTest, PairwiseKeysGiveBitIdenticalOutcomes) {
     for (const std::size_t i : bad) {
       batch.sigs[i].sigma = g.gt_mul(batch.sigs[i].sigma, batch.sigs[i].sigma);
     }
-    const Outcome outcome = expect_filings_agree(g, batch, verifier, dv);
+    const Outcome outcome = expect_filings_agree(g, batch, dv);
     EXPECT_EQ(outcome.valid, bad.empty());
     EXPECT_EQ(outcome.invalid, bad);
   }
@@ -675,7 +655,7 @@ TEST_F(DerivedIsolationTest, PairwiseKeysOfTorsionKeysAndIdentityU) {
   batch.sigs[5].u = pairing::Point::at_infinity();
   make_consistent(batch, 5);
   batch.sigs[10].u = pairing::Point::at_infinity();
-  const Outcome outcome = expect_filings_agree(g, batch, verifier, dv);
+  const Outcome outcome = expect_filings_agree(g, batch, dv);
   EXPECT_EQ(outcome.invalid, (std::vector<std::size_t>{3, 8, 10}));
   for (std::size_t i = 0; i < batch.entries.size(); ++i) {
     const ibc::BatchEntry& e = batch.entries[i];

@@ -85,6 +85,7 @@ TEST(FigureShapes, Figure5ConstantVsLinearPairings) {
   num::Xoshiro256 rng{5050};
   const ibc::Sio sio{g, rng};
   const auto csp = sio.extract("csp");
+  const ibc::DesignatedVerifier csp_verifier{g, csp};
 
   baselines::WangScheme wang{g};
   for (const std::size_t users : {1u, 10u, 25u}) {
@@ -100,7 +101,7 @@ TEST(FigureShapes, Figure5ConstantVsLinearPairings) {
                                   csp.q_id));
     }
     g.reset_counters();
-    ASSERT_TRUE(batch.verify(csp));
+    ASSERT_TRUE(batch.verify(csp_verifier));
     EXPECT_EQ(g.counters().pairings, 1u) << users;
 
     // Wang: one 2-pairing verification per user.
@@ -126,6 +127,7 @@ TEST(FigureShapes, Table2PairingCounts) {
   num::Xoshiro256 rng{6060};
   const ibc::Sio sio{g, rng};
   const auto csp = sio.extract("csp");
+  const ibc::DesignatedVerifier csp_verifier{g, csp};
   const auto user = sio.extract("user");
   constexpr std::size_t kTau = 12;
 
@@ -147,7 +149,7 @@ TEST(FigureShapes, Table2PairingCounts) {
     batch.add(user.q_id, hash::as_bytes(messages[i]), sigs[i]);
   }
   g.reset_counters();
-  ASSERT_TRUE(batch.verify(csp));
+  ASSERT_TRUE(batch.verify(csp_verifier));
   EXPECT_EQ(g.counters().pairings, 1u);
 }
 

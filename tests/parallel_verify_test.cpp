@@ -114,6 +114,7 @@ class ParallelDvsTest : public ::testing::Test {
   ibc::IdentityKey alice;
   ibc::IdentityKey bob;
   ibc::IdentityKey server;
+  ibc::DesignatedVerifier server_verifier{g, server};  ///< the batch checks' sk_B lines
   std::vector<std::string> messages;
   std::vector<ibc::DvSignature> sigs;
   std::vector<pairing::Point> signer_ids;
@@ -195,7 +196,8 @@ TEST_F(ParallelDvsTest, GroupedAggregateEqualsPerEntryFold) {
     EXPECT_EQ(parallel.sigma_aggregate(), serial.sigma_aggregate()) << threads << " threads";
     ibc::BisectionStats stats;
     ++stats.oracle_calls;  // the root check, counted as dv_batch_isolate counts it
-    EXPECT_EQ(parallel.isolate(server, parallel.check(server), &stats), per_entry_invalid)
+    EXPECT_EQ(parallel.isolate(server_verifier, parallel.check(server_verifier), &stats),
+              per_entry_invalid)
         << threads << " threads";
     EXPECT_EQ(stats, serial_stats) << threads << " threads";
   }
@@ -220,7 +222,7 @@ TEST_F(ParallelDvsTest, ParallelBatchVerifyMatchesSerialVerdicts) {
     const auto verify_on_pool = [&](const std::vector<ibc::BatchEntry>& entries) {
       ibc::BatchAccumulator acc{g};
       acc.add_batch(engine, entries);
-      return acc.verify(server);
+      return acc.verify(server_verifier);
     };
     EXPECT_EQ(verify_on_pool(batch), serial_ok);
     EXPECT_FALSE(verify_on_pool(tampered));
