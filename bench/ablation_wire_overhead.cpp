@@ -46,6 +46,7 @@ int main() {
     return index < stored.size() ? &stored[index] : nullptr;
   };
   const core::TaskExecution exec = core::execute_task_honestly(w.task, lookup);
+  const ibc::DesignatedVerifier server{g, server_key};  // sk_CS lines for every warrant
 
   std::printf("%6s %18s %18s %22s\n", "t", "challenge (B)", "response (B)",
               "response B/sample");
@@ -53,7 +54,7 @@ int main() {
     const core::Warrant warrant = client.make_warrant(da_key.id, 100, rng);
     const auto challenge = core::make_challenge(w.task.requests.size(), t, warrant, rng);
     const auto response =
-        core::respond_to_audit(g, exec, challenge, lookup, user_key.q_id, server_key, 1);
+        core::respond_to_audit(exec, challenge, lookup, user_key.q_id, server, 1);
     const auto challenge_bytes = core::encode_challenge(g, challenge).size();
     const auto response_bytes = core::encode_response(g, response).size();
     std::printf("%6zu %18zu %18zu %22.1f\n", t, challenge_bytes, response_bytes,

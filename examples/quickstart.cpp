@@ -27,6 +27,9 @@ int main() {
   std::printf("[init] SIO online; registered alice, the CSP and the DA\n");
 
   const core::UserClient client{group, sio.params(), user_key, csp_key.q_id, da_key.q_id};
+  // Each checking party prepares its key once: the sk_CS / sk_DA Miller lines.
+  const ibc::DesignatedVerifier csp{group, csp_key};
+  const ibc::DesignatedVerifier da{group, da_key};
 
   // --- 2. Secure cloud storage --------------------------------------------
   std::vector<core::DataBlock> blocks;
@@ -37,7 +40,7 @@ int main() {
   std::printf("[store] signed and outsourced %zu blocks (U_i, Sigma_i, Sigma'_i each)\n",
               stored.size());
 
-  const auto ingest = core::verify_storage_audit(engine, user_key.q_id, stored, csp_key,
+  const auto ingest = core::verify_storage_audit(engine, user_key.q_id, stored, csp,
                                                  core::VerifierRole::kCloudServer,
                                                  core::SignatureCheckMode::kBatch);
   std::printf("[store] CSP ingest batch check: %s (1 pairing for %zu signatures)\n",
@@ -65,9 +68,9 @@ int main() {
   const core::AuditChallenge challenge =
       core::make_challenge(task.requests.size(), /*sample_size=*/4, warrant, rng);
   const core::AuditResponse response = core::respond_to_audit(
-      group, execution, challenge, lookup, user_key.q_id, csp_key, /*current_epoch=*/1);
+      execution, challenge, lookup, user_key.q_id, csp, /*current_epoch=*/1);
   const core::AuditReport report = core::verify_computation_audit(
-      engine, user_key.q_id, csp_key.q_id, task, commitment, challenge, response, da_key,
+      engine, user_key.q_id, csp_key.q_id, task, commitment, challenge, response, da,
       core::SignatureCheckMode::kBatch);
 
   std::printf("[audit] DA sampled %zu/%zu sub-tasks -> %s\n", report.samples_returned,

@@ -9,10 +9,13 @@ namespace {
 /// signer_of_ tag: the entry's signer is an index into keys_, not signers_.
 constexpr std::uint32_t kByKey = std::uint32_t{1} << 31;
 
-/// U + H2(U‖m)·Q_ID: the point Eq. (5)/(7) pairs with sk_B.
+/// U + H2(U‖m)·Q_ID: the point Eq. (5)/(7) pairs with sk_B, as one
+/// multi_mul with U as its addend, so the sum is normalised once (one
+/// msm_term, no point_mul).
 Point dv_target(const PairingGroup& group, const Point& signer_q_id,
                 std::span<const std::uint8_t> message, const Point& u) {
-  return group.add(u, group.mul(tag_hash(group, u, message), signer_q_id));
+  const BigUint h = tag_hash(group, u, message);
+  return group.multi_mul(ec::MsmTable{group.curve(), {&signer_q_id, 1}}, {&h, 1}, {&u, 1});
 }
 
 BatchAccumulator accumulate(const PairingGroup& group, std::span<const BatchEntry> batch) {

@@ -132,9 +132,9 @@ AuditReport verify_computation_audit(const ParallelPairingEngine& engine,
                                      const Commitment& commitment,
                                      const AuditChallenge& challenge,
                                      const AuditResponse& response,
-                                     const IdentityKey& da_key, SignatureCheckMode mode) {
+                                     const ibc::DesignatedVerifier& da,
+                                     SignatureCheckMode mode) {
   const PairingGroup& group = engine.group();
-  const ibc::DesignatedVerifier verifier{group, da_key};
   group.reset_counters();
   obs::ProfileSpan span = obs::profile_span("computation_audit");
   if (span) {
@@ -153,7 +153,7 @@ AuditReport verify_computation_audit(const ParallelPairingEngine& engine,
 
   // Check Sig_CS(R) once (Eq. 7 applied to the server's identity).
   const std::span<const std::uint8_t> root_bytes(commitment.root.data(), commitment.root.size());
-  report.root_signature_valid = verifier.verify(q_server, root_bytes, commitment.root_sig_da);
+  report.root_signature_valid = da.verify(q_server, root_bytes, commitment.root_sig_da);
 
   // A response must cover exactly the challenged set.
   std::unordered_set<std::uint64_t> challenged(challenge.sample_indices.begin(),
@@ -221,8 +221,8 @@ AuditReport verify_computation_audit(const ParallelPairingEngine& engine,
 
   if (mode == SignatureCheckMode::kIndividual) {
     report.signature_failures += count_signature_failures(
-        engine, verifier, q_user, signed_inputs, VerifierRole::kDesignatedAgency);
-  } else if (!batch_verify(engine, verifier, q_user, signed_inputs,
+        engine, da, q_user, signed_inputs, VerifierRole::kDesignatedAgency);
+  } else if (!batch_verify(engine, da, q_user, signed_inputs,
                            VerifierRole::kDesignatedAgency, report.invalid_signature_entries,
                            report.bisection)) {
     report.signature_failures += report.invalid_signature_entries.size();
@@ -235,13 +235,24 @@ AuditReport verify_computation_audit(const ParallelPairingEngine& engine,
   return report;
 }
 
+AuditReport verify_computation_audit(const ParallelPairingEngine& engine,
+                                     const Point& q_user, const Point& q_server,
+                                     const ComputationTask& task,
+                                     const Commitment& commitment,
+                                     const AuditChallenge& challenge,
+                                     const AuditResponse& response,
+                                     const IdentityKey& da_key, SignatureCheckMode mode) {
+  return verify_computation_audit(engine, q_user, q_server, task, commitment, challenge,
+                                  response, ibc::DesignatedVerifier{engine.group(), da_key},
+                                  mode);
+}
+
 StorageAuditReport verify_storage_audit(const ParallelPairingEngine& engine,
                                         const Point& q_user,
                                         std::span<const SignedBlock> blocks,
-                                        const IdentityKey& verifier_key, VerifierRole role,
-                                        SignatureCheckMode mode) {
+                                        const ibc::DesignatedVerifier& verifier,
+                                        VerifierRole role, SignatureCheckMode mode) {
   const PairingGroup& group = engine.group();
-  const ibc::DesignatedVerifier verifier{group, verifier_key};
   group.reset_counters();
   obs::ProfileSpan span = obs::profile_span("storage_audit");
   if (span) {
@@ -267,6 +278,15 @@ StorageAuditReport verify_storage_audit(const ParallelPairingEngine& engine,
   report.accepted = report.signature_failures == 0;
   report.ops = group.counters();
   return report;
+}
+
+StorageAuditReport verify_storage_audit(const ParallelPairingEngine& engine,
+                                        const Point& q_user,
+                                        std::span<const SignedBlock> blocks,
+                                        const IdentityKey& verifier_key, VerifierRole role,
+                                        SignatureCheckMode mode) {
+  return verify_storage_audit(engine, q_user, blocks,
+                              ibc::DesignatedVerifier{engine.group(), verifier_key}, role, mode);
 }
 
 }  // namespace seccloud::core

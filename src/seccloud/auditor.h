@@ -40,6 +40,8 @@ struct AuditReport {
   std::vector<std::size_t> invalid_signature_entries;
   ibc::BisectionStats bisection;       ///< cost of the isolation (if any ran)
   pairing::OpCounters ops;             ///< pairing/point-mult cost of this audit
+
+  bool operator==(const AuditReport&) const = default;
 };
 
 /// Uniform random sample S = {c_1, ..., c_t} without replacement from
@@ -52,12 +54,23 @@ AuditChallenge make_challenge(std::uint64_t task_size, std::size_t sample_size,
                               Warrant warrant, num::RandomSource& rng);
 
 /// Algorithm 1 ("The Probabilistic Sampling Cloud Computation Auditing
-/// Protocol"), run by the DA with its own key sk_DA. Input-block signature
-/// checks (individual mode) and the batch's message hashing run across the
-/// engine's lanes, each pairing replaying the sk_DA fixed-argument
-/// precomputation. A one-lane engine, ParallelPairingEngine{group, 1}, is
-/// the serial path; the report — verdict, failure counts, isolated entries,
-/// bisection stats and op totals — is bit-identical for any lane count.
+/// Protocol"), run by the DA through its held verifier for sk_DA, built on
+/// the engine's group. Input-block signature checks (individual mode) and
+/// the batch's message hashing run across the engine's lanes, each pairing
+/// replaying the sk_DA fixed-argument precomputation. A one-lane engine,
+/// ParallelPairingEngine{group, 1}, is the serial path; the report —
+/// verdict, failure counts, isolated entries, bisection stats and op totals
+/// — is bit-identical for any lane count.
+AuditReport verify_computation_audit(const pairing::ParallelPairingEngine& engine,
+                                     const Point& q_user, const Point& q_server,
+                                     const ComputationTask& task,
+                                     const Commitment& commitment,
+                                     const AuditChallenge& challenge,
+                                     const AuditResponse& response,
+                                     const ibc::DesignatedVerifier& da,
+                                     SignatureCheckMode mode);
+/// The same audit with a verifier built for this call from sk_DA; the
+/// report, op totals included, equals the held verifier's.
 AuditReport verify_computation_audit(const pairing::ParallelPairingEngine& engine,
                                      const Point& q_user, const Point& q_server,
                                      const ComputationTask& task,
@@ -83,7 +96,14 @@ struct StorageAuditReport {
 
 enum class VerifierRole : std::uint8_t { kCloudServer, kDesignatedAgency };
 
-/// Same engine contract as verify_computation_audit above.
+/// Same engine contract as verify_computation_audit above; `verifier` holds
+/// the key of `role`'s party.
+StorageAuditReport verify_storage_audit(const pairing::ParallelPairingEngine& engine,
+                                        const Point& q_user,
+                                        std::span<const SignedBlock> blocks,
+                                        const ibc::DesignatedVerifier& verifier,
+                                        VerifierRole role, SignatureCheckMode mode);
+/// The same audit with a verifier built for this call.
 StorageAuditReport verify_storage_audit(const pairing::ParallelPairingEngine& engine,
                                         const Point& q_user,
                                         std::span<const SignedBlock> blocks,

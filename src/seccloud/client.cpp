@@ -33,14 +33,21 @@ UserClient::UserClient(const PairingGroup& group, PublicParams params, IdentityK
       q_cs_(std::move(q_cs)),
       q_da_(std::move(q_da)) {}
 
+const ibc::DvSigner& UserClient::signer() const {
+  std::call_once(signer_->built, [this] {
+    signer_->signer.emplace(block_signer(*group_, user_key_, q_cs_, q_da_));
+  });
+  return *signer_->signer;
+}
+
 std::vector<SignedBlock> UserClient::sign_blocks(std::vector<DataBlock> blocks,
                                                  num::RandomSource& rng) const {
   std::vector<SignedBlock> out;
   if (blocks.empty()) return out;
-  const ibc::DvSigner signer = block_signer(*group_, user_key_, q_cs_, q_da_);
+  const ibc::DvSigner& held = signer();
   out.reserve(blocks.size());
   for (auto& block : blocks) {
-    BlockSignature sig = sign_block_message(signer, block_message_bytes(block), rng);
+    BlockSignature sig = sign_block_message(held, block_message_bytes(block), rng);
     out.push_back({std::move(block), std::move(sig)});
   }
   return out;
@@ -52,10 +59,7 @@ Warrant UserClient::make_warrant(std::string_view da_id, std::uint64_t expiry_ep
   warrant.delegator_id = user_key_.id;
   warrant.delegatee_id = std::string{da_id};
   warrant.expiry_epoch = expiry_epoch;
-  const Bytes body = warrant.body_bytes();
-  const ibc::DvSigner signer{*group_, user_key_, std::span{&q_cs_, 1},
-                             ibc::DvSigner::Uses::kOnce};
-  warrant.authorization = signer.sign(body, rng).for_verifier(0);
+  warrant.authorization = signer().sign(warrant.body_bytes(), rng).for_verifier(0);
   return warrant;
 }
 

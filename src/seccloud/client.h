@@ -3,6 +3,10 @@
 // construction, warrant issuance, and the user-side commitment check.
 #pragma once
 
+#include <memory>
+#include <mutex>
+#include <optional>
+
 #include "ibc/dvs.h"
 #include "seccloud/types.h"
 
@@ -39,12 +43,14 @@ class UserClient {
   const Point& q_cs() const noexcept { return q_cs_; }
   const Point& q_da() const noexcept { return q_da_; }
 
-  /// "Data Signing" (Section V-B-1) of each block, in order, through one
-  /// block_signer built for this call.
+  /// "Data Signing" (Section V-B-1) of each block, in order, through the
+  /// client's held block signer.
   std::vector<SignedBlock> sign_blocks(std::vector<DataBlock> blocks,
                                        num::RandomSource& rng) const;
 
-  /// Delegates auditing to the DA until `expiry_epoch` (Section V-D).
+  /// Delegates auditing to the DA until `expiry_epoch` (Section V-D): the
+  /// warrant is signed by the held block signer and ships its Σ for Q_CS
+  /// (the Σ for Q_DA is computed and dropped, one gt_exp, no pairing).
   Warrant make_warrant(std::string_view da_id, std::uint64_t expiry_epoch,
                        num::RandomSource& rng) const;
 
@@ -53,11 +59,22 @@ class UserClient {
   bool verify_root_signature(const Point& q_server, const Commitment& commitment) const;
 
  private:
+  /// The block_signer, built by whichever call first needs it. Copies of the
+  /// client share it, so copying stays cheap and a copy never rebuilds it.
+  struct HeldSigner {
+    std::once_flag built;
+    std::optional<ibc::DvSigner> signer;
+  };
+  /// The held signer: two pairings, the Q_ID table and two combs on first
+  /// use, nothing afterwards. Safe to call from several threads at once.
+  const ibc::DvSigner& signer() const;
+
   const PairingGroup* group_;
   PublicParams params_;
   IdentityKey user_key_;
   Point q_cs_;
   Point q_da_;
+  std::shared_ptr<HeldSigner> signer_ = std::make_shared<HeldSigner>();
 };
 
 }  // namespace seccloud::core

@@ -61,19 +61,18 @@ Commitment make_commitment(const PairingGroup& group, const TaskExecution& execu
   return commitment;
 }
 
-bool warrant_valid(const PairingGroup& group, const Point& q_user, const Warrant& warrant,
-                   const IdentityKey& server_key, std::uint64_t current_epoch) {
+bool warrant_valid(const ibc::DesignatedVerifier& server, const Point& q_user,
+                   const Warrant& warrant, std::uint64_t current_epoch) {
   if (warrant.expiry_epoch < current_epoch) return false;
-  return ibc::dv_verify(group, q_user, warrant.body_bytes(), warrant.authorization, server_key);
+  return server.verify(q_user, warrant.body_bytes(), warrant.authorization);
 }
 
-AuditResponse respond_to_audit(const PairingGroup& group, const TaskExecution& execution,
-                               const AuditChallenge& challenge, const BlockLookup& lookup,
-                               const Point& q_user, const IdentityKey& server_key,
+AuditResponse respond_to_audit(const TaskExecution& execution, const AuditChallenge& challenge,
+                               const BlockLookup& lookup, const Point& q_user,
+                               const ibc::DesignatedVerifier& server,
                                std::uint64_t current_epoch) {
   AuditResponse response;
-  response.warrant_accepted =
-      warrant_valid(group, q_user, challenge.warrant, server_key, current_epoch);
+  response.warrant_accepted = warrant_valid(server, q_user, challenge.warrant, current_epoch);
   if (!response.warrant_accepted) return response;
 
   for (const auto index : challenge.sample_indices) {
@@ -96,8 +95,8 @@ AuditResponse respond_to_audit(const PairingGroup& group, const TaskExecution& e
         num::Xoshiro256 junk{pos ^ 0xDEADBEEFULL};
         junk.fill(fake.block.payload);
         fake.sig.u = Point::at_infinity();
-        fake.sig.sigma_cs = group.gt_one();
-        fake.sig.sigma_da = group.gt_one();
+        fake.sig.sigma_cs = server.group().gt_one();
+        fake.sig.sigma_da = server.group().gt_one();
         item.inputs.push_back(std::move(fake));
       }
     }

@@ -48,9 +48,11 @@ Commitment make_commitment(const PairingGroup& group, const TaskExecution& execu
                            const Point& q_user, num::RandomSource& rng);
 
 /// Server-side warrant check: DV signature by the user designated to the
-/// cloud server, plus expiry (Section V-D "Audit Response Step").
-bool warrant_valid(const PairingGroup& group, const Point& q_user, const Warrant& warrant,
-                   const IdentityKey& server_key, std::uint64_t current_epoch);
+/// cloud server, plus expiry (Section V-D "Audit Response Step"). `server`
+/// is the cloud server's held verifier, so the check replays its sk_CS
+/// Miller lines.
+bool warrant_valid(const ibc::DesignatedVerifier& server, const Point& q_user,
+                   const Warrant& warrant, std::uint64_t current_epoch);
 
 /// Assembles the audit response for the sampled indices: for each c_l, the
 /// input blocks with signatures, the claimed y_{c_l}, and the sibling set.
@@ -58,9 +60,9 @@ bool warrant_valid(const PairingGroup& group, const Point& q_user, const Warrant
 /// its corrupted store). Missing blocks are replaced by random-looking
 /// garbage with a zeroed signature (the paper's "reply with a random
 /// number" storage cheat), so the response always has the right shape.
-AuditResponse respond_to_audit(const PairingGroup& group, const TaskExecution& execution,
-                               const AuditChallenge& challenge, const BlockLookup& lookup,
-                               const Point& q_user, const IdentityKey& server_key,
+AuditResponse respond_to_audit(const TaskExecution& execution, const AuditChallenge& challenge,
+                               const BlockLookup& lookup, const Point& q_user,
+                               const ibc::DesignatedVerifier& server,
                                std::uint64_t current_epoch);
 
 }  // namespace seccloud::core

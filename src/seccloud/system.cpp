@@ -33,10 +33,13 @@ Warrant SystemUser::delegate_audit(std::uint64_t expiry_epoch) const {
 
 // --- SystemServer ------------------------------------------------------------
 
+SystemServer::SystemServer(SecCloudSystem& system, ibc::IdentityKey key)
+    : system_(&system), key_(std::move(key)), verifier_(*system.group_, key_) {}
+
 bool SystemServer::store(const Point& q_user, std::vector<SignedBlock> blocks) {
   const auto screening =
       verify_storage_audit(pairing::ParallelPairingEngine{*system_->group_, 1}, q_user, blocks,
-                           key_, VerifierRole::kCloudServer, SignatureCheckMode::kBatch);
+                           verifier_, VerifierRole::kCloudServer, SignatureCheckMode::kBatch);
   if (!screening.accepted) return false;
   for (auto& sb : blocks) {
     const std::uint64_t index = sb.block.index;
@@ -67,11 +70,13 @@ AuditResponse SystemServer::respond(const Point& q_user, std::uint64_t task_id,
   const auto it = tasks_.find(task_id);
   if (it == tasks_.end()) throw std::out_of_range("SystemServer::respond: unknown task");
   const BlockLookup lookup = [this](std::uint64_t index) { return find(index); };
-  return respond_to_audit(*system_->group_, *it->second.execution, challenge, lookup, q_user,
-                          key_, epoch);
+  return respond_to_audit(*it->second.execution, challenge, lookup, q_user, verifier_, epoch);
 }
 
 // --- SystemAgency ---------------------------------------------------------------
+
+SystemAgency::SystemAgency(SecCloudSystem& system, ibc::IdentityKey key)
+    : system_(&system), key_(std::move(key)), verifier_(*system.group_, key_) {}
 
 std::size_t SystemAgency::recommended_sample_size(const analysis::CheatModel& suspected,
                                                   double epsilon) const {
@@ -95,7 +100,8 @@ AuditReport SystemAgency::audit(const SystemUser& user, SystemServer& server,
       server.respond(user.key().q_id, task_id, audit_challenge, epoch);
   return verify_computation_audit(pairing::ParallelPairingEngine{*system_->group_, 1},
                                   user.key().q_id, server.key().q_id, task, commitment,
-                                  audit_challenge, response, key_, SignatureCheckMode::kBatch);
+                                  audit_challenge, response, verifier_,
+                                  SignatureCheckMode::kBatch);
 }
 
 }  // namespace seccloud::core

@@ -50,8 +50,9 @@ class SystemServer {
  public:
   const ibc::IdentityKey& key() const noexcept { return key_; }
 
-  /// Ingests blocks after batch-verifying the user's signatures (Eq. 8/9).
-  /// Returns false (storing nothing) if the batch check fails.
+  /// Ingests blocks after batch-verifying the user's signatures (Eq. 8/9)
+  /// through the server's held verifier. Returns false (storing nothing) if
+  /// the batch check fails.
   bool store(const Point& q_user, std::vector<SignedBlock> blocks);
   const SignedBlock* find(std::uint64_t index) const;
   std::size_t stored() const noexcept { return store_.size(); }
@@ -63,13 +64,13 @@ class SystemServer {
   /// Honest execution + commitment (Protocol III).
   ExecutedTask compute(const Point& q_user, ComputationTask task);
 
+  /// Checks the warrant through the server's held verifier, then answers.
   AuditResponse respond(const Point& q_user, std::uint64_t task_id,
                         const AuditChallenge& challenge, std::uint64_t epoch) const;
 
  private:
   friend class SecCloudSystem;
-  SystemServer(SecCloudSystem& system, ibc::IdentityKey key)
-      : system_(&system), key_(std::move(key)) {}
+  SystemServer(SecCloudSystem& system, ibc::IdentityKey key);
 
   struct TaskEntry {
     ComputationTask task;
@@ -78,6 +79,7 @@ class SystemServer {
 
   SecCloudSystem* system_;
   ibc::IdentityKey key_;
+  ibc::DesignatedVerifier verifier_;  ///< sk_CS lines, built with the server
   std::map<std::uint64_t, SignedBlock> store_;
   std::map<std::uint64_t, TaskEntry> tasks_;
   std::uint64_t next_task_id_ = 1;
@@ -96,17 +98,19 @@ class SystemAgency {
   AuditChallenge challenge(std::uint64_t task_size, std::size_t samples,
                            Warrant warrant) const;
 
+  /// Warrant, challenge, the server's response, then Algorithm 1 in batch
+  /// mode through the agency's held verifier.
   AuditReport audit(const SystemUser& user, SystemServer& server, std::uint64_t task_id,
                     const ComputationTask& task, const Commitment& commitment,
                     std::size_t samples, std::uint64_t epoch) const;
 
  private:
   friend class SecCloudSystem;
-  SystemAgency(SecCloudSystem& system, ibc::IdentityKey key)
-      : system_(&system), key_(std::move(key)) {}
+  SystemAgency(SecCloudSystem& system, ibc::IdentityKey key);
 
   SecCloudSystem* system_;
   ibc::IdentityKey key_;
+  ibc::DesignatedVerifier verifier_;  ///< sk_DA lines, built with the agency
 };
 
 class SecCloudSystem {

@@ -32,7 +32,7 @@ SimAgency::ComputationAuditResult SimAgency::audit_computation(
 
   result.report = core::verify_computation_audit(pairing::ParallelPairingEngine{*group_, 1},
                                                  q_user, server.q_id(), task, commitment,
-                                                 challenge, response, da_key_, mode);
+                                                 challenge, response, da_verifier_, mode);
 
   // History learning: per-sample transmission cost and the audit's pairing
   // cost (pairings dominate per Table I, so they are the compute proxy).
@@ -57,7 +57,7 @@ core::StorageAuditReport SimAgency::audit_storage(SimCloudServer& server, const 
   server.traffic().send(bytes);
   traffic_.receive(bytes);
   return core::verify_storage_audit(pairing::ParallelPairingEngine{*group_, 1}, q_user, blocks,
-                                    da_key_, core::VerifierRole::kDesignatedAgency, mode);
+                                    da_verifier_, core::VerifierRole::kDesignatedAgency, mode);
 }
 
 SimAgency::MultiUserReport SimAgency::audit_storage_multiuser(

@@ -75,7 +75,7 @@ class SimAgency {
   const PairingGroup* group_;
   ibc::PublicParams params_;
   IdentityKey da_key_;
-  ibc::DesignatedVerifier da_verifier_;  ///< sk_B lines for the multi-user aggregate
+  ibc::DesignatedVerifier da_verifier_;  ///< sk_DA lines for every audit
   analysis::CostHistoryLearner learner_;
   TrafficMeter traffic_;
 };

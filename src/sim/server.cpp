@@ -20,6 +20,7 @@ SimCloudServer::SimCloudServer(const PairingGroup& group, IdentityKey key, std::
                                ServerBehavior behavior, std::uint64_t seed)
     : group_(&group),
       key_(std::move(key)),
+      verifier_(group, key_),
       label_(std::move(label)),
       behavior_(behavior),
       rng_(seed) {}
@@ -82,7 +83,7 @@ core::StorageAuditReport SimCloudServer::screen_ingest(const Point& q_user,
     for (const auto& [index, sb] : it->second) blocks.push_back(sb);
   }
   return core::verify_storage_audit(pairing::ParallelPairingEngine{*group_, 1}, q_user, blocks,
-                                    key_, core::VerifierRole::kCloudServer,
+                                    verifier_, core::VerifierRole::kCloudServer,
                                     core::SignatureCheckMode::kBatch);
 }
 
@@ -200,7 +201,7 @@ AuditResponse SimCloudServer::handle_audit(const Point& q_user, std::uint64_t ta
 
   AuditResponse response;
   response.warrant_accepted =
-      core::warrant_valid(*group_, q_user, challenge.warrant, key_, current_epoch);
+      core::warrant_valid(verifier_, q_user, challenge.warrant, current_epoch);
   if (!response.warrant_accepted) return response;
 
   for (const auto index : challenge.sample_indices) {

@@ -114,6 +114,7 @@ class SimCloudServer {
 
   const PairingGroup* group_;
   IdentityKey key_;
+  ibc::DesignatedVerifier verifier_;  ///< sk_CS lines: warrants and ingest screening
   std::string label_;
   ServerBehavior behavior_;
   mutable num::Xoshiro256 rng_;

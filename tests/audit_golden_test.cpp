@@ -87,6 +87,7 @@ class AuditGoldenTest : public ::testing::Test {
   ibc::IdentityKey user_key;
   ibc::IdentityKey server_key;
   ibc::IdentityKey da_key;
+  const ibc::DesignatedVerifier server_verifier{g, server_key};  ///< sk_CS lines, built once
   core::UserClient client;
   std::vector<core::SignedBlock> blocks;
   core::ComputationTask task;
@@ -105,13 +106,14 @@ struct Golden {
 TEST_F(AuditGoldenTest, StorageAuditReportsArePinned) {
   // Indexed [bad set][mode]: kIndividual first, then kBatch. Ops are
   // {pairings, miller_loops, final_exps, point_muls, gt_exps,
-  //  hash_to_points, msm_terms}.
+  //  hash_to_points, msm_terms}. Each individual Eq. 5/7 check forms
+  // U + h·Q_ID as one multi_mul with U as its addend: one msm_term.
   const Golden golden[3][2] = {
-      {{true, 0, {}, {0, 0}, {8, 8, 8, 8, 0, 0, 0}},
+      {{true, 0, {}, {0, 0}, {8, 8, 8, 0, 0, 0, 8}},
        {true, 0, {}, {0, 0}, {1, 1, 1, 0, 0, 0, 1}}},
-      {{false, 1, {}, {0, 0}, {8, 8, 8, 8, 0, 0, 0}},
+      {{false, 1, {}, {0, 0}, {8, 8, 8, 0, 0, 0, 8}},
        {false, 1, {5}, {3, 3}, {4, 4, 4, 0, 0, 0, 4}}},
-      {{false, 3, {}, {0, 0}, {8, 8, 8, 8, 0, 0, 0}},
+      {{false, 3, {}, {0, 0}, {8, 8, 8, 0, 0, 0, 8}},
        {false, 3, {1, 4, 6}, {6, 3}, {7, 7, 7, 0, 0, 0, 7}}},
   };
   for (std::size_t b = 0; b < kBadSets.size(); ++b) {
@@ -148,18 +150,19 @@ TEST_F(AuditGoldenTest, ComputationAuditReportsArePinned) {
   const core::AuditChallenge challenge =
       core::make_challenge(task.requests.size(), task.requests.size(), warrant, rng);
   const core::AuditResponse honest =
-      core::respond_to_audit(g, exec, challenge, lookup(), user_key.q_id, server_key, 1);
+      core::respond_to_audit(exec, challenge, lookup(), user_key.q_id, server_verifier, 1);
   ASSERT_EQ(honest.items.size(), task.requests.size());
   const pairing::Gt defect = g.pair(g.generator(), g.generator());
 
-  // Indexed [bad set][mode]: kIndividual first, then kBatch.
+  // Indexed [bad set][mode]: kIndividual first, then kBatch. The Sig_CS(R)
+  // check adds one pairing and one msm_term to either mode.
   const Golden golden[3][2] = {
-      {{true, 0, {}, {0, 0}, {9, 9, 9, 9, 0, 0, 0}},
-       {true, 0, {}, {0, 0}, {2, 2, 2, 1, 0, 0, 1}}},
-      {{false, 1, {}, {0, 0}, {9, 9, 9, 9, 0, 0, 0}},
-       {false, 1, {5}, {3, 3}, {5, 5, 5, 1, 0, 0, 4}}},
-      {{false, 3, {}, {0, 0}, {9, 9, 9, 9, 0, 0, 0}},
-       {false, 3, {1, 4, 6}, {6, 3}, {8, 8, 8, 1, 0, 0, 7}}},
+      {{true, 0, {}, {0, 0}, {9, 9, 9, 0, 0, 0, 9}},
+       {true, 0, {}, {0, 0}, {2, 2, 2, 0, 0, 0, 2}}},
+      {{false, 1, {}, {0, 0}, {9, 9, 9, 0, 0, 0, 9}},
+       {false, 1, {5}, {3, 3}, {5, 5, 5, 0, 0, 0, 5}}},
+      {{false, 3, {}, {0, 0}, {9, 9, 9, 0, 0, 0, 9}},
+       {false, 3, {1, 4, 6}, {6, 3}, {8, 8, 8, 0, 0, 0, 8}}},
   };
   for (std::size_t b = 0; b < kBadSets.size(); ++b) {
     // Entry e is input e % 2 of the e / 2-th returned sample (presentation

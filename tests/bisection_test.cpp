@@ -366,9 +366,9 @@ TEST(DvBatchIsolateTest, PrecomputedCrossUserVerdictIsBitIdentical) {
       EXPECT_EQ(by_dv.aggregate_valid, by_key.aggregate_valid);
       EXPECT_EQ(by_dv.invalid_entries, by_key.invalid_entries);
       EXPECT_EQ(by_dv.bisection, by_key.bisection);
-      // The attestation's h·Q_CS moved into GT: one GT term for one point_mul.
+      // The attestation's h·Q_CS moved into GT: one GT term for one G1 term.
       pairing::OpCounters expected_ops = key_ops;
-      --expected_ops.point_muls;
+      --expected_ops.msm_terms;
       ++expected_ops.gt_msm_terms;
       EXPECT_EQ(dv_ops, expected_ops);
     }

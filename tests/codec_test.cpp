@@ -52,6 +52,7 @@ class CodecTest : public ::testing::Test {
   ibc::IdentityKey user_key;
   ibc::IdentityKey server_key;
   ibc::IdentityKey da_key;
+  const ibc::DesignatedVerifier server_verifier{g, server_key};  ///< sk_CS lines, built once
   UserClient client;
   std::vector<SignedBlock> blocks;
   ComputationTask task;
@@ -141,7 +142,8 @@ TEST_F(CodecTest, WarrantRoundTripAndStillValid) {
   EXPECT_EQ(back->delegator_id, warrant.delegator_id);
   EXPECT_EQ(back->delegatee_id, warrant.delegatee_id);
   EXPECT_EQ(back->expiry_epoch, warrant.expiry_epoch);
-  EXPECT_TRUE(warrant_valid(g, user_key.q_id, *back, server_key, 50));
+  EXPECT_TRUE(warrant_valid(server_verifier, user_key.q_id, *back, 50));
+  EXPECT_FALSE(warrant_valid(server_verifier, user_key.q_id, *back, 78));  // expired
 }
 
 TEST_F(CodecTest, ChallengeRoundTrip) {
@@ -161,7 +163,7 @@ TEST_F(CodecTest, ResponseRoundTripAndAuditStillPasses) {
   const Warrant warrant = client.make_warrant(da_key.id, 77, rng);
   const AuditChallenge challenge = make_challenge(task.requests.size(), 3, warrant, rng);
   const AuditResponse response =
-      respond_to_audit(g, exec, challenge, lookup(), user_key.q_id, server_key, 1);
+      respond_to_audit(exec, challenge, lookup(), user_key.q_id, server_verifier, 1);
 
   // Full wire round trip of both challenge and response, then verify.
   const auto challenge2 = decode_challenge(g, encode_challenge(g, challenge));
@@ -180,7 +182,7 @@ TEST_F(CodecTest, ResponseTruncationSweepCoarse) {
   const Warrant warrant = client.make_warrant(da_key.id, 77, rng);
   const AuditChallenge challenge = make_challenge(task.requests.size(), 2, warrant, rng);
   const AuditResponse response =
-      respond_to_audit(g, exec, challenge, lookup(), user_key.q_id, server_key, 1);
+      respond_to_audit(exec, challenge, lookup(), user_key.q_id, server_verifier, 1);
   const Bytes wire = encode_response(g, response);
   for (std::size_t len = 0; len < wire.size(); len += 7) {
     EXPECT_FALSE(decode_response(g, std::span(wire.data(), len)).has_value());

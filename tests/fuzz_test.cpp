@@ -73,6 +73,7 @@ class FuzzTest : public ::testing::Test {
   ibc::IdentityKey user_key;
   ibc::IdentityKey server_key;
   ibc::IdentityKey da_key;
+  const ibc::DesignatedVerifier server_verifier{g, server_key};  ///< sk_CS lines, built once
   UserClient client;
   std::vector<SignedBlock> blocks;
   ComputationTask task;
@@ -112,7 +113,7 @@ TEST_F(FuzzTest, MutatedMessagesNeverCrashDecoders) {
   const Warrant warrant = client.make_warrant(da_key.id, 99, rng);
   const AuditChallenge challenge = make_challenge(task.requests.size(), 3, warrant, rng);
   const AuditResponse response =
-      respond_to_audit(g, exec, challenge, lookup(), user_key.q_id, server_key, 1);
+      respond_to_audit(exec, challenge, lookup(), user_key.q_id, server_verifier, 1);
 
   const Bytes wires[] = {
       encode_task(g, task),
@@ -151,7 +152,7 @@ TEST_F(FuzzTest, MutatedWarrantsNeverAuthorize) {
                            decoded->expiry_epoch == warrant.expiry_epoch &&
                            decoded->authorization == warrant.authorization;
     if (unchanged) continue;
-    EXPECT_FALSE(warrant_valid(g, user_key.q_id, *decoded, server_key, 1));
+    EXPECT_FALSE(warrant_valid(server_verifier, user_key.q_id, *decoded, 1));
   }
 }
 
@@ -202,7 +203,7 @@ class MalformedResponseTest : public FuzzTest {
     const TaskExecution exec = execute_task_honestly(task, lookup());
     const Warrant warrant = client.make_warrant(da_key.id, 99, rng);
     last_challenge_ = make_challenge(task.requests.size(), 3, warrant, rng);
-    return respond_to_audit(g, exec, last_challenge_, lookup(), user_key.q_id, server_key, 1);
+    return respond_to_audit(exec, last_challenge_, lookup(), user_key.q_id, server_verifier, 1);
   }
 
   AuditChallenge last_challenge_;

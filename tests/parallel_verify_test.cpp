@@ -330,8 +330,9 @@ TEST_F(ParallelAuditTest, ComputationAuditBitIdenticalAcrossThreadCounts) {
   const core::Warrant warrant = client.make_warrant(da_key.id, 99, rng);
   const core::AuditChallenge challenge =
       core::make_challenge(task.requests.size(), 3, warrant, rng);
-  const core::AuditResponse honest = core::respond_to_audit(
-      g, exec, challenge, lookup(), user_key.q_id, server_key, 1);
+  const ibc::DesignatedVerifier server{g, server_key};
+  const core::AuditResponse honest =
+      core::respond_to_audit(exec, challenge, lookup(), user_key.q_id, server, 1);
 
   core::AuditResponse cheating = honest;  // corrupt one input-block signature
   const core::AuditResponse& cheating_ref = cheating;

@@ -56,8 +56,8 @@ class ProtocolTest : public ::testing::Test {
     const Warrant warrant = client.make_warrant(da_key.id, /*expiry_epoch=*/100, rng);
     const AuditChallenge challenge =
         make_challenge(task.requests.size(), sample_size, warrant, rng);
-    const AuditResponse response = respond_to_audit(g, exec, challenge, storage,
-                                                    user_key.q_id, server_key,
+    const AuditResponse response = respond_to_audit(exec, challenge, storage,
+                                                    user_key.q_id, server_verifier,
                                                     /*current_epoch=*/10);
     return verify_computation_audit(engine, user_key.q_id, server_key.q_id, task,
                                     commitment, challenge, response, da_key, mode);
@@ -70,6 +70,7 @@ class ProtocolTest : public ::testing::Test {
   IdentityKey user_key;
   IdentityKey server_key;
   IdentityKey da_key;
+  const ibc::DesignatedVerifier server_verifier{g, server_key};  ///< sk_CS lines, built once
   UserClient client;
   std::vector<SignedBlock> stored;
   ComputationTask task;
@@ -182,8 +183,8 @@ TEST_F(ProtocolTest, ResultSwapAfterCommitmentDetectedByRoot) {
   const Warrant warrant = client.make_warrant(da_key.id, 100, rng);
   AuditChallenge challenge = make_challenge(task.requests.size(), task.requests.size(),
                                             warrant, rng);
-  const AuditResponse response = respond_to_audit(g, reported, challenge, lookup(),
-                                                  user_key.q_id, server_key, 10);
+  const AuditResponse response = respond_to_audit(reported, challenge, lookup(),
+                                                  user_key.q_id, server_verifier, 10);
   const AuditReport report =
       verify_computation_audit(engine, user_key.q_id, server_key.q_id, task, commitment,
                                challenge, response, da_key, SignatureCheckMode::kBatch);
@@ -228,8 +229,8 @@ TEST_F(ProtocolTest, ExpiredWarrantRejectedByServer) {
   const TaskExecution exec = execute_task_honestly(task, lookup());
   const Warrant warrant = client.make_warrant(da_key.id, /*expiry_epoch=*/5, rng);
   const AuditChallenge challenge = make_challenge(task.requests.size(), 4, warrant, rng);
-  const AuditResponse response = respond_to_audit(g, exec, challenge, lookup(),
-                                                  user_key.q_id, server_key,
+  const AuditResponse response = respond_to_audit(exec, challenge, lookup(),
+                                                  user_key.q_id, server_verifier,
                                                   /*current_epoch=*/10);
   EXPECT_FALSE(response.warrant_accepted);
   const Commitment commitment =
@@ -247,7 +248,7 @@ TEST_F(ProtocolTest, ForgedWarrantRejected) {
   const UserClient mallory_client(g, sio.params(), mallory, server_key.q_id, da_key.q_id);
   Warrant warrant = mallory_client.make_warrant(da_key.id, 100, rng);
   warrant.delegator_id = user_key.id;  // claims to be alice
-  EXPECT_FALSE(warrant_valid(g, user_key.q_id, warrant, server_key, 10));
+  EXPECT_FALSE(warrant_valid(server_verifier, user_key.q_id, warrant, 10));
 }
 
 TEST_F(ProtocolTest, DroppedSamplesCountAsFailures) {
@@ -257,7 +258,7 @@ TEST_F(ProtocolTest, DroppedSamplesCountAsFailures) {
   const Warrant warrant = client.make_warrant(da_key.id, 100, rng);
   const AuditChallenge challenge = make_challenge(task.requests.size(), 6, warrant, rng);
   AuditResponse response =
-      respond_to_audit(g, exec, challenge, lookup(), user_key.q_id, server_key, 10);
+      respond_to_audit(exec, challenge, lookup(), user_key.q_id, server_verifier, 10);
   response.items.pop_back();  // server silently drops one sample
   const AuditReport report =
       verify_computation_audit(engine, user_key.q_id, server_key.q_id, task, commitment,
