@@ -415,6 +415,32 @@ TEST(CrashRecoveryTest, MonteCarloOverFaultyChannelsMatchesCrashFreeRuns) {
   }
 }
 
+TEST(CrashRecoveryTest, SeededStatsArePinned) {
+  // Literal counts of one seeded crash-recovery run per protocol: a change
+  // to the harness or the session driver must reproduce them exactly.
+  for (const bool storage : {true, false}) {
+    sim::CrashTrialConfig config;
+    config.base.plan = sim::FaultPlan::uniform_loss(0.3);
+    config.base.storage_audit = storage;
+    config.base.universe = 16;
+    config.base.requests = 6;
+    config.base.sample_size = 4;
+    config.base.behavior.honest_compute_fraction = 0.5;
+    config.crash_probability = 0.75;
+    const auto s = sim::run_crash_recovery_trials(tiny_group(), config, 8, 0xC0DE);
+    EXPECT_EQ(s.trials, 8u);
+    EXPECT_EQ(s.crashed, 6u);
+    EXPECT_EQ(s.recovered, 6u);
+    EXPECT_EQ(s.resumed_concluded, 1u);
+    EXPECT_EQ(s.torn_tails, 6u);
+    EXPECT_EQ(s.verdict_matches, 6u);
+    EXPECT_EQ(s.report_matches, 6u);
+    EXPECT_EQ(s.accepted, storage ? 6u : 0u);
+    EXPECT_EQ(s.rejected, storage ? 0u : 6u);
+    EXPECT_EQ(s.inconclusive, 2u);
+  }
+}
+
 TEST(CrashRecoveryTest, JournalMetricsArePublished) {
   auto& registry = obs::default_registry();
   const auto records_before = registry.counter("journal.records").value();

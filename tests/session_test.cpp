@@ -419,5 +419,69 @@ TEST(FaultyTrialsTest, DeterministicPerSeedAndConclusiveUnderRetries) {
               c.rejected != a.rejected);
 }
 
+// --- pinned outputs --------------------------------------------------------
+
+// Literal reports of two lossy sessions and one seeded Monte-Carlo run: any
+// change to the session driver, the harness or the report writer must
+// reproduce them byte for byte.
+
+TEST_F(SessionTest, LossyStorageSessionReportIsPinned) {
+  const Run run = run_storage(always_corrupting(), harsh_plan(), 4, budget(16));
+  ASSERT_GE(run.report.attempts, 2u);
+  EXPECT_EQ(run.report.to_json(),
+            R"({"verdict":"rejected","attempts":3,"timeouts":2,"corrupt_frames":1,)"
+            R"("stale_replies":0,"duplicate_replies":0,"malformed_replies":0,"waited_units":350,)"
+            R"("bytes_sent":411,"bytes_received":1544,"attempt_started_units":[0,150,350],)"
+            R"("computation":{"accepted":false,"warrant_rejected":false,)"
+            R"("root_signature_valid":false,"samples_requested":0,"samples_returned":0,)"
+            R"("signature_failures":0,"computation_failures":0,"root_failures":0,)"
+            R"("ops":{"pairings":0,"miller_loops":0,"final_exps":0,"point_muls":0,"gt_exps":0,)"
+            R"("hash_to_points":0,"msm_terms":0,"gt_msm_terms":0}},"storage":{"accepted":false,)"
+            R"("blocks_checked":8,"signature_failures":8,"ops":{"pairings":8,"miller_loops":8,)"
+            R"("final_exps":8,"point_muls":0,"gt_exps":0,"hash_to_points":0,"msm_terms":8,)"
+            R"("gt_msm_terms":0}}})");
+}
+
+TEST_F(SessionTest, LossyComputationSessionReportIsPinned) {
+  const Run run = run_computation(sim::ServerBehavior::honest(), harsh_plan(), 4, budget(16));
+  ASSERT_GE(run.report.attempts, 2u);
+  EXPECT_EQ(run.report.to_json(),
+            R"({"verdict":"accepted","attempts":3,"timeouts":2,"corrupt_frames":1,)"
+            R"("stale_replies":0,"duplicate_replies":0,"malformed_replies":0,"waited_units":350,)"
+            R"("bytes_sent":501,"bytes_received":4096,"attempt_started_units":[0,150,350],)"
+            R"("computation":{"accepted":true,"warrant_rejected":false,)"
+            R"("root_signature_valid":true,)"
+            R"("samples_requested":6,"samples_returned":6,"signature_failures":0,)"
+            R"("computation_failures":0,"root_failures":0,"ops":{"pairings":2,"miller_loops":2,)"
+            R"("final_exps":2,"point_muls":0,"gt_exps":0,"hash_to_points":0,"msm_terms":2,)"
+            R"("gt_msm_terms":0}},"storage":{"accepted":false,"blocks_checked":0,)"
+            R"("signature_failures":0,"ops":{"pairings":0,"miller_loops":0,"final_exps":0,)"
+            R"("point_muls":0,"gt_exps":0,"hash_to_points":0,"msm_terms":0,"gt_msm_terms":0}}})");
+}
+
+TEST(FaultyTrialsTest, SeededStatsArePinned) {
+  sim::FaultyTrialConfig config;
+  config.plan = sim::FaultPlan::uniform_loss(0.2);
+  config.policy.max_attempts = 8;
+  config.behavior.honest_compute_fraction = 0.5;
+  const auto stats = sim::run_faulty_audit_trials(tiny_group(), config, 6, 2024);
+  EXPECT_EQ(stats.trials, 6u);
+  EXPECT_EQ(stats.accepted, 0u);
+  EXPECT_EQ(stats.rejected, 5u);
+  EXPECT_EQ(stats.inconclusive, 1u);
+  EXPECT_EQ(stats.attempts, 22u);
+  EXPECT_EQ(stats.waited_units, 7700u);
+  EXPECT_EQ(stats.bytes_sent, 3762u);
+  EXPECT_EQ(stats.bytes_received, 24114u);
+  EXPECT_EQ(stats.channel.offered, 36u);
+  EXPECT_EQ(stats.channel.delivered, 30u);
+  EXPECT_EQ(stats.channel.dropped, 6u);
+  EXPECT_EQ(stats.channel.truncated, 0u);
+  EXPECT_EQ(stats.channel.corrupted, 11u);
+  EXPECT_EQ(stats.channel.duplicated, 0u);
+  EXPECT_EQ(stats.channel.reordered, 0u);
+  EXPECT_EQ(stats.channel.delayed, 0u);
+}
+
 }  // namespace
 }  // namespace seccloud
