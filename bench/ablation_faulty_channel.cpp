@@ -133,9 +133,11 @@ int main() {
     link.bind_storage(user_key.q_id, user_key.id);
     core::RetryPolicy policy;
     policy.max_attempts = 8;
-    core::AuditSession session{group, policy};
-    const core::SessionReport report = session.run_storage_audit(
-        link, user_key.q_id, 16, 8, da_key, core::SignatureCheckMode::kBatch, rng);
+    const ibc::DesignatedVerifier da{group, da_key};
+    core::AuditSession session{da, policy};
+    const core::SessionReport report =
+        session.run_storage_audit(link, core::SessionStart::fresh(rng), user_key.q_id, 16, 8,
+                                  core::SignatureCheckMode::kBatch);
     std::printf("\nsingle storage session report (loss=0.30, budget=8):\n%s\n",
                 report.to_json().c_str());
     bench.value("single_session_attempts", static_cast<double>(report.attempts));

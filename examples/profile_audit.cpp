@@ -43,6 +43,7 @@ namespace {
 constexpr std::uint64_t kSeed = 0x9E1D5ULL;
 constexpr std::size_t kUniverse = 32;
 constexpr std::size_t kSamples = 8;
+constexpr const char* kDaId = "da@profile";
 
 core::ComputationTask make_task(std::size_t requests) {
   core::ComputationTask task;
@@ -61,30 +62,30 @@ core::ComputationTask make_task(std::size_t requests) {
 /// challenge / transmit / verify triple per session.
 core::SessionReport run_session(const PairingGroup& group, const ibc::Sio& sio,
                                 const core::UserClient& client,
+                                const ibc::DesignatedVerifier& da,
                                 const std::vector<core::SignedBlock>& blocks,
                                 const sim::ServerBehavior& behavior, bool storage,
                                 std::uint64_t seed) {
   const ibc::IdentityKey user_key = sio.extract("user@profile");
   const ibc::IdentityKey server_key = sio.extract("cs@profile");
-  const ibc::IdentityKey da_key = sio.extract("da@profile");
   num::Xoshiro256 rng{seed};
   sim::SimCloudServer server{group, server_key, "cs-profile", behavior, seed ^ 0xC0FFEE};
   server.handle_store(user_key.id, blocks);
   sim::FaultyAuditLink link{group, server, sim::FaultPlan::uniform_loss(0.0), seed + 1};
-  core::AuditSession session{group, core::RetryPolicy{}};
+  core::AuditSession session{da, core::RetryPolicy{}};
   if (storage) {
     link.bind_storage(user_key.q_id, user_key.id);
-    return session.run_storage_audit(link, user_key.q_id, kUniverse, kSamples, da_key,
-                                     core::SignatureCheckMode::kBatch, rng);
+    return session.run_storage_audit(link, core::SessionStart::fresh(rng), user_key.q_id,
+                                     kUniverse, kSamples, core::SignatureCheckMode::kBatch);
   }
   const core::ComputationTask task = make_task(12);
   const auto outcome =
-      server.handle_compute(user_key.id, user_key.q_id, da_key.q_id, task, rng);
-  const core::Warrant warrant = client.make_warrant(da_key.id, 100, rng);
+      server.handle_compute(user_key.id, user_key.q_id, da.q_id(), task, rng);
+  const core::Warrant warrant = client.make_warrant(kDaId, 100, rng);
   link.bind_computation(user_key.q_id, outcome.task_id, 1);
-  return session.run_computation_audit(link, user_key.q_id, server.q_id(), task,
-                                       outcome.commitment, warrant, kSamples, da_key,
-                                       core::SignatureCheckMode::kBatch, rng);
+  return session.run_computation_audit(link, core::SessionStart::fresh(rng), user_key.q_id,
+                                       server.q_id(), task, outcome.commitment, warrant,
+                                       kSamples, core::SignatureCheckMode::kBatch);
 }
 
 }  // namespace
@@ -101,7 +102,7 @@ int main() {
     const ibc::Sio sio{group, setup_rng};
     const ibc::IdentityKey user_key = sio.extract("user@profile");
     const ibc::IdentityKey server_key = sio.extract("cs@profile");
-    const ibc::IdentityKey da_key = sio.extract("da@profile");
+    const ibc::IdentityKey da_key = sio.extract(kDaId);
     const core::UserClient client{group, sio.params(), user_key, server_key.q_id,
                                   da_key.q_id};
     std::vector<core::DataBlock> raw;
@@ -109,14 +110,15 @@ int main() {
       raw.push_back(core::DataBlock::from_value(i, 3 * i + 1));
     }
     const std::vector<core::SignedBlock> blocks = client.sign_blocks(raw, setup_rng);
+    const ibc::DesignatedVerifier da{group, da_key};
 
-    clean_storage = run_session(group, sio, client, blocks,
+    clean_storage = run_session(group, sio, client, da, blocks,
                                 sim::ServerBehavior::honest(), /*storage=*/true, kSeed);
     sim::ServerBehavior corrupting;
     corrupting.corrupt_fraction = 0.4;
-    bad_storage = run_session(group, sio, client, blocks, corrupting,
+    bad_storage = run_session(group, sio, client, da, blocks, corrupting,
                               /*storage=*/true, kSeed + 1);
-    computation = run_session(group, sio, client, blocks,
+    computation = run_session(group, sio, client, da, blocks,
                               sim::ServerBehavior::honest(), /*storage=*/false, kSeed + 2);
   }
 

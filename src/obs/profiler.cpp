@@ -48,19 +48,15 @@ OpCounters saturating_sub(const OpCounters& a, const OpCounters& b) {
 
 bool is_zero(const OpCounters& ops) { return ops == OpCounters{}; }
 
-void write_ops(JsonWriter& w, const OpCounters& ops) {
+}  // namespace
+
+void write_op_counters(JsonWriter& w, const OpCounters& ops) {
   w.begin_object();
   for (std::size_t i = 0; i < kOpArgNames.size(); ++i) {
     // Strip the "ops." prefix: the enclosing key already says what it is.
     w.key(kOpArgNames[i].substr(4)).value(ops.*kOpFields[i]);
   }
   w.end_object();
-}
-
-}  // namespace
-
-std::span<std::uint64_t OpCounters::* const> profiler_op_fields() noexcept {
-  return kOpFields;
 }
 
 // --- ProfileSpan ------------------------------------------------------------
@@ -212,9 +208,9 @@ std::string Profile::to_json(const CostTable* costs) const {
     w.key("incl_us").value(stats.incl_time);
     w.key("excl_us").value(stats.excl_time);
     w.key("ops");
-    write_ops(w, stats.incl_ops);
+    write_op_counters(w, stats.incl_ops);
     w.key("self_ops");
-    write_ops(w, stats.excl_ops);
+    write_op_counters(w, stats.excl_ops);
     w.end_object();
   }
   w.end_array();
@@ -228,9 +224,9 @@ std::string Profile::to_json(const CostTable* costs) const {
     w.key("incl_us").value(phase.incl_time);
     w.key("excl_us").value(phase.excl_time);
     w.key("ops");
-    write_ops(w, phase.incl_ops);
+    write_op_counters(w, phase.incl_ops);
     w.key("self_ops");
-    write_ops(w, phase.excl_ops);
+    write_op_counters(w, phase.excl_ops);
     w.end_object();
   }
   w.end_array();
@@ -238,7 +234,7 @@ std::string Profile::to_json(const CostTable* costs) const {
   w.key("total").begin_object();
   w.key("time_us").value(total_time());
   w.key("ops");
-  write_ops(w, total_ops());
+  write_op_counters(w, total_ops());
   w.end_object();
 
   if (costs != nullptr) {
@@ -260,7 +256,7 @@ std::string Profile::to_json(const CostTable* costs) const {
       w.key("predicted_ms").value(predicted);
       if (predicted > 0.0) w.key("ratio").value(measured / predicted);
       w.key("ops");
-      write_ops(w, phase.incl_ops);
+      write_op_counters(w, phase.incl_ops);
       w.end_object();
     }
     w.end_array();

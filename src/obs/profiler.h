@@ -35,15 +35,18 @@
 
 namespace seccloud::obs {
 
+class JsonWriter;  // export.h
+
 /// Span arg keys under which ProfileSpan records its op-count delta (only
-/// nonzero fields are attached; absent means zero). Order matches
-/// profiler_op_fields().
+/// nonzero fields are attached; absent means zero). The one list of
+/// OpCounters fields every trace and JSON writer iterates.
 inline constexpr std::array<std::string_view, 8> kOpArgNames = {
     "ops.pairings",   "ops.miller_loops",   "ops.final_exps", "ops.point_muls",
     "ops.gt_exps",    "ops.hash_to_points", "ops.msm_terms",  "ops.gt_msm_terms"};
 
-/// Member pointers into OpCounters, parallel to kOpArgNames.
-std::span<std::uint64_t pairing::OpCounters::* const> profiler_op_fields() noexcept;
+/// Writes `ops` as one JSON object keyed by kOpArgNames without the "ops."
+/// prefix, in that order.
+void write_op_counters(JsonWriter& w, const pairing::OpCounters& ops);
 
 /// RAII profiled span: a trace span plus the begin snapshot of the calling
 /// thread's op mirror. Inert (zero work) when no tracer is installed.

@@ -13,7 +13,7 @@
 //
 //   obs::Tracer tracer;
 //   { obs::TracerScope scope{&tracer};  // audits/sessions now emit spans
-//     session.run_storage_audit(...); }
+//     session.run_storage_audit(link, SessionStart::fresh(rng), ...); }
 //   write(tracer.to_chrome_json());
 #pragma once
 

@@ -280,13 +280,4 @@ StorageAuditReport verify_storage_audit(const ParallelPairingEngine& engine,
   return report;
 }
 
-StorageAuditReport verify_storage_audit(const ParallelPairingEngine& engine,
-                                        const Point& q_user,
-                                        std::span<const SignedBlock> blocks,
-                                        const IdentityKey& verifier_key, VerifierRole role,
-                                        SignatureCheckMode mode) {
-  return verify_storage_audit(engine, q_user, blocks,
-                              ibc::DesignatedVerifier{engine.group(), verifier_key}, role, mode);
-}
-
 }  // namespace seccloud::core

@@ -103,11 +103,5 @@ StorageAuditReport verify_storage_audit(const pairing::ParallelPairingEngine& en
                                         std::span<const SignedBlock> blocks,
                                         const ibc::DesignatedVerifier& verifier,
                                         VerifierRole role, SignatureCheckMode mode);
-/// The same audit with a verifier built for this call.
-StorageAuditReport verify_storage_audit(const pairing::ParallelPairingEngine& engine,
-                                        const Point& q_user,
-                                        std::span<const SignedBlock> blocks,
-                                        const IdentityKey& verifier_key, VerifierRole role,
-                                        SignatureCheckMode mode);
 
 }  // namespace seccloud::core

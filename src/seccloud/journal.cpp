@@ -104,11 +104,15 @@ RecoveredSession recover_session(std::span<const std::uint8_t> journal_bytes) {
     if (!rec.valid) {
       if (record.type != JournalRecordType::kSessionStart) break;
       if (record.payload.size() != 1 + 8) break;
-      const std::uint8_t request = record.payload[0];
-      if (request < 1 || request > kMessageTypeCount) break;
+      // Only a challenge opens a session; a reply type is a corrupt start.
+      const auto request = static_cast<MessageType>(record.payload[0]);
+      if (request != MessageType::kAuditChallenge &&
+          request != MessageType::kStorageChallenge) {
+        break;
+      }
       rec.valid = true;
       rec.session_id = record.stream_id;
-      rec.request_type = static_cast<MessageType>(request);
+      rec.request_type = request;
       rec.master_seed = get_le<std::uint64_t>(record.payload.data() + 1);
       continue;
     }

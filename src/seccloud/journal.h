@@ -107,8 +107,9 @@ using ReplayResult = framing::Replay<JournalRecordType>;
 ReplayResult replay_journal(std::span<const std::uint8_t> bytes);
 
 /// A session state rebuilt from a journal, ready to hand to
-/// AuditSession::resume_*. `valid` is false when the journal holds no
-/// intact kSessionStart record (nothing to resume — rerun from scratch).
+/// SessionStart::resume. `valid` is false when the journal holds no intact
+/// kSessionStart record naming a challenge type (nothing to resume — rerun
+/// from scratch).
 struct RecoveredSession {
   bool valid = false;
   bool torn_tail = false;          ///< the final record was torn mid-write

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <string>
 
 #include "obs/export.h"
@@ -55,23 +56,6 @@ std::uint64_t RetryPolicy::backoff_for(std::size_t failed_attempts) const noexce
 
 // --- session report --------------------------------------------------------
 
-namespace {
-
-void write_op_counters(obs::JsonWriter& w, const pairing::OpCounters& ops) {
-  w.begin_object();
-  w.key("pairings").value(ops.pairings);
-  w.key("miller_loops").value(ops.miller_loops);
-  w.key("final_exps").value(ops.final_exps);
-  w.key("point_muls").value(ops.point_muls);
-  w.key("gt_exps").value(ops.gt_exps);
-  w.key("hash_to_points").value(ops.hash_to_points);
-  w.key("msm_terms").value(ops.msm_terms);
-  w.key("gt_msm_terms").value(ops.gt_msm_terms);
-  w.end_object();
-}
-
-}  // namespace
-
 std::string SessionReport::to_json() const {
   obs::JsonWriter w;
   w.begin_object();
@@ -99,14 +83,14 @@ std::string SessionReport::to_json() const {
       .value(static_cast<std::uint64_t>(computation.computation_failures));
   w.key("root_failures").value(static_cast<std::uint64_t>(computation.root_failures));
   w.key("ops");
-  write_op_counters(w, computation.ops);
+  obs::write_op_counters(w, computation.ops);
   w.end_object();
   w.key("storage").begin_object();
   w.key("accepted").value(storage.accepted);
   w.key("blocks_checked").value(static_cast<std::uint64_t>(storage.blocks_checked));
   w.key("signature_failures").value(static_cast<std::uint64_t>(storage.signature_failures));
   w.key("ops");
-  write_op_counters(w, storage.ops);
+  obs::write_op_counters(w, storage.ops);
   w.end_object();
   w.end_object();
   return std::move(w).str();
@@ -114,8 +98,8 @@ std::string SessionReport::to_json() const {
 
 // --- the session driver -----------------------------------------------------
 
-AuditSession::AuditSession(const PairingGroup& group, RetryPolicy policy)
-    : group_(&group), policy_(policy) {
+AuditSession::AuditSession(const ibc::DesignatedVerifier& da, RetryPolicy policy)
+    : da_(&da), policy_(policy) {
   if (policy_.max_attempts == 0) policy_.max_attempts = 1;
 }
 
@@ -145,36 +129,51 @@ void publish_session_report(const SessionReport& report) {
 /// the attempts before it.
 constexpr std::uint64_t kAttemptSeedStride = 0x9E3779B97F4A7C15ULL;
 
-AuditSession::Origin AuditSession::fresh_origin(num::RandomSource& rng) {
-  Origin origin;
-  origin.session_id = static_cast<std::uint32_t>(rng.next_u64());
-  origin.master_seed = rng.next_u64();
-  return origin;
+SessionStart SessionStart::fresh(num::RandomSource& rng) {
+  SessionStart start;
+  start.session_id_ = static_cast<std::uint32_t>(rng.next_u64());
+  start.master_seed_ = rng.next_u64();
+  return start;
 }
 
-AuditSession::Origin AuditSession::resumed_origin(const RecoveredSession& recovered) {
-  Origin origin;
-  origin.session_id = recovered.session_id;
-  origin.master_seed = recovered.master_seed;
-  origin.first_attempt = recovered.next_attempt;
-  origin.carried = recovered.carried;
-  origin.resumed = true;
-  return origin;
+SessionStart SessionStart::resume(const RecoveredSession& recovered) {
+  SessionStart start;
+  start.session_id_ = recovered.session_id;
+  start.master_seed_ = recovered.master_seed;
+  start.first_attempt_ = recovered.next_attempt;
+  start.carried_ = recovered.carried;
+  start.resumed_ = true;
+  start.concluded_ = recovered.concluded;
+  if (recovered.valid) start.journaled_type_ = recovered.request_type;
+  return start;
 }
 
 template <typename Issue, typename Conclude>
 SessionReport AuditSession::drive(AuditTransport& link, MessageType request_type,
-                                  MessageType reply_type, const Origin& origin,
+                                  MessageType reply_type, const SessionStart& start,
                                   SessionJournal* journal, Issue&& issue,
                                   Conclude&& conclude) {
-  SessionReport report = origin.carried;
-  const std::uint32_t session_id = origin.session_id;
+  if (start.resumed_ && start.journaled_type_ != request_type) {
+    // Resuming another protocol's journal would run this audit under its
+    // session id, seed and tallies, and append to its log.
+    throw std::invalid_argument(std::string("journal does not hold a ") +
+                                to_string(request_type) + " session");
+  }
+  SessionReport report = start.carried_;
+  if (start.concluded_) {
+    // The journal already holds the outcome: the carried report IS the
+    // session result, and the server is never re-contacted.
+    obs::trace_instant("resume_concluded");
+    publish_session_report(report);
+    return report;
+  }
+  const std::uint32_t session_id = start.session_id_;
   // The fallback clock resumes from the journaled cumulative waits, so a
   // recovered session stamps the exact timestamps the crashed run would.
   SimulatedClock fallback{report.waited_units};
   SessionClock& clock = clock_ != nullptr ? *clock_ : fallback;
-  obs::Span session_span = obs::trace_span(origin.resumed ? "audit_session_resume"
-                                                          : "audit_session");
+  obs::Span session_span = obs::trace_span(start.resumed_ ? "audit_session_resume"
+                                                         : "audit_session");
   if (session_span) {
     session_span.arg("type", to_string(request_type));
     session_span.arg("session_id", std::to_string(session_id));
@@ -189,12 +188,12 @@ SessionReport AuditSession::drive(AuditTransport& link, MessageType request_type
     journal->append({JournalRecordType::kSessionEnd, session_id, seq,
                      encode_session_end_payload(verdict)});
   };
-  if (journal != nullptr && !origin.resumed) {
+  if (journal != nullptr && !start.resumed_) {
     journal->append({JournalRecordType::kSessionStart, session_id, 0,
-                     encode_session_start_payload(request_type, origin.master_seed)});
+                     encode_session_start_payload(request_type, start.master_seed_)});
   }
 
-  for (std::size_t attempt = origin.first_attempt; attempt <= policy_.max_attempts;
+  for (std::size_t attempt = start.first_attempt_; attempt <= policy_.max_attempts;
        ++attempt) {
     const std::uint64_t started = clock.now_units();
     const auto seq = static_cast<std::uint32_t>(attempt);
@@ -209,7 +208,7 @@ SessionReport AuditSession::drive(AuditTransport& link, MessageType request_type
     ++report.attempts;
     obs::Span attempt_span = obs::trace_span("attempt");
     if (attempt_span) attempt_span.arg("seq", std::to_string(attempt));
-    num::Xoshiro256 attempt_rng{origin.master_seed + kAttemptSeedStride * attempt};
+    num::Xoshiro256 attempt_rng{start.master_seed_ + kAttemptSeedStride * attempt};
     Bytes request;
     {
       // The challenge phase of the cost model: sampling plus encoding.
@@ -284,90 +283,49 @@ SessionReport AuditSession::drive(AuditTransport& link, MessageType request_type
   return report;
 }
 
-namespace {
-
-/// A session whose journal already holds a conclusive outcome never
-/// re-contacts the server: the carried report IS the session result.
-std::optional<SessionReport> concluded_result(const RecoveredSession& recovered) {
-  if (!recovered.concluded) return std::nullopt;
-  SessionReport report = recovered.carried;
-  report.verdict = recovered.verdict;
-  obs::trace_instant("resume_concluded");
-  publish_session_report(report);
-  return report;
-}
-
-}  // namespace
-
 SessionReport AuditSession::run_computation_audit(
-    AuditTransport& link, const Point& q_user, const Point& q_server,
-    const ComputationTask& task, const Commitment& commitment, const Warrant& warrant,
-    std::size_t sample_size, const IdentityKey& da_key, SignatureCheckMode mode,
-    num::RandomSource& rng, SessionJournal* journal) {
+    AuditTransport& link, const SessionStart& start, const Point& q_user,
+    const Point& q_server, const ComputationTask& task, const Commitment& commitment,
+    const Warrant& warrant, std::size_t sample_size, SignatureCheckMode mode,
+    SessionJournal* journal) {
+  const PairingGroup& group = da_->group();
   AuditChallenge current;
   return drive(
-      link, MessageType::kAuditChallenge, MessageType::kAuditResponse,
-      fresh_origin(rng), journal,
+      link, MessageType::kAuditChallenge, MessageType::kAuditResponse, start, journal,
       [&](num::RandomSource& attempt_rng) {
         // Idempotent re-issue: a fresh sample (fresh nonce), the same warrant.
         current = make_challenge(task.requests.size(), sample_size, warrant, attempt_rng);
-        return encode_challenge(*group_, current);
+        return encode_challenge(group, current);
       },
       [&](const Bytes& payload, SessionReport& report) -> std::optional<SessionVerdict> {
-        const auto response = decode_response(*group_, payload);
+        const auto response = decode_response(group, payload);
         if (!response) return std::nullopt;
-        report.computation = verify_computation_audit(
-            pairing::ParallelPairingEngine{*group_, 1}, q_user, q_server, task, commitment,
-            current, *response, da_key, mode);
+        report.computation =
+            verify_computation_audit(pairing::ParallelPairingEngine{group, 1}, q_user,
+                                     q_server, task, commitment, current, *response, *da_,
+                                     mode);
         return report.computation.accepted ? SessionVerdict::kAccepted
                                            : SessionVerdict::kRejected;
       });
 }
 
-SessionReport AuditSession::resume_computation_audit(
-    AuditTransport& link, const RecoveredSession& recovered, const Point& q_user,
-    const Point& q_server, const ComputationTask& task, const Commitment& commitment,
-    const Warrant& warrant, std::size_t sample_size, const IdentityKey& da_key,
-    SignatureCheckMode mode, SessionJournal* journal) {
-  if (auto done = concluded_result(recovered)) return *std::move(done);
-  AuditChallenge current;
-  return drive(
-      link, MessageType::kAuditChallenge, MessageType::kAuditResponse,
-      resumed_origin(recovered), journal,
-      [&](num::RandomSource& attempt_rng) {
-        current = make_challenge(task.requests.size(), sample_size, warrant, attempt_rng);
-        return encode_challenge(*group_, current);
-      },
-      [&](const Bytes& payload, SessionReport& report) -> std::optional<SessionVerdict> {
-        const auto response = decode_response(*group_, payload);
-        if (!response) return std::nullopt;
-        report.computation = verify_computation_audit(
-            pairing::ParallelPairingEngine{*group_, 1}, q_user, q_server, task, commitment,
-            current, *response, da_key, mode);
-        return report.computation.accepted ? SessionVerdict::kAccepted
-                                           : SessionVerdict::kRejected;
-      });
-}
-
-SessionReport AuditSession::run_storage_audit(AuditTransport& link, const Point& q_user,
-                                              std::uint64_t universe,
+SessionReport AuditSession::run_storage_audit(AuditTransport& link, const SessionStart& start,
+                                              const Point& q_user, std::uint64_t universe,
                                               std::size_t sample_size,
-                                              const IdentityKey& da_key,
                                               SignatureCheckMode mode,
-                                              num::RandomSource& rng,
                                               SessionJournal* journal) {
+  const PairingGroup& group = da_->group();
   std::vector<std::uint64_t> indices;
   return drive(
-      link, MessageType::kStorageChallenge, MessageType::kStorageResponse,
-      fresh_origin(rng), journal,
+      link, MessageType::kStorageChallenge, MessageType::kStorageResponse, start, journal,
       [&](num::RandomSource& attempt_rng) {
         indices = sample_indices(universe, sample_size, attempt_rng);
         AuditChallenge probe;  // Protocol II needs only the positions
         probe.sample_indices = indices;
-        return encode_challenge(*group_, probe);
+        return encode_challenge(group, probe);
       },
       [&](const Bytes& payload, SessionReport& report) -> std::optional<SessionVerdict> {
-        const auto blocks = decode_block_list(*group_, payload);
+        const auto blocks = decode_block_list(group, payload);
         if (!blocks) return std::nullopt;
         // The checksum proved the server produced this reply, so a wrong
         // shape (count or claimed positions) is attributable misbehaviour,
@@ -377,42 +335,8 @@ SessionReport AuditSession::run_storage_audit(AuditTransport& link, const Point&
           shape_ok = (*blocks)[i].block.index == indices[i];
         }
         report.storage =
-            verify_storage_audit(pairing::ParallelPairingEngine{*group_, 1}, q_user, *blocks,
-                                 da_key, VerifierRole::kDesignatedAgency, mode);
-        return shape_ok && report.storage.accepted ? SessionVerdict::kAccepted
-                                                   : SessionVerdict::kRejected;
-      });
-}
-
-SessionReport AuditSession::resume_storage_audit(AuditTransport& link,
-                                                 const RecoveredSession& recovered,
-                                                 const Point& q_user,
-                                                 std::uint64_t universe,
-                                                 std::size_t sample_size,
-                                                 const IdentityKey& da_key,
-                                                 SignatureCheckMode mode,
-                                                 SessionJournal* journal) {
-  if (auto done = concluded_result(recovered)) return *std::move(done);
-  std::vector<std::uint64_t> indices;
-  return drive(
-      link, MessageType::kStorageChallenge, MessageType::kStorageResponse,
-      resumed_origin(recovered), journal,
-      [&](num::RandomSource& attempt_rng) {
-        indices = sample_indices(universe, sample_size, attempt_rng);
-        AuditChallenge probe;
-        probe.sample_indices = indices;
-        return encode_challenge(*group_, probe);
-      },
-      [&](const Bytes& payload, SessionReport& report) -> std::optional<SessionVerdict> {
-        const auto blocks = decode_block_list(*group_, payload);
-        if (!blocks) return std::nullopt;
-        bool shape_ok = blocks->size() == indices.size();
-        for (std::size_t i = 0; shape_ok && i < indices.size(); ++i) {
-          shape_ok = (*blocks)[i].block.index == indices[i];
-        }
-        report.storage =
-            verify_storage_audit(pairing::ParallelPairingEngine{*group_, 1}, q_user, *blocks,
-                                 da_key, VerifierRole::kDesignatedAgency, mode);
+            verify_storage_audit(pairing::ParallelPairingEngine{group, 1}, q_user, *blocks,
+                                 *da_, VerifierRole::kDesignatedAgency, mode);
         return shape_ok && report.storage.accepted ? SessionVerdict::kAccepted
                                                    : SessionVerdict::kRejected;
       });

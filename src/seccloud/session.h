@@ -164,13 +164,40 @@ struct SessionReport {
 
 // --- the session driver -----------------------------------------------------
 
-/// Runs storage and computation audits over an AuditTransport with retries.
+/// Where a session starts. A fresh session draws its id and master challenge
+/// seed from the caller's rng; a resumed one continues a session replayed
+/// from a journal (journal.h's recover_session) at its first unfinished
+/// attempt, with the journaled tallies, timestamps and clock carried over.
+class SessionStart {
+ public:
+  static SessionStart fresh(num::RandomSource& rng);
+  static SessionStart resume(const RecoveredSession& recovered);
+
+ private:
+  friend class AuditSession;
+  SessionStart() = default;
+
+  std::uint32_t session_id_ = 0;
+  std::uint64_t master_seed_ = 0;
+  std::size_t first_attempt_ = 1;
+  SessionReport carried_;  ///< journaled tallies; the verdict once concluded
+  bool resumed_ = false;
+  bool concluded_ = false;  ///< the journal already holds the final outcome
+  /// The request type the journal's start record names; nullopt when it
+  /// holds no intact start record.
+  std::optional<MessageType> journaled_type_;
+};
+
+/// Runs storage and computation audits over an AuditTransport with retries,
+/// verifying every reply through the DA's held verifier for sk_DA.
 /// Deterministic: all randomness (sampling, session ids) comes from the
-/// caller's RandomSource, and the fault injection of a sim channel is
-/// seeded, so whole sessions are bit-reproducible.
+/// SessionStart, and the fault injection of a sim channel is seeded, so
+/// whole sessions are bit-reproducible.
 class AuditSession {
  public:
-  AuditSession(const PairingGroup& group, RetryPolicy policy);
+  /// `da` must outlive the session; its group is the session's group.
+  AuditSession(const ibc::DesignatedVerifier& da, RetryPolicy policy);
+  AuditSession(ibc::DesignatedVerifier&&, RetryPolicy) = delete;
 
   const RetryPolicy& policy() const noexcept { return policy_; }
 
@@ -179,73 +206,46 @@ class AuditSession {
   /// sessions and the journaled cumulative waits for resumed ones.
   void set_clock(SessionClock* clock) noexcept { clock_ = clock; }
 
-  /// Algorithm 1 with retries: each attempt re-issues a fresh challenge
-  /// (new sample, same warrant) with seq = attempt number, then verifies the
-  /// first intact, current-attempt response. The caller's rng seeds only the
-  /// session identity and the per-attempt challenge seed; each attempt then
-  /// samples from a stream derived from (master seed, attempt), so a
-  /// resumed session re-issues bit-identical challenges. When `journal` is
-  /// given, every phase transition is appended to it (write-ahead) before
-  /// the transition's side effect.
-  SessionReport run_computation_audit(AuditTransport& link, const Point& q_user,
-                                      const Point& q_server, const ComputationTask& task,
+  // Both audits share one contract:
+  //  * each attempt re-issues a fresh challenge (new sample, same warrant)
+  //    with seq = attempt number, then verifies the first intact,
+  //    current-attempt reply. The attempt samples from a stream derived from
+  //    (master seed, attempt), so a resumed session re-issues bit-identical
+  //    challenges and ends bit-identical to the same session never crashed;
+  //  * a resumed start whose journal already concluded returns the journaled
+  //    report without touching the channel;
+  //  * a resumed start whose journal holds no intact start record, or names
+  //    the other protocol's request, throws std::invalid_argument before the
+  //    channel or the journal is touched;
+  //  * when `journal` is given, every phase transition is appended to it
+  //    (write-ahead) before the transition's side effect.
+
+  /// Algorithm 1 with retries.
+  SessionReport run_computation_audit(AuditTransport& link, const SessionStart& start,
+                                      const Point& q_user, const Point& q_server,
+                                      const ComputationTask& task,
                                       const Commitment& commitment, const Warrant& warrant,
-                                      std::size_t sample_size, const IdentityKey& da_key,
-                                      SignatureCheckMode mode, num::RandomSource& rng,
+                                      std::size_t sample_size, SignatureCheckMode mode,
                                       SessionJournal* journal = nullptr);
 
   /// Protocol II with retries: samples `sample_size` positions from
   /// [0, universe) afresh per attempt and verifies the returned blocks'
   /// designated-verifier signatures.
-  SessionReport run_storage_audit(AuditTransport& link, const Point& q_user,
-                                  std::uint64_t universe, std::size_t sample_size,
-                                  const IdentityKey& da_key, SignatureCheckMode mode,
-                                  num::RandomSource& rng, SessionJournal* journal = nullptr);
-
-  /// Crash recovery: continues a session replayed from a journal
-  /// (journal.h's recover_session). Already-concluded sessions return the
-  /// carried report without touching the channel; otherwise the loop
-  /// re-enters at recovered.next_attempt with the journaled tallies,
-  /// timestamps, and clock carried over — a recovered run is bit-identical
-  /// to the same session never having crashed. `recovered.valid` must hold.
-  SessionReport resume_computation_audit(AuditTransport& link,
-                                         const RecoveredSession& recovered,
-                                         const Point& q_user, const Point& q_server,
-                                         const ComputationTask& task,
-                                         const Commitment& commitment,
-                                         const Warrant& warrant, std::size_t sample_size,
-                                         const IdentityKey& da_key, SignatureCheckMode mode,
-                                         SessionJournal* journal = nullptr);
-
-  SessionReport resume_storage_audit(AuditTransport& link, const RecoveredSession& recovered,
-                                     const Point& q_user, std::uint64_t universe,
-                                     std::size_t sample_size, const IdentityKey& da_key,
-                                     SignatureCheckMode mode,
-                                     SessionJournal* journal = nullptr);
+  SessionReport run_storage_audit(AuditTransport& link, const SessionStart& start,
+                                  const Point& q_user, std::uint64_t universe,
+                                  std::size_t sample_size, SignatureCheckMode mode,
+                                  SessionJournal* journal = nullptr);
 
  private:
-  /// Where a drive() starts: fresh sessions draw identity + master seed from
-  /// the caller's rng; resumed ones carry journaled state forward.
-  struct Origin {
-    std::uint32_t session_id = 0;
-    std::uint64_t master_seed = 0;
-    std::size_t first_attempt = 1;
-    SessionReport carried;
-    bool resumed = false;
-  };
-
-  static Origin fresh_origin(num::RandomSource& rng);
-  static Origin resumed_origin(const RecoveredSession& recovered);
-
   /// Shared attempt loop: `issue(rng)` builds the attempt's request payload
   /// from the attempt-scoped random stream, `conclude` verifies a decoded
   /// reply payload and fills the report.
   template <typename Issue, typename Conclude>
   SessionReport drive(AuditTransport& link, MessageType request_type,
-                      MessageType reply_type, const Origin& origin,
+                      MessageType reply_type, const SessionStart& start,
                       SessionJournal* journal, Issue&& issue, Conclude&& conclude);
 
-  const PairingGroup* group_;
+  const ibc::DesignatedVerifier* da_;
   RetryPolicy policy_;
   SessionClock* clock_ = nullptr;
 };

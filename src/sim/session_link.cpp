@@ -6,7 +6,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "seccloud/client.h"
 #include "seccloud/codec.h"
 
 namespace seccloud::sim {
@@ -95,24 +94,18 @@ std::vector<Bytes> FaultyAuditLink::exchange(core::MessageType type, const Bytes
 
 // --- Monte-Carlo over lossy channels ---------------------------------------
 
-FaultyTrialStats run_faulty_audit_trials(const PairingGroup& group,
-                                         const FaultyTrialConfig& config,
-                                         std::size_t trials, std::uint64_t seed) {
-  num::Xoshiro256 setup_rng{seed};
-  const ibc::Sio sio{group, setup_rng};
-  const ibc::IdentityKey user_key = sio.extract("user@faulty-mc");
-  const ibc::IdentityKey server_key = sio.extract("cs@faulty-mc");
-  const ibc::IdentityKey da_key = sio.extract("da@faulty-mc");
-  const core::UserClient client{group, sio.params(), user_key, server_key.q_id,
-                                da_key.q_id};
+namespace {
 
-  std::vector<core::DataBlock> raw_blocks;
-  raw_blocks.reserve(config.universe);
-  for (std::uint64_t i = 0; i < config.universe; ++i) {
-    raw_blocks.push_back(core::DataBlock::from_value(i, 3 * i + 1));
+std::vector<core::DataBlock> trial_blocks(std::size_t universe) {
+  std::vector<core::DataBlock> raw;
+  raw.reserve(universe);
+  for (std::uint64_t i = 0; i < universe; ++i) {
+    raw.push_back(core::DataBlock::from_value(i, 3 * i + 1));
   }
-  const std::vector<SignedBlock> blocks = client.sign_blocks(raw_blocks, setup_rng);
+  return raw;
+}
 
+core::ComputationTask trial_task(const FaultyTrialConfig& config) {
   core::ComputationTask task;
   for (std::size_t i = 0; i < config.requests; ++i) {
     core::ComputeRequest request;
@@ -122,7 +115,70 @@ FaultyTrialStats run_faulty_audit_trials(const PairingGroup& group,
     }
     task.requests.push_back(std::move(request));
   }
+  return task;
+}
 
+}  // namespace
+
+TrialRig::TrialRig(const PairingGroup& g, const FaultyTrialConfig& trial_config,
+                   std::uint64_t base_seed, const std::string& tag)
+    : group(g),
+      config(trial_config),
+      seed(base_seed),
+      setup_rng{seed},
+      sio{group, setup_rng},
+      user_key(sio.extract("user@" + tag)),
+      server_key(sio.extract("cs@" + tag)),
+      da_key(sio.extract("da@" + tag)),
+      client{group, sio.params(), user_key, server_key.q_id, da_key.q_id},
+      blocks(client.sign_blocks(trial_blocks(config.universe), setup_rng)),
+      task(trial_task(config)),
+      da{group, da_key} {}
+
+std::uint64_t TrialRig::trial_seed(std::size_t trial) const noexcept {
+  // Trial i's whole random universe — server behaviour, sampling, fault
+  // injection — derives from (seed, i): bit-reproducible, order-free.
+  return seed + kGolden * (trial + 1);
+}
+
+AuditTrial::AuditTrial(const TrialRig& rig, std::size_t trial)
+    : rig_(&rig),
+      rng_{rig.trial_seed(trial)},
+      server_{rig.group, rig.server_key, rig.server_key.id, rig.config.behavior,
+              rig.trial_seed(trial) ^ kGolden},
+      link_{rig.group, server_, rig.config.plan, rig.trial_seed(trial) + 7},
+      session_{rig.da, rig.config.policy} {
+  server_.handle_store(rig.user_key.id, rig.blocks);
+  if (rig.config.storage_audit) {
+    link_.bind_storage(rig.user_key.q_id, rig.user_key.id);
+    return;
+  }
+  const auto outcome = server_.handle_compute(rig.user_key.id, rig.user_key.q_id,
+                                              rig.da_key.q_id, rig.task, rng_);
+  commitment_ = outcome.commitment;
+  warrant_ = rig.client.make_warrant(rig.da_key.id, 100, rng_);
+  link_.bind_computation(rig.user_key.q_id, outcome.task_id, 1);
+}
+
+core::SessionReport AuditTrial::run(core::SessionJournal* journal,
+                                    const core::RecoveredSession* recovered) {
+  const core::SessionStart start = recovered != nullptr
+                                       ? core::SessionStart::resume(*recovered)
+                                       : core::SessionStart::fresh(rng_);
+  const FaultyTrialConfig& config = rig_->config;
+  if (config.storage_audit) {
+    return session_.run_storage_audit(link_, start, rig_->user_key.q_id, config.universe,
+                                      config.sample_size, config.mode, journal);
+  }
+  return session_.run_computation_audit(link_, start, rig_->user_key.q_id, server_.q_id(),
+                                        rig_->task, commitment_, warrant_,
+                                        config.sample_size, config.mode, journal);
+}
+
+FaultyTrialStats run_faulty_audit_trials(const PairingGroup& group,
+                                         const FaultyTrialConfig& config,
+                                         std::size_t trials, std::uint64_t seed) {
+  const TrialRig rig{group, config, seed, "faulty-mc"};
   FaultyTrialStats stats;
   stats.trials = trials;
   obs::Histogram& trial_ms = obs::default_registry().histogram("sim.trial_ms");
@@ -130,31 +186,8 @@ FaultyTrialStats run_faulty_audit_trials(const PairingGroup& group,
     const auto trial_begin = std::chrono::steady_clock::now();
     obs::Span trial_span = obs::trace_span("audit_trial");
     if (trial_span) trial_span.arg("trial", std::to_string(trial));
-    // Trial i's whole random universe — server behaviour, sampling, fault
-    // injection — derives from (seed, i): bit-reproducible, order-free.
-    const std::uint64_t base = seed + kGolden * (trial + 1);
-    num::Xoshiro256 trial_rng{base};
-    SimCloudServer server{group, server_key, "cs-faulty", config.behavior, base ^ kGolden};
-    server.handle_store(user_key.id, blocks);
-    FaultyAuditLink link{group, server, config.plan, base + 7};
-    core::AuditSession session{group, config.policy};
-
-    core::SessionReport report;
-    if (config.storage_audit) {
-      link.bind_storage(user_key.q_id, user_key.id);
-      report = session.run_storage_audit(link, user_key.q_id, config.universe,
-                                         config.sample_size, da_key, config.mode,
-                                         trial_rng);
-    } else {
-      const auto outcome =
-          server.handle_compute(user_key.id, user_key.q_id, da_key.q_id, task, trial_rng);
-      const core::Warrant warrant = client.make_warrant(da_key.id, 100, trial_rng);
-      link.bind_computation(user_key.q_id, outcome.task_id, 1);
-      report = session.run_computation_audit(link, user_key.q_id, server.q_id(), task,
-                                             outcome.commitment, warrant,
-                                             config.sample_size, da_key, config.mode,
-                                             trial_rng);
-    }
+    AuditTrial audit{rig, trial};
+    const core::SessionReport report = audit.run();
 
     switch (report.verdict) {
       case core::SessionVerdict::kAccepted: ++stats.accepted; break;
@@ -165,10 +198,10 @@ FaultyTrialStats run_faulty_audit_trials(const PairingGroup& group,
     stats.waited_units += report.waited_units;
     stats.bytes_sent += report.bytes_sent;
     stats.bytes_received += report.bytes_received;
-    stats.channel += link.tally();
+    stats.channel += audit.link().tally();
     // The link is fresh per trial, so its tally is exactly this trial's
     // channel-side fault counts.
-    publish(link.tally(), obs::default_registry(), "channel");
+    publish(audit.link().tally(), obs::default_registry(), "channel");
     if (trial_span) trial_span.arg("verdict", core::to_string(report.verdict));
     const std::chrono::duration<double, std::milli> elapsed =
         std::chrono::steady_clock::now() - trial_begin;

@@ -7,6 +7,7 @@
 
 #include <string>
 
+#include "seccloud/client.h"
 #include "seccloud/session.h"
 #include "sim/server.h"
 
@@ -79,6 +80,59 @@ struct FaultyTrialStats {
   FaultTally channel;               ///< both directions, all trials
 
   std::size_t conclusive() const noexcept { return accepted + rejected; }
+};
+
+/// What every trial of a Monte-Carlo run shares, built once from the seed:
+/// the user, CS and DA keys (identities "user@<tag>", "cs@<tag>",
+/// "da@<tag>"), the user's signed blocks, the computation task, and the DA's
+/// held verifier. `config` must outlive the rig.
+struct TrialRig {
+  TrialRig(const PairingGroup& g, const FaultyTrialConfig& trial_config,
+           std::uint64_t base_seed, const std::string& tag);
+
+  /// The seed every random stream of trial `trial` derives from.
+  std::uint64_t trial_seed(std::size_t trial) const noexcept;
+
+  const PairingGroup& group;
+  const FaultyTrialConfig& config;
+  std::uint64_t seed;
+  num::Xoshiro256 setup_rng;
+  ibc::Sio sio;
+  ibc::IdentityKey user_key;
+  ibc::IdentityKey server_key;
+  ibc::IdentityKey da_key;
+  core::UserClient client;
+  std::vector<SignedBlock> blocks;
+  core::ComputationTask task;
+  ibc::DesignatedVerifier da;
+};
+
+/// Trial `trial` of a rig: a fresh server of the configured behaviour
+/// holding the rig's blocks and a fresh link, both seeded from (rig seed,
+/// trial), bound to the protocol under audit. For a computation audit the
+/// server has already run the task and the user has issued the DA's
+/// warrant. run() may be called again on the same trial to resume a crashed
+/// session over the channel the crash left behind.
+class AuditTrial {
+ public:
+  AuditTrial(const TrialRig& rig, std::size_t trial);
+  AuditTrial(const AuditTrial&) = delete;
+  AuditTrial& operator=(const AuditTrial&) = delete;
+
+  /// Runs a fresh session, or resumes `recovered` when given.
+  core::SessionReport run(core::SessionJournal* journal = nullptr,
+                          const core::RecoveredSession* recovered = nullptr);
+
+  const FaultyAuditLink& link() const noexcept { return link_; }
+
+ private:
+  const TrialRig* rig_;
+  num::Xoshiro256 rng_;
+  SimCloudServer server_;
+  FaultyAuditLink link_;
+  core::AuditSession session_;
+  Commitment commitment_;
+  core::Warrant warrant_;
 };
 
 /// Runs `trials` independent audit sessions. Deterministic: the key material

@@ -88,6 +88,7 @@ class AuditGoldenTest : public ::testing::Test {
   ibc::IdentityKey server_key;
   ibc::IdentityKey da_key;
   const ibc::DesignatedVerifier server_verifier{g, server_key};  ///< sk_CS lines, built once
+  const ibc::DesignatedVerifier da_verifier{g, da_key};          ///< sk_DA lines, built once
   core::UserClient client;
   std::vector<core::SignedBlock> blocks;
   core::ComputationTask task;
@@ -127,7 +128,7 @@ TEST_F(AuditGoldenTest, StorageAuditReportsArePinned) {
                                  ", " + std::to_string(lanes) + " lanes";
         const pairing::ParallelPairingEngine engine{g, lanes};
         const auto report =
-            core::verify_storage_audit(engine, user_key.q_id, audited, da_key,
+            core::verify_storage_audit(engine, user_key.q_id, audited, da_verifier,
                                        core::VerifierRole::kDesignatedAgency, mode);
         EXPECT_EQ(report.accepted, want.accepted) << what;
         EXPECT_EQ(report.blocks_checked, kBlocks) << what;

@@ -733,9 +733,10 @@ TEST(AuditorBisectionTest, StorageAuditReportsPerEntryVerdicts) {
   std::vector<core::SignedBlock> blocks = client.sign_blocks(raw, rng);
   const std::vector<std::size_t> bad = {4, 21};
   for (const std::size_t i : bad) blocks[i].block.payload[0] ^= 0x3C;
+  const ibc::DesignatedVerifier da_verifier{g, da};
 
   const auto serial = core::verify_storage_audit(pairing::ParallelPairingEngine{g, 1},
-                                                 user.q_id, blocks, da,
+                                                 user.q_id, blocks, da_verifier,
                                                  core::VerifierRole::kDesignatedAgency,
                                                  core::SignatureCheckMode::kBatch);
   EXPECT_FALSE(serial.accepted);
@@ -747,7 +748,7 @@ TEST(AuditorBisectionTest, StorageAuditReportsPerEntryVerdicts) {
   EXPECT_LT(serial.ops.pairings, blocks.size());
 
   const pairing::ParallelPairingEngine engine{g, 3};
-  const auto parallel = core::verify_storage_audit(engine, user.q_id, blocks, da,
+  const auto parallel = core::verify_storage_audit(engine, user.q_id, blocks, da_verifier,
                                                    core::VerifierRole::kDesignatedAgency,
                                                    core::SignatureCheckMode::kBatch);
   EXPECT_EQ(parallel.invalid_signature_entries, serial.invalid_signature_entries);

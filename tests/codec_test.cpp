@@ -53,6 +53,7 @@ class CodecTest : public ::testing::Test {
   ibc::IdentityKey server_key;
   ibc::IdentityKey da_key;
   const ibc::DesignatedVerifier server_verifier{g, server_key};  ///< sk_CS lines, built once
+  const ibc::DesignatedVerifier da_verifier{g, da_key};          ///< sk_DA lines, built once
   UserClient client;
   std::vector<SignedBlock> blocks;
   ComputationTask task;
@@ -73,7 +74,7 @@ TEST_F(CodecTest, SignedBlockSurvivesReverification) {
   const auto back = decode_signed_block(g, wire);
   ASSERT_TRUE(back.has_value());
   const auto report = verify_storage_audit(pairing::ParallelPairingEngine{g, 1}, user_key.q_id,
-                                           std::vector{*back}, da_key,
+                                           std::vector{*back}, da_verifier,
                                            VerifierRole::kDesignatedAgency,
                                            SignatureCheckMode::kIndividual);
   EXPECT_TRUE(report.accepted);

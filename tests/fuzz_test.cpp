@@ -74,6 +74,7 @@ class FuzzTest : public ::testing::Test {
   ibc::IdentityKey server_key;
   ibc::IdentityKey da_key;
   const ibc::DesignatedVerifier server_verifier{g, server_key};  ///< sk_CS lines, built once
+  const ibc::DesignatedVerifier da_verifier{g, da_key};          ///< sk_DA lines, built once
   UserClient client;
   std::vector<SignedBlock> blocks;
   ComputationTask task;
@@ -97,7 +98,7 @@ TEST_F(FuzzTest, MutatedSignedBlocksNeverVerify) {
     if (da_view_unchanged) continue;
     ++decodable;
     const auto report = verify_storage_audit(engine, user_key.q_id, std::vector{*decoded},
-                                             da_key, VerifierRole::kDesignatedAgency,
+                                             da_verifier, VerifierRole::kDesignatedAgency,
                                              SignatureCheckMode::kIndividual);
     EXPECT_FALSE(report.accepted);
   }

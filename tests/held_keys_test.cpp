@@ -80,11 +80,12 @@ TEST_F(HeldKeysTest, ClientPairsOnlyToBuildItsSigner) {
   EXPECT_TRUE(core::warrant_valid(server, user_key.q_id, copied_warrant, 9));
 
   // Blocks signed by the reused signer verify for both designated verifiers.
-  for (const auto& [signed_blocks, role, key] :
-       {std::tuple{&second, core::VerifierRole::kDesignatedAgency, &da_key},
-        std::tuple{&copied, core::VerifierRole::kCloudServer, &server_key}}) {
+  const ibc::DesignatedVerifier da{g, da_key};
+  for (const auto& [signed_blocks, role, verifier] :
+       {std::tuple{&second, core::VerifierRole::kDesignatedAgency, &da},
+        std::tuple{&copied, core::VerifierRole::kCloudServer, &server}}) {
     EXPECT_TRUE(core::verify_storage_audit(pairing::ParallelPairingEngine{g, 1},
-                                           user_key.q_id, *signed_blocks, *key, role,
+                                           user_key.q_id, *signed_blocks, *verifier, role,
                                            core::SignatureCheckMode::kIndividual)
                     .accepted);
   }

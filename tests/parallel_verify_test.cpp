@@ -292,6 +292,7 @@ class ParallelAuditTest : public ::testing::Test {
   ibc::IdentityKey user_key;
   ibc::IdentityKey server_key;
   ibc::IdentityKey da_key;
+  const ibc::DesignatedVerifier da_verifier{g, da_key};  ///< sk_DA lines, built once
   core::UserClient client;
   std::vector<core::SignedBlock> blocks;
   core::ComputationTask task;
@@ -305,12 +306,12 @@ TEST_F(ParallelAuditTest, StorageAuditBitIdenticalAcrossThreadCounts) {
        {core::SignatureCheckMode::kIndividual, core::SignatureCheckMode::kBatch}) {
     for (const auto* set : {&blocks, &tampered}) {
       const auto serial = core::verify_storage_audit(pairing::ParallelPairingEngine{g, 1},
-                                                     user_key.q_id, *set, da_key,
+                                                     user_key.q_id, *set, da_verifier,
                                                      core::VerifierRole::kDesignatedAgency, mode);
       for (const std::size_t threads : {2u, 4u}) {
         const pairing::ParallelPairingEngine engine{g, threads};
         const auto parallel = core::verify_storage_audit(
-            engine, user_key.q_id, *set, da_key, core::VerifierRole::kDesignatedAgency,
+            engine, user_key.q_id, *set, da_verifier, core::VerifierRole::kDesignatedAgency,
             mode);
         EXPECT_EQ(parallel.accepted, serial.accepted);
         EXPECT_EQ(parallel.blocks_checked, serial.blocks_checked);

@@ -294,6 +294,7 @@ TEST(Profile, AttributedOpTotalsAreThreadCountInvariant) {
   for (std::uint64_t i = 0; i < 12; ++i) raw.push_back(core::DataBlock::from_value(i, i + 1));
   std::vector<core::SignedBlock> blocks = client.sign_blocks(raw, rng);
   blocks[7].block.payload[0] ^= 0x11;  // one bad block: reject, then isolate
+  const ibc::DesignatedVerifier da_verifier{g, da};
 
   std::vector<OpCounters> totals;
   core::StorageAuditReport expected;
@@ -303,7 +304,7 @@ TEST(Profile, AttributedOpTotalsAreThreadCountInvariant) {
     core::StorageAuditReport report;
     {
       obs::TracerScope scope{&tracer};
-      report = core::verify_storage_audit(engine, user.q_id, blocks, da,
+      report = core::verify_storage_audit(engine, user.q_id, blocks, da_verifier,
                                           core::VerifierRole::kDesignatedAgency,
                                           core::SignatureCheckMode::kBatch);
     }

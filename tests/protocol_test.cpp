@@ -71,6 +71,7 @@ class ProtocolTest : public ::testing::Test {
   IdentityKey server_key;
   IdentityKey da_key;
   const ibc::DesignatedVerifier server_verifier{g, server_key};  ///< sk_CS lines, built once
+  const ibc::DesignatedVerifier da_verifier{g, da_key};          ///< sk_DA lines, built once
   UserClient client;
   std::vector<SignedBlock> stored;
   ComputationTask task;
@@ -78,7 +79,7 @@ class ProtocolTest : public ::testing::Test {
 
 TEST_F(ProtocolTest, StorageAuditAcceptsAuthenticBlocks) {
   for (const auto mode : {SignatureCheckMode::kIndividual, SignatureCheckMode::kBatch}) {
-    const auto report = verify_storage_audit(engine, user_key.q_id, stored, da_key,
+    const auto report = verify_storage_audit(engine, user_key.q_id, stored, da_verifier,
                                              VerifierRole::kDesignatedAgency, mode);
     EXPECT_TRUE(report.accepted);
     EXPECT_EQ(report.signature_failures, 0u);
@@ -86,7 +87,7 @@ TEST_F(ProtocolTest, StorageAuditAcceptsAuthenticBlocks) {
 }
 
 TEST_F(ProtocolTest, CloudServerCanAlsoVerifyViaItsSigma) {
-  const auto report = verify_storage_audit(engine, user_key.q_id, stored, server_key,
+  const auto report = verify_storage_audit(engine, user_key.q_id, stored, server_verifier,
                                            VerifierRole::kCloudServer,
                                            SignatureCheckMode::kIndividual);
   EXPECT_TRUE(report.accepted);
@@ -95,7 +96,7 @@ TEST_F(ProtocolTest, CloudServerCanAlsoVerifyViaItsSigma) {
 TEST_F(ProtocolTest, StorageAuditDetectsTamperedPayload) {
   auto tampered = stored;
   tampered[7].block.payload[0] ^= 0xFF;
-  const auto report = verify_storage_audit(engine, user_key.q_id, tampered, da_key,
+  const auto report = verify_storage_audit(engine, user_key.q_id, tampered, da_verifier,
                                            VerifierRole::kDesignatedAgency,
                                            SignatureCheckMode::kIndividual);
   EXPECT_FALSE(report.accepted);
@@ -106,7 +107,7 @@ TEST_F(ProtocolTest, StorageAuditDetectsRelocatedBlock) {
   // Block content copied to a different position: index binding must fail.
   auto tampered = stored;
   tampered[3].block.index = 5;
-  const auto report = verify_storage_audit(engine, user_key.q_id, tampered, da_key,
+  const auto report = verify_storage_audit(engine, user_key.q_id, tampered, da_verifier,
                                            VerifierRole::kDesignatedAgency,
                                            SignatureCheckMode::kIndividual);
   EXPECT_FALSE(report.accepted);
@@ -116,7 +117,7 @@ TEST_F(ProtocolTest, BatchStorageAuditDetectsAndLocatesFailures) {
   auto tampered = stored;
   tampered[1].block.payload[0] ^= 1;
   tampered[9].block.payload[0] ^= 1;
-  const auto report = verify_storage_audit(engine, user_key.q_id, tampered, da_key,
+  const auto report = verify_storage_audit(engine, user_key.q_id, tampered, da_verifier,
                                            VerifierRole::kDesignatedAgency,
                                            SignatureCheckMode::kBatch);
   EXPECT_FALSE(report.accepted);
@@ -125,10 +126,10 @@ TEST_F(ProtocolTest, BatchStorageAuditDetectsAndLocatesFailures) {
 
 TEST_F(ProtocolTest, BatchUsesOnePairingIndividualUsesMany) {
   g.reset_counters();
-  (void)verify_storage_audit(engine, user_key.q_id, stored, da_key,
+  (void)verify_storage_audit(engine, user_key.q_id, stored, da_verifier,
                              VerifierRole::kDesignatedAgency, SignatureCheckMode::kBatch);
   const auto batch_ops = g.counters();
-  (void)verify_storage_audit(engine, user_key.q_id, stored, da_key,
+  (void)verify_storage_audit(engine, user_key.q_id, stored, da_verifier,
                              VerifierRole::kDesignatedAgency,
                              SignatureCheckMode::kIndividual);
   const auto individual_ops = g.counters();

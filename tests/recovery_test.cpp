@@ -4,6 +4,7 @@
 // that never crashed: same verdict, same tallies, same attempt timestamps.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "bigint/rng.h"
@@ -148,7 +149,8 @@ TEST(RecoverSessionTest, RejectsJournalsWithoutASessionStart) {
 
 // --- live sessions ----------------------------------------------------------
 
-/// One self-contained audit world: keys, signed blocks, a computation task.
+/// One self-contained audit world: keys, the DA's verifier, signed blocks, a
+/// computation task.
 /// Every run_*/crash/resume below reconstructs server+link+session from the
 /// same seeds, mirroring a real process restart.
 struct Rig {
@@ -157,6 +159,7 @@ struct Rig {
     server_key = sio.extract("cs@recovery");
     da = sio.extract("da@recovery");
     client.emplace(tiny_group(), sio.params(), user, server_key.q_id, da.q_id);
+    verifier.emplace(tiny_group(), da);
     std::vector<core::DataBlock> raw;
     for (std::uint64_t i = 0; i < 16; ++i) {
       raw.push_back(core::DataBlock::from_value(i, 5 * i + 2));
@@ -174,6 +177,7 @@ struct Rig {
   ibc::Sio sio;
   ibc::IdentityKey user, server_key, da;
   std::optional<core::UserClient> client;
+  std::optional<ibc::DesignatedVerifier> verifier;  ///< the DA's held verifier
   std::vector<core::SignedBlock> blocks;
   core::ComputationTask task;
 };
@@ -187,12 +191,12 @@ TEST(RecoverSessionTest, CleanConcludedJournalRecoversWithoutTheChannel) {
   sim::FaultyAuditLink link{tiny_group(), server, sim::FaultPlan::lossless(), 12};
   link.bind_storage(rig.user.q_id, rig.user.id);
 
-  core::AuditSession session{tiny_group(), {}};
+  core::AuditSession session{*rig.verifier, {}};
   BufferJournal journal;
   Xoshiro256 rng{kSessionSeed};
-  const auto report = session.run_storage_audit(link, rig.user.q_id, rig.blocks.size(), 5,
-                                                rig.da, core::SignatureCheckMode::kBatch,
-                                                rng, &journal);
+  const auto report = session.run_storage_audit(link, core::SessionStart::fresh(rng),
+                                                rig.user.q_id, rig.blocks.size(), 5,
+                                                core::SignatureCheckMode::kBatch, &journal);
   ASSERT_EQ(report.verdict, SessionVerdict::kAccepted);
 
   const RecoveredSession recovered = core::recover_session(journal.bytes());
@@ -208,11 +212,56 @@ TEST(RecoverSessionTest, CleanConcludedJournalRecoversWithoutTheChannel) {
   // Resuming a concluded session returns the journaled report without any
   // further channel traffic.
   const auto before = link.tally();
-  const auto resumed = session.resume_storage_audit(link, recovered, rig.user.q_id,
-                                                    rig.blocks.size(), 5, rig.da,
-                                                    core::SignatureCheckMode::kBatch);
+  const auto resumed = session.run_storage_audit(link, core::SessionStart::resume(recovered),
+                                                 rig.user.q_id, rig.blocks.size(), 5,
+                                                 core::SignatureCheckMode::kBatch);
   EXPECT_TRUE(sim::session_reports_match(resumed, report));
   EXPECT_EQ(link.tally().delivered, before.delivered);
+}
+
+TEST(RecoverSessionTest, ResumeRefusesAJournalOfAnotherRequestType) {
+  // A computation journal resumed as a storage audit would run under that
+  // session's id, seed and tallies and append to its log; a start record
+  // naming a reply type is no session at all. Both are refused before the
+  // session touches the channel or the journal.
+  Rig rig;
+  sim::SimCloudServer server{tiny_group(), rig.server_key, "cs-mixed", {}, 61};
+  server.handle_store(rig.user.id, rig.blocks);
+  sim::FaultyAuditLink link{tiny_group(), server, sim::FaultPlan::lossless(), 62};
+  link.bind_storage(rig.user.q_id, rig.user.id);
+  core::AuditSession session{*rig.verifier, {}};
+
+  const auto crashed_journal = [](core::MessageType request_type) {
+    BufferJournal journal;
+    journal.append({JournalRecordType::kSessionStart, 7, 0,
+                    core::encode_session_start_payload(request_type, 99)});
+    journal.append({JournalRecordType::kAttemptStart, 7, 1,
+                    core::encode_attempt_start_payload(0)});
+    return core::recover_session(journal.bytes());
+  };
+  const RecoveredSession computation = crashed_journal(core::MessageType::kAuditChallenge);
+  ASSERT_TRUE(computation.valid);
+  const RecoveredSession reply_typed = crashed_journal(core::MessageType::kStorageResponse);
+  EXPECT_FALSE(reply_typed.valid);
+
+  for (const RecoveredSession* recovered : {&computation, &reply_typed}) {
+    BufferJournal resumed_journal;
+    EXPECT_THROW((void)session.run_storage_audit(
+                     link, core::SessionStart::resume(*recovered), rig.user.q_id,
+                     rig.blocks.size(), 5, core::SignatureCheckMode::kBatch, &resumed_journal),
+                 std::invalid_argument);
+    EXPECT_EQ(resumed_journal.records(), 0u);
+  }
+  // The same check guards the computation audit.
+  BufferJournal resumed_journal;
+  EXPECT_THROW((void)session.run_computation_audit(
+                   link, core::SessionStart::resume(crashed_journal(
+                             core::MessageType::kStorageChallenge)),
+                   rig.user.q_id, rig.server_key.q_id, rig.task, {}, {}, 4,
+                   core::SignatureCheckMode::kBatch, &resumed_journal),
+               std::invalid_argument);
+  EXPECT_EQ(resumed_journal.records(), 0u);
+  EXPECT_EQ(link.tally().offered, 0u);
 }
 
 /// Runs the reference storage session (never crashed) and then, for every
@@ -228,11 +277,11 @@ void exhaustive_storage_crash_sweep(Rig& rig, const sim::FaultPlan& plan,
     server.handle_store(rig.user.id, rig.blocks);
     sim::FaultyAuditLink link{tiny_group(), server, plan, link_seed};
     link.bind_storage(rig.user.q_id, rig.user.id);
-    core::AuditSession session{tiny_group(), {}};
+    core::AuditSession session{*rig.verifier, {}};
     Xoshiro256 rng{kSessionSeed};
-    reference = session.run_storage_audit(link, rig.user.q_id, rig.blocks.size(), 5,
-                                          rig.da, core::SignatureCheckMode::kBatch, rng,
-                                          &ref_journal);
+    reference = session.run_storage_audit(link, core::SessionStart::fresh(rng), rig.user.q_id,
+                                          rig.blocks.size(), 5,
+                                          core::SignatureCheckMode::kBatch, &ref_journal);
   }
   ASSERT_GE(reference.attempts, min_expected_attempts);
   const auto ref_records = core::replay_journal(ref_journal.bytes());
@@ -256,20 +305,19 @@ void exhaustive_storage_crash_sweep(Rig& rig, const sim::FaultPlan& plan,
       server.handle_store(rig.user.id, rig.blocks);
       sim::FaultyAuditLink link{tiny_group(), server, plan, link_seed};
       link.bind_storage(rig.user.q_id, rig.user.id);
-      core::AuditSession session{tiny_group(), {}};
+      core::AuditSession session{*rig.verifier, {}};
       Xoshiro256 rng{kSessionSeed};
-      EXPECT_THROW((void)session.run_storage_audit(link, rig.user.q_id, rig.blocks.size(),
-                                                   5, rig.da,
-                                                   core::SignatureCheckMode::kBatch, rng,
-                                                   &dying),
+      EXPECT_THROW((void)session.run_storage_audit(link, core::SessionStart::fresh(rng),
+                                                   rig.user.q_id, rig.blocks.size(), 5,
+                                                   core::SignatureCheckMode::kBatch, &dying),
                    sim::CrashError);
 
       const RecoveredSession recovered = core::recover_session(dying.bytes());
       ASSERT_TRUE(recovered.valid) << "point " << point << " tear " << tear;
       EXPECT_EQ(recovered.torn_tail, tear != 0);
       BufferJournal resumed_journal;
-      const auto resumed = session.resume_storage_audit(
-          link, recovered, rig.user.q_id, rig.blocks.size(), 5, rig.da,
+      const auto resumed = session.run_storage_audit(
+          link, core::SessionStart::resume(recovered), rig.user.q_id, rig.blocks.size(), 5,
           core::SignatureCheckMode::kBatch, &resumed_journal);
       EXPECT_TRUE(sim::session_reports_match(resumed, reference))
           << "point " << point << " tear " << tear;
@@ -299,11 +347,11 @@ TEST(CrashRecoveryTest, AlignedBoundariesOverALossyChannelAreBitIdentical) {
     server.handle_store(rig.user.id, rig.blocks);
     sim::FaultyAuditLink link{tiny_group(), server, plan, candidate};
     link.bind_storage(rig.user.q_id, rig.user.id);
-    core::AuditSession session{tiny_group(), {}};
+    core::AuditSession session{*rig.verifier, {}};
     Xoshiro256 rng{kSessionSeed};
-    const auto report = session.run_storage_audit(link, rig.user.q_id, rig.blocks.size(),
-                                                  5, rig.da,
-                                                  core::SignatureCheckMode::kBatch, rng);
+    const auto report = session.run_storage_audit(link, core::SessionStart::fresh(rng),
+                                                  rig.user.q_id, rig.blocks.size(), 5,
+                                                  core::SignatureCheckMode::kBatch);
     if (report.attempts >= 3 && report.conclusive()) {
       link_seed = candidate;
       break;
@@ -326,11 +374,10 @@ TEST(CrashRecoveryTest, ComputationSessionResumesBitIdentically) {
     const core::Warrant warrant = rig.client->make_warrant(rig.da.id, 100, rng);
     sim::FaultyAuditLink link{tiny_group(), server, sim::FaultPlan::lossless(), 42};
     link.bind_computation(rig.user.q_id, outcome.task_id, 1);
-    core::AuditSession session{tiny_group(), {}};
-    reference = session.run_computation_audit(link, rig.user.q_id, server.q_id(), rig.task,
-                                              outcome.commitment, warrant, 4, rig.da,
-                                              core::SignatureCheckMode::kBatch, rng,
-                                              &ref_journal);
+    core::AuditSession session{*rig.verifier, {}};
+    reference = session.run_computation_audit(
+        link, core::SessionStart::fresh(rng), rig.user.q_id, server.q_id(), rig.task,
+        outcome.commitment, warrant, 4, core::SignatureCheckMode::kBatch, &ref_journal);
   }
   ASSERT_EQ(reference.verdict, SessionVerdict::kAccepted);
   const auto ref_records = core::replay_journal(ref_journal.bytes());
@@ -349,20 +396,19 @@ TEST(CrashRecoveryTest, ComputationSessionResumesBitIdentically) {
     const core::Warrant warrant = rig.client->make_warrant(rig.da.id, 100, rng);
     sim::FaultyAuditLink link{tiny_group(), server, sim::FaultPlan::lossless(), 42};
     link.bind_computation(rig.user.q_id, outcome.task_id, 1);
-    core::AuditSession session{tiny_group(), {}};
-    EXPECT_THROW((void)session.run_computation_audit(link, rig.user.q_id, server.q_id(),
-                                                     rig.task, outcome.commitment, warrant,
-                                                     4, rig.da,
-                                                     core::SignatureCheckMode::kBatch, rng,
-                                                     &dying),
+    core::AuditSession session{*rig.verifier, {}};
+    EXPECT_THROW((void)session.run_computation_audit(
+                     link, core::SessionStart::fresh(rng), rig.user.q_id, server.q_id(),
+                     rig.task, outcome.commitment, warrant, 4,
+                     core::SignatureCheckMode::kBatch, &dying),
                  sim::CrashError);
 
     const RecoveredSession recovered = core::recover_session(dying.bytes());
     ASSERT_TRUE(recovered.valid) << "point " << point;
     EXPECT_EQ(recovered.request_type, core::MessageType::kAuditChallenge);
-    const auto resumed = session.resume_computation_audit(
-        link, recovered, rig.user.q_id, server.q_id(), rig.task, outcome.commitment,
-        warrant, 4, rig.da, core::SignatureCheckMode::kBatch);
+    const auto resumed = session.run_computation_audit(
+        link, core::SessionStart::resume(recovered), rig.user.q_id, server.q_id(), rig.task,
+        outcome.commitment, warrant, 4, core::SignatureCheckMode::kBatch);
     EXPECT_TRUE(sim::session_reports_match(resumed, reference)) << "point " << point;
   }
 }
@@ -375,12 +421,12 @@ TEST(CrashRecoveryTest, TornFinalRecordRecoversWithoutError) {
   server.handle_store(rig.user.id, rig.blocks);
   sim::FaultyAuditLink link{tiny_group(), server, sim::FaultPlan::lossless(), 52};
   link.bind_storage(rig.user.q_id, rig.user.id);
-  core::AuditSession session{tiny_group(), {}};
+  core::AuditSession session{*rig.verifier, {}};
   BufferJournal journal;
   Xoshiro256 rng{kSessionSeed};
-  const auto report = session.run_storage_audit(link, rig.user.q_id, rig.blocks.size(), 5,
-                                                rig.da, core::SignatureCheckMode::kBatch,
-                                                rng, &journal);
+  const auto report = session.run_storage_audit(link, core::SessionStart::fresh(rng),
+                                                rig.user.q_id, rig.blocks.size(), 5,
+                                                core::SignatureCheckMode::kBatch, &journal);
   ASSERT_TRUE(report.conclusive());
 
   for (std::size_t cut = 1; cut <= 20; ++cut) {

@@ -80,12 +80,12 @@ class SessionTest : public ::testing::Test {
     const core::Warrant warrant = client.make_warrant(da_key.id, warrant_expiry, compute_rng);
     sim::FaultyAuditLink link{g, server, plan, seed + 2};
     link.bind_computation(user_key.q_id, outcome.task_id, /*epoch=*/1);
-    core::AuditSession session{g, policy};
+    core::AuditSession session{da, policy};
     Xoshiro256 session_rng{seed};
     Run run;
     run.report = session.run_computation_audit(
-        link, user_key.q_id, server.q_id(), task, outcome.commitment, warrant,
-        /*sample_size=*/6, da_key, core::SignatureCheckMode::kBatch, session_rng);
+        link, core::SessionStart::fresh(session_rng), user_key.q_id, server.q_id(), task,
+        outcome.commitment, warrant, /*sample_size=*/6, core::SignatureCheckMode::kBatch);
     run.tally = link.tally();
     return run;
   }
@@ -96,12 +96,12 @@ class SessionTest : public ::testing::Test {
     server.handle_store(user_key.id, blocks);
     sim::FaultyAuditLink link{g, server, plan, seed + 2};
     link.bind_storage(user_key.q_id, user_key.id);
-    core::AuditSession session{g, policy};
+    core::AuditSession session{da, policy};
     Xoshiro256 session_rng{seed};
     Run run;
-    run.report = session.run_storage_audit(link, user_key.q_id, /*universe=*/32,
-                                           /*sample_size=*/8, da_key,
-                                           core::SignatureCheckMode::kBatch, session_rng);
+    run.report = session.run_storage_audit(link, core::SessionStart::fresh(session_rng),
+                                           user_key.q_id, /*universe=*/32,
+                                           /*sample_size=*/8, core::SignatureCheckMode::kBatch);
     run.tally = link.tally();
     return run;
   }
@@ -124,6 +124,7 @@ class SessionTest : public ::testing::Test {
   ibc::IdentityKey user_key;
   ibc::IdentityKey server_key;
   ibc::IdentityKey da_key;
+  ibc::DesignatedVerifier da{g, da_key};  ///< the DA's held verifier, built once
   core::UserClient client;
   std::vector<core::SignedBlock> blocks;
   core::ComputationTask task;
@@ -374,13 +375,13 @@ TEST_F(SessionTest, AttemptTimestampsFollowTheSessionClock) {
   server.handle_store(user_key.id, blocks);
   sim::FaultyAuditLink link{g, server, harsh_plan(), seed + 2};
   link.bind_storage(user_key.q_id, user_key.id);
-  core::AuditSession session{g, policy};
+  core::AuditSession session{da, policy};
   core::SimulatedClock clock{500};
   session.set_clock(&clock);
   Xoshiro256 session_rng{seed};
-  const auto shifted = session.run_storage_audit(link, user_key.q_id, 32, 8, da_key,
-                                                 core::SignatureCheckMode::kBatch,
-                                                 session_rng);
+  const auto shifted =
+      session.run_storage_audit(link, core::SessionStart::fresh(session_rng), user_key.q_id,
+                                32, 8, core::SignatureCheckMode::kBatch);
   ASSERT_EQ(shifted.attempt_started_units.size(), stamps.size());
   for (std::size_t k = 0; k < stamps.size(); ++k) {
     EXPECT_EQ(shifted.attempt_started_units[k], stamps[k] + 500) << "attempt " << k + 1;
